@@ -92,16 +92,7 @@ def casimir_completion(alpha) -> np.ndarray:
     k = len(alpha) - 1
     if k > MAX_COMPLETION_ORDER:
         raise ValueError(f"supported deformation order is k <= {MAX_COMPLETION_ORDER}")
-    coeffs = [Fraction(0)] * (k + 2)
-    for j, a in enumerate(alpha):
-        if a == 0:
-            continue
-        # 2*(-1)^(j+1)/(j+1) * (B_{j+1}(-z) - B_{j+1})
-        w = Fraction(2 * (-1) ** (j + 1), j + 1)
-        bp = bernoulli_poly_coeffs(j + 1)
-        for power in range(1, j + 2):
-            coeffs[power] += Fraction(a) * w * bp[power] * (-1) ** power
-    return np.array([float(c) for c in coeffs])
+    return np.array([float(c) for c in _completion_exact(alpha)])
 
 
 def _polyval_ascending(coeffs, z):
@@ -112,12 +103,13 @@ def _polyval_ascending(coeffs, z):
 
 
 def _completion_exact(alpha):
-    """Exact rational coefficients of phi (same recipe as the float path)."""
+    """Exact rational coefficients of phi."""
     k = len(alpha) - 1
     coeffs = [Fraction(0)] * (k + 2)
     for j, a in enumerate(alpha):
         if a == 0:
             continue
+        # 2*(-1)^(j+1)/(j+1) * (B_{j+1}(-z) - B_{j+1})
         w = Fraction(2 * (-1) ** (j + 1), j + 1)
         bp = bernoulli_poly_coeffs(j + 1)
         for power in range(1, j + 2):

@@ -9,11 +9,11 @@ The structure functions f and g satisfy dg/dp = 2 f and g = -r^2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import cos, nan, pi, sin, sqrt
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.optimize import brentq, minimize_scalar
 
 from .model import ModelSpec
 
@@ -21,8 +21,7 @@ DEGENERATE_TOL = 1e-10  # |eps^2 + v^2 f'| below this is a bifurcation point
 
 
 def _shape_prefactor(spec: ModelSpec) -> float:
-    m, n = spec.m, spec.n
-    return float(m) ** (2 - n) * float(n) ** (2 - m)
+    return structure_polynomials(spec.m, spec.n).r0sq
 
 
 def radius_coefficient(spec: ModelSpec) -> float:
@@ -110,24 +109,45 @@ def potentials(spec: ModelSpec, p):
     return lo, hi
 
 
-def _commutator_coeffs(spec: ModelSpec) -> np.ndarray:
-    """Ascending polynomial coefficients of f."""
-    m, n = spec.m, spec.n
-    xp, yp = np.array([0.5, 1.0]), np.array([0.5, -1.0])
-    term = n * npoly.polymul(npoly.polypow(xp, m), npoly.polypow(yp, n - 1))
-    term2 = m * npoly.polymul(npoly.polypow(xp, m - 1), npoly.polypow(yp, n))
-    deg = max(len(term), len(term2))
-    out = np.zeros(deg)
-    out[: len(term)] += term
-    out[: len(term2)] -= term2
-    return 0.5 * _shape_prefactor(spec) * out
+@dataclass(frozen=True)
+class StructurePolynomials:
+    """Ascending coefficients of the structure polynomials of one (m, n).
+
+    pole = (1/2+p)^m (1/2-p)^n, so r^2 = r0sq * pole and g = -r^2.  The
+    fixed points solve v^2 f^2 = eps^2 r^2; with the pole factors divided
+    out that is v^2 fixed_a - eps^2 fixed_b = 0.  Arrays are read-only.
+    """
+
+    r0sq: float
+    pole: np.ndarray
+    f: np.ndarray
+    g: np.ndarray
+    fixed_a: np.ndarray
+    fixed_b: np.ndarray
 
 
-def _casimir_coeffs(spec: ModelSpec) -> np.ndarray:
-    """Ascending polynomial coefficients of g."""
+def _power_product(m: int, n: int) -> np.ndarray:
+    """Ascending coefficients of (1/2+p)^m (1/2-p)^n."""
     xp, yp = np.array([0.5, 1.0]), np.array([0.5, -1.0])
-    out = npoly.polymul(npoly.polypow(xp, spec.m), npoly.polypow(yp, spec.n))
-    return -_shape_prefactor(spec) * out
+    return npoly.polymul(npoly.polypow(xp, m), npoly.polypow(yp, n))
+
+
+@lru_cache(maxsize=64)
+def structure_polynomials(m: int, n: int) -> StructurePolynomials:
+    """The cached structure-polynomial core of the (m, n) Kummer shape."""
+    r0sq = float(m) ** (2 - n) * float(n) ** (2 - m)
+    pole = _power_product(m, n)
+    f = 0.5 * r0sq * (n * _power_product(m, n - 1) - m * _power_product(m - 1, n))
+    lin = np.array([0.5 * (n - m), float(m + n)])  # n*(1/2+p) - m*(1/2-p)
+    fixed_a = (0.5 * r0sq) ** 2 * npoly.polymul(
+        _power_product(max(m - 2, 0), max(n - 2, 0)), npoly.polymul(lin, lin)
+    )
+    fixed_b = r0sq * _power_product(int(m == 1), int(n == 1))
+    fixed_b = np.pad(fixed_b, (0, len(fixed_a) - len(fixed_b)))
+    arrays = (pole, f, -r0sq * pole, fixed_a, fixed_b)
+    for arr in arrays:
+        arr.setflags(write=False)
+    return StructurePolynomials(r0sq, *arrays)
 
 
 @dataclass(frozen=True)
@@ -152,73 +172,67 @@ def _classify(spec: ModelSpec, p: float):
     return "degenerate", 0.0
 
 
-def _reduced_residual(spec: ModelSpec, p):
-    """Fixed-point condition v^2 f^2 = eps^2 r^2 with pole factors removed.
+ROOT_CLUSTER_TOL = 1e-6  # closer companion roots are examined as one pair
+TANGENCY_ULPS = 1e3  # a pair whose extremum is zero to this many ulps is a double root
 
-    The common power of (1/2 +- p) shared by f^2 and r^2 is divided out,
-    so pole roots (handled by rule) never appear and mode indices of 1
-    stay polynomial.
+
+def _horner(coeffs, z: float):
+    """Value and first two derivatives of an ascending polynomial at z."""
+    val = d1 = d2 = 0.0
+    for c in reversed(coeffs):
+        d2 = d2 * z + 2.0 * d1
+        d1 = d1 * z + val
+        val = val * z + c
+    return val, d1, d2
+
+
+def _polish(coeffs, p: float, order: int) -> float:
+    """Two Newton steps to a zero of the polynomial (order 0) or its slope (1)."""
+    for _ in range(2):
+        derivs = _horner(coeffs, p)
+        if derivs[order + 1] == 0.0:
+            break
+        p -= derivs[order] / derivs[order + 1]
+    return p
+
+
+def _interior_roots(spec: ModelSpec) -> list:
+    """Roots in (-1/2, 1/2) of v^2 fixed_a - eps^2 fixed_b, for eps != 0.
+
+    Companion-matrix roots (Edelman & Murakami, Math. Comp. 64, 1995) are
+    grouped by real part.  A lone real root gets Newton steps.  A cluster
+    is driven onto the residual's extremum: a zero there (to rounding) is
+    a tangency, else the cluster holds two close real roots or none.  The
+    domain test follows polishing, so a root driven onto a pole is dropped.
     """
-    p = np.asarray(p, dtype=float)
-    m, n = spec.m, spec.n
-    x = 0.5 + p
-    y = 0.5 - p
-    am = m if m >= 2 else 0
-    an = n if n >= 2 else 0
-    c = 0.5 * _shape_prefactor(spec)
-    r0sq = _shape_prefactor(spec)
-    lin = n * x - m * y
-    term_f = (spec.v * c) ** 2 * x ** (2 * m - 2 - am) * y ** (2 * n - 2 - an) * lin**2
-    term_r = spec.eps**2 * r0sq * x ** (m - am) * y ** (n - an)
-    return term_f - term_r
+    core = structure_polynomials(spec.m, spec.n)
+    va, eb = spec.v**2 * core.fixed_a, spec.eps**2 * core.fixed_b
+    coeffs = va - eb
+    near_real = sorted(
+        float(z.real) for z in npoly.polyroots(coeffs) if abs(z.imag) <= ROOT_CLUSTER_TOL
+    )
+    clusters = []
+    for x in near_real:
+        if clusters and x - clusters[-1][-1] <= ROOT_CLUSTER_TOL:
+            clusters[-1].append(x)
+        else:
+            clusters.append([x])
 
-
-def _interior_roots(spec: ModelSpec, grid_size: int = 4096):
-    """All roots of the reduced fixed-point condition in the open interval."""
-    if spec.eps == 0.0:
-        # stationary requires f(p) = 0; the only interior zero is n*x = m*y
-        p_star = (spec.m - spec.n) / (2.0 * (spec.m + spec.n))
-        return [p_star], []
-
-    pts = list(np.linspace(-0.5, 0.5, grid_size))
-    for k in range(1, 27):  # cluster towards the poles for near-pole roots
-        offset = 0.5 - 4.0**-k
-        pts.extend((-offset, offset))
-    pts = np.unique(np.array(pts))
-    vals = _reduced_residual(spec, pts)
-
+    coeffs = coeffs.tolist()
     roots = []
-    for i in range(len(pts) - 1):
-        a, b = vals[i], vals[i + 1]
-        if a == 0.0:
-            roots.append(pts[i])
-        elif a * b < 0.0:
-            roots.append(brentq(lambda t: _reduced_residual(spec, t), pts[i], pts[i + 1], xtol=1e-15, rtol=8.9e-16))
-    if vals[-1] == 0.0:
-        roots.append(pts[-1])
-
-    # tangent (double) roots: local minima of |residual| that reach zero
-    degenerate = []
-    scale = np.maximum.accumulate(np.abs(vals))[-1] + 1e-300
-    for i in range(1, len(pts) - 1):
-        if abs(vals[i]) <= abs(vals[i - 1]) and abs(vals[i]) <= abs(vals[i + 1]):
-            # grid-sampled residual near a tangency is quadratically
-            # suppressed, not zero; the post-polish test is the gate
-            if abs(vals[i]) > 1e-5 * scale:
-                continue
-            if any(abs(pts[i] - r) < 2 * (pts[i + 1] - pts[i - 1]) for r in roots):
-                continue
-            res = minimize_scalar(
-                lambda t: abs(_reduced_residual(spec, t)),
-                bounds=(pts[i - 1], pts[i + 1]),
-                method="bounded",
-                options={"xatol": 1e-14},
-            )
-            if abs(res.fun) <= 1e-10 * scale:
-                degenerate.append(float(res.x))
-
-    interior = [r for r in roots if -0.5 < r < 0.5]
-    return sorted(interior), sorted(degenerate)
+    for cluster in clusters:
+        if len(cluster) == 1:
+            roots.append(_polish(coeffs, cluster[0], 0))
+            continue
+        p = _polish(coeffs, sum(cluster) / len(cluster), 1)
+        val, _, curv = _horner(coeffs, p)
+        noise = _horner((np.abs(va) + np.abs(eb)).tolist(), abs(p))[0]
+        if abs(val) <= TANGENCY_ULPS * np.finfo(float).eps * noise:
+            roots.append(p)
+        elif val * curv < 0.0:  # two close simple roots, one either side
+            half = sqrt(-2.0 * val / curv)
+            roots += [_polish(coeffs, p - half, 0), _polish(coeffs, p + half, 0)]
+    return [p for p in roots if -0.5 < p < 0.5]
 
 
 def find_fixed_points(spec: ModelSpec) -> list:
@@ -236,19 +250,15 @@ def find_fixed_points(spec: ModelSpec) -> list:
         kind, rate = _classify(spec, 0.5)
         out.append(FixedPoint(0.5, nan, 0.0, spec.eps / 2.0, kind, rate, "north_pole"))
 
-    simple, degenerate = _interior_roots(spec)
     if spec.eps == 0.0:
-        for p in simple:
-            r = radius(spec, p)
-            kind, rate = _classify(spec, p)
-            out.append(FixedPoint(p, 0.0, r, spec.v * r, kind, rate, "interior"))
-            out.append(FixedPoint(p, pi, -r, -spec.v * r, kind, rate, "interior"))
+        # stationary requires f(p) = 0; the only interior zero is n*x = m*y
+        p = (spec.m - spec.n) / (2.0 * (spec.m + spec.n))
+        r = radius(spec, p)
+        kind, rate = _classify(spec, p)
+        out.append(FixedPoint(p, 0.0, r, spec.v * r, kind, rate, "interior"))
+        out.append(FixedPoint(p, pi, -r, -spec.v * r, kind, rate, "interior"))
     else:
-        seen = []
-        for p in simple + degenerate:
-            if any(abs(p - s) < 1e-11 for s in seen):
-                continue
-            seen.append(p)
+        for p in _interior_roots(spec):
             sx = (spec.v / spec.eps) * classical_commutator(spec, p)
             q = 0.0 if sx >= 0.0 else pi
             energy = spec.v * sx + spec.eps * p
@@ -351,8 +361,9 @@ def integrate_trajectory(spec: ModelSpec, initial, t_end: float, dt: float,
         raise ValueError("t_end and dt must be positive")
 
     eps, v = spec.eps, spec.v
-    fc = _commutator_coeffs(spec)[::-1]  # descending for Horner
-    gc = _casimir_coeffs(spec)[::-1]
+    core = structure_polynomials(spec.m, spec.n)
+    fc = core.f[::-1]  # descending for Horner
+    gc = core.g[::-1]
 
     def fval(z):
         acc = 0.0

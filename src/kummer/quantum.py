@@ -42,12 +42,26 @@ def ladder_strength(spec: ModelSpec, mu: int) -> float:
     return val
 
 
+def _ladder_weights(spec: ModelSpec) -> np.ndarray:
+    """ladder_strength(spec, mu) for mu = 1..dim-1, same factors in the same order."""
+    m, n = spec.m, spec.n
+    mu = np.arange(1, spec.dim)
+    scale = float(spec.N) ** ((m + n - 2) / (m + n))
+    val = np.ones(len(mu))
+    for i in range(m):
+        val *= (mu * m - i) / scale
+    base = spec.N // m - mu * n
+    for i in range(n):
+        val *= (base + n - i) / scale
+    return val
+
+
 @dataclass(frozen=True)
 class TridiagonalOperator:
     """Real symmetric tridiagonal data for one of sx, sy, sz, H.
 
     For kind 'sy' the stored off-diagonal holds the magnitudes; the
-    actual matrix is (+i) times them below the diagonal and (-i) above.
+    actual matrix is (-i) times them below the diagonal and (+i) above.
     """
 
     diag: np.ndarray
@@ -71,8 +85,8 @@ class OperatorSet:
 def build_operators(spec: ModelSpec) -> OperatorSet:
     """Matrices of sx, sy, sz and H = eps*sz + v*sx on the N-subspace."""
     dim = spec.dim
-    sqrt_beta = np.sqrt([ladder_strength(spec, mu) for mu in range(1, dim)])
-    z = np.array([spec.sz_value(mu) for mu in range(dim)])
+    sqrt_beta = np.sqrt(_ladder_weights(spec))
+    z = np.arange(dim) - spec.z_max  # spec.sz_value(mu) for every mu
     zero = np.zeros(dim)
     sx = TridiagonalOperator(zero, 0.5 * sqrt_beta, "sx")
     sy = TridiagonalOperator(zero, 0.5 * sqrt_beta, "sy")
@@ -199,15 +213,18 @@ def commutator_residuals(spec: ModelSpec) -> dict:
     """
     from . import algebra
 
+    ops = build_operators(spec)
     dim = spec.dim
-    beta = np.array([ladder_strength(spec, mu) for mu in range(dim + 1)])
-    z = np.array([spec.sz_value(mu) for mu in range(dim)])
-    a = 0.5 * np.sqrt(beta[1:dim])  # common off-diagonal magnitude
+    beta = np.concatenate(([0.0], _ladder_weights(spec), [0.0]))  # mu = 0..dim
+    z, ax, ay = ops.sz.diag, ops.sx.offdiag, ops.sy.offdiag
 
-    # [sz, sx] superdiagonal is (z_{mu+1}-z_mu)*a = a; i*sy superdiagonal is a.
-    step = z[1:] - z[:-1] if dim > 1 else np.array([])
-    scale_off = max(np.max(a), 1e-300) if dim > 1 else 1.0
-    res_zx = np.max(np.abs((step - 1.0) * a)) / scale_off if dim > 1 else 0.0
+    # superdiagonals (sy = +i*ay there): [sz, sx] = -step*ax vs i*sy = -ay,
+    # [sy, sz] = i*step*ay vs i*sx = i*ax; subdiagonals mirror them
+    res_zx = res_yz = 0.0
+    if dim > 1:
+        step, scale_off = z[1:] - z[:-1], max(np.max(ax), 1e-300)
+        res_zx = np.max(np.abs(ay - step * ax)) / scale_off
+        res_yz = np.max(np.abs(step * ay - ax)) / scale_off
 
     f_diag = np.array([algebra.commutator_poly(spec, zi) for zi in z])
     lhs = 0.5 * (beta[:dim] - beta[1 : dim + 1])
@@ -220,7 +237,7 @@ def commutator_residuals(spec: ModelSpec) -> dict:
 
     return {
         "sz_sx": float(res_zx),
-        "sy_sz": float(res_zx),  # same structural identity, mirrored signs
+        "sy_sz": float(res_yz),
         "sx_sy": float(res_xy),
         "casimir": float(res_cas),
         "casimir_value": float(np.mean(cas)),

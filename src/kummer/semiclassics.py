@@ -50,14 +50,10 @@ class QuantizationError(RuntimeError):
 
 def _band_poly_coeffs(spec: ModelSpec, energy: float) -> np.ndarray:
     """Ascending coefficients of v^2 r^2(p) - (E - eps*p)^2."""
-    xp, yp = np.array([0.5, 1.0]), np.array([0.5, -1.0])
-    r2 = npoly.polymul(npoly.polypow(xp, spec.m), npoly.polypow(yp, spec.n))
-    r2 = (spec.v**2 * meanfield._shape_prefactor(spec)) * r2
-    lin = np.array([energy, -spec.eps])
-    quad = npoly.polymul(lin, lin)
-    out = np.zeros(max(len(r2), len(quad)))
-    out[: len(r2)] += r2
-    out[: len(quad)] -= quad
+    core = meanfield.structure_polynomials(spec.m, spec.n)
+    out = (spec.v**2 * core.r0sq) * core.pole
+    eps = spec.eps
+    out[:3] -= (energy * energy, -2.0 * energy * eps, eps * eps)
     return out
 
 

@@ -175,19 +175,6 @@ def plot_sweep(table, path):
     canvas.save(path)
 
 
-def plot_potentials(spec, p_grid, u_lo, u_hi, path, energy=None):
-    canvas = SvgCanvas(
-        _finite_limits(p_grid), _finite_limits(list(u_lo) + list(u_hi)),
-        title=f"potential curves  (m,n)=({spec.m},{spec.n})  eps={spec.eps:g}",
-        xlabel="p", ylabel="energy",
-    )
-    canvas.polyline(p_grid, u_lo, color="crimson")
-    canvas.polyline(p_grid, u_hi, color="steelblue")
-    if energy is not None:
-        canvas.polyline([p_grid[0], p_grid[-1]], [energy, energy], color="gray")
-    canvas.save(path)
-
-
 def plot_dos(spec, hist, centers, curve, path):
     finite = [v for v in curve if v == v]
     top = max(list(hist.density) + finite) if finite else max(hist.density)

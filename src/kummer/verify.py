@@ -15,10 +15,6 @@ from . import algebra, meanfield, quantum, semiclassics
 from .model import ModelSpec
 
 
-def _rel(err, scale):
-    return err / max(scale, 1e-300)
-
-
 def check_structure_symmetry(spec: ModelSpec):
     """Mode swap sends F(z) to -F(-z) and G(z) to G(-z)."""
     swapped = spec.mirrored()

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 from math import pi, sqrt
 
 from kummer import meanfield
@@ -328,3 +329,120 @@ class TestMesh:
             meanfield.kummer_mesh(ModelSpec(1, 1, 4), 1, 16)
         with pytest.raises(ValueError):
             meanfield.kummer_mesh(ModelSpec(1, 1, 4), 16, 1)
+
+
+def _reference_product(m, n):
+    """(1/2+p)^m (1/2-p)^n, built directly with polypow/polymul."""
+    xp, yp = np.array([0.5, 1.0]), np.array([0.5, -1.0])
+    return npoly.polymul(npoly.polypow(xp, m), npoly.polypow(yp, n))
+
+
+class TestStructurePolynomials:
+    @pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 7) for n in range(1, 7)])
+    def test_bit_identical_to_direct_builds(self, m, n):
+        spec = ModelSpec(m, n, m * n)
+        core = meanfield.structure_polynomials(m, n)
+        pref = float(m) ** (2 - n) * float(n) ** (2 - m)
+        term = n * _reference_product(m, n - 1)
+        term2 = m * _reference_product(m - 1, n)
+        f = np.zeros(max(len(term), len(term2)))
+        f[: len(term)] += term
+        f[: len(term2)] -= term2
+        assert np.array_equal(core.f, 0.5 * pref * f)
+        assert np.array_equal(core.g, -pref * _reference_product(m, n))
+        # r^2 part of the band polynomial v^2 r^2 - (E - eps*p)^2 at v = 1
+        assert np.array_equal(core.r0sq * core.pole, pref * _reference_product(m, n))
+        assert core.r0sq == meanfield._shape_prefactor(spec)
+        assert meanfield.structure_polynomials(m, n) is core
+        assert not core.f.flags.writeable
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 3), (3, 3), (4, 2)])
+    def test_coefficients_match_closed_forms(self, m, n):
+        spec = ModelSpec(m, n, m * n)
+        core = meanfield.structure_polynomials(m, n)
+        ps = np.linspace(-0.5, 0.5, 101)
+        f = meanfield.classical_commutator(spec, ps)
+        g = meanfield.classical_casimir(spec, ps)
+        assert np.allclose(npoly.polyval(ps, core.f), f, rtol=0, atol=1e-14)
+        assert np.allclose(npoly.polyval(ps, core.g), g, rtol=0, atol=1e-14)
+        # v^2 f^2 - eps^2 r^2 = (v^2 fixed_a - eps^2 fixed_b) x^am y^an
+        x, y = 0.5 + ps, 0.5 - ps
+        divided = x ** (m if m >= 2 else 0) * y ** (n if n >= 2 else 0)
+        assert np.allclose(npoly.polyval(ps, core.fixed_a) * divided, f**2, rtol=0, atol=1e-14)
+        assert np.allclose(npoly.polyval(ps, core.fixed_b) * divided, -g, rtol=0, atol=1e-14)
+
+
+def _exact_mul(a, b):
+    """Product of two ascending coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return out
+
+
+def _exact_power(base, k):
+    out = [1]
+    for _ in range(k):
+        out = _exact_mul(out, base)
+    return out
+
+
+class TestFixedPointRoots:
+    @pytest.mark.parametrize("eps", [1e-7, -1e-7, 2e-4, -2e-4, -2.2e-4, 1e-3, -1e-3])
+    def test_bloch_sphere_small_eps(self, eps):
+        # both interior points are found, even when they lie only 1e-7 apart
+        fps = meanfield.find_fixed_points(ModelSpec(1, 1, 20, eps=eps, v=1.0))
+        interior = sorted(fp.p for fp in fps if fp.location == "interior")
+        p0 = abs(eps) / (2.0 * sqrt(eps * eps + 1.0))
+        assert len(interior) == 2
+        assert interior[0] == pytest.approx(-p0, abs=1e-12)
+        assert interior[1] == pytest.approx(p0, abs=1e-12)
+
+    @pytest.mark.parametrize("m,n", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 2), (4, 2)])
+    def test_root_on_pole_at_transcritical_eps_is_dropped(self, m, n):
+        spec = ModelSpec(m, n, m * n, v=1.0)
+        for ev in meanfield.classify_bifurcations(spec):
+            if ev.kind == "transcritical":
+                fps = meanfield.find_fixed_points(spec.with_eps(ev.eps_critical))
+                assert all(-0.5 < fp.p < 0.5 for fp in fps if fp.location == "interior")
+
+    def test_mpmath_oracle(self):
+        """Interior roots against 50-digit roots of the exact residual.
+
+        eps runs over a shifted grid in [-3, 3] that by construction keeps
+        at least 1e-6 from every critical eps (there the count is not
+        locally constant) and from eps = 0 (a separate closed form).
+        """
+        from fractions import Fraction
+
+        mpmath = pytest.importorskip("mpmath")
+        eps_grid = np.linspace(-2.98, 2.98, 61) + 0.0123
+
+        x, y = [Fraction(1, 2), Fraction(1)], [Fraction(1, 2), Fraction(-1)]
+        with mpmath.workdps(50):
+            for m in range(1, 5):
+                for n in range(1, 5):
+                    spec = ModelSpec(m, n, m * n, v=1.0)
+                    critical = [ev.eps_critical for ev in meanfield.classify_bifurcations(spec)]
+                    assert all(abs(e - c) > 1e-6 for e in eps_grid for c in critical + [0.0])
+                    am, an = (m if m >= 2 else 0), (n if n >= 2 else 0)
+                    r0sq = Fraction(m) ** (2 - n) * Fraction(n) ** (2 - m)
+                    lin = [Fraction(n - m, 2), Fraction(m + n)]
+                    a = _exact_mul(_exact_power(x, 2 * m - 2 - am), _exact_power(y, 2 * n - 2 - an))
+                    a = _exact_mul(a, _exact_mul(lin, lin))
+                    b = _exact_mul(_exact_power(x, m - am), _exact_power(y, n - an))
+                    for eps in eps_grid:
+                        e2 = Fraction(float(eps)) ** 2
+                        coeffs = [(r0sq / 2) ** 2 * ak - e2 * r0sq * (b[k] if k < len(b) else 0)
+                                  for k, ak in enumerate(a)]
+                        roots = mpmath.polyroots(
+                            [mpmath.mpf(c.numerator) / c.denominator for c in reversed(coeffs)],
+                            maxsteps=200, extraprec=200,
+                        )
+                        want = sorted(float(mpmath.re(z)) for z in roots
+                                      if abs(mpmath.im(z)) < 1e-30 and -0.5 < mpmath.re(z) < 0.5)
+                        got = [fp.p for fp in meanfield.find_fixed_points(spec.with_eps(float(eps)))
+                               if fp.location == "interior"]
+                        assert len(got) == len(want), (m, n, eps)
+                        assert np.allclose(got, want, rtol=0, atol=1e-12), (m, n, eps)

@@ -158,3 +158,61 @@ def test_casimir_scalar_value_is_zero():
             quantum.ladder_strength(spec, mu) for mu in range(1, spec.dim)
         )
         assert abs(res["casimir_value"]) < 1e-9 * beta_scale
+
+
+def _dense(op):
+    """Dense matrix of a TridiagonalOperator in its documented convention."""
+    mat = np.diag(op.diag).astype(complex)
+    if op.kind == "sy":  # -i*a below the diagonal, +i*a above
+        mat += np.diag(-1j * op.offdiag, -1) + np.diag(1j * op.offdiag, 1)
+    else:
+        mat += np.diag(op.offdiag, -1) + np.diag(op.offdiag, 1)
+    return mat
+
+
+@pytest.mark.parametrize("m,n,dim", [(m, n, d) for m in range(1, 4) for n in range(1, 4)
+                                     for d in (2, 11, 30)])
+def test_commutator_residuals_match_dense(m, n, dim):
+    from kummer import algebra
+
+    spec = ModelSpec(m, n, (dim - 1) * m * n)
+    ops = quantum.build_operators(spec)
+    sx, sy, sz = _dense(ops.sx), _dense(ops.sy), _dense(ops.sz)
+    z = ops.sz.diag
+    big_f = np.diag([algebra.commutator_poly(spec, zi) for zi in z])
+    big_g = np.diag([algebra.casimir_poly(spec, zi) for zi in z])
+
+    def comm(a, b):
+        return a @ b - b @ a
+
+    scale_off = np.max(ops.sx.offdiag)
+    squares = (sx @ sx + sy @ sy).real
+    cas = squares + big_g
+    want = {
+        "sz_sx": np.max(np.abs(comm(sz, sx) - 1j * sy)) / scale_off,
+        "sy_sz": np.max(np.abs(comm(sy, sz) - 1j * sx)) / scale_off,
+        "sx_sy": np.max(np.abs(comm(sx, sy) - 1j * big_f)) / np.max(np.abs(big_f)),
+        "casimir": np.max(np.abs(cas - np.mean(np.diag(cas)) * np.eye(dim)))
+        / np.max(np.diag(squares)),
+    }
+    res = quantum.commutator_residuals(spec)
+    for key, value in want.items():
+        assert value < 1e-12, key
+        assert res[key] == pytest.approx(value, abs=1e-12), key
+    assert res["casimir_value"] == pytest.approx(np.mean(np.diag(cas)),
+                                                 abs=1e-12 * np.max(np.diag(squares)))
+    # the opposite sign convention for sy breaks both sy identities
+    flipped = sy.conj()
+    assert np.max(np.abs(comm(sz, sx) - 1j * flipped)) / scale_off > 1.0
+    assert np.max(np.abs(comm(flipped, sz) - 1j * sx)) / scale_off > 1.0
+
+
+@pytest.mark.parametrize("m,n,N", [(1, 1, 2), (2, 1, 40), (1, 3, 300), (3, 2, 6000),
+                                   (4, 3, 120), (4, 4, 16 * 999), (2, 1, 80000)])
+def test_ladder_weights_bit_identical_to_scalar_loop(m, n, N):
+    spec = ModelSpec(m, n, N)
+    loop = np.array([quantum.ladder_strength(spec, mu) for mu in range(1, spec.dim)])
+    assert np.array_equal(quantum._ladder_weights(spec), loop)
+    ops = quantum.build_operators(spec)
+    assert np.array_equal(ops.sx.offdiag, 0.5 * np.sqrt(loop))
+    assert np.array_equal(ops.sz.diag, np.array([spec.sz_value(mu) for mu in range(spec.dim)]))

@@ -459,3 +459,20 @@ class TestNearCriticalQuantization:
     def test_counts_near_zero_eps(self, eps):
         spec = ModelSpec(4, 3, 480, eps=eps, v=1.0)
         assert len(semiclassical_spectrum(spec).levels) == spec.dim
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 4), (3, 3), (4, 1), (4, 3)])
+def test_band_coefficients_bit_identical_to_direct_build(m, n):
+    from numpy.polynomial import polynomial as npoly
+
+    xp, yp = np.array([0.5, 1.0]), np.array([0.5, -1.0])
+    product = npoly.polymul(npoly.polypow(xp, m), npoly.polypow(yp, n))
+    pref = float(m) ** (2 - n) * float(n) ** (2 - m)
+    rng = np.random.default_rng(m * 10 + n)
+    for v, eps, energy in rng.uniform([0.1, -3.0, -2.0], [3.0, 3.0, 2.0], size=(50, 3)):
+        spec = ModelSpec(m, n, m * n, eps=eps, v=v)
+        quad = npoly.polymul([energy, -spec.eps], [energy, -spec.eps])
+        want = (spec.v**2 * pref) * product
+        want[:3] -= quad
+        got = semiclassics._band_poly_coeffs(spec, energy)
+        assert got.tobytes() == want.tobytes()
