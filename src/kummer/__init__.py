@@ -12,7 +12,6 @@ from .algebra import (
 from .meanfield import (
     BifurcationEvent,
     FixedPoint,
-    KummerGeometry,
     TrajectoryRecord,
     classical_casimir,
     classical_commutator,
@@ -20,6 +19,7 @@ from .meanfield import (
     find_fixed_points,
     integrate_trajectory,
     kummer_mesh,
+    pole_slopes,
     potentials,
     radius,
 )
@@ -44,8 +44,6 @@ from .semiclassics import (
     orbit_angle,
     orbit_period,
     phase_correction,
-    quantize_double_well,
-    quantize_single_well,
     semiclassical_spectrum,
     tunneling_integral,
     turning_points,

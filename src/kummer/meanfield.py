@@ -315,12 +315,28 @@ def inflection_points(spec: ModelSpec) -> list:
     return out
 
 
+def pole_slopes(spec: ModelSpec):
+    """(south, north) slope |dr/dp| of the radius at the poles.
+
+    Infinite for a mode index of 1, 0 for a mode index above 2, and
+    2^(1 - n/2) at the south pole for m = 2 (2^(1 - m/2) at the north
+    pole for n = 2).
+    """
+    south = float("inf") if spec.m == 1 else (
+        2.0 ** (1.0 - spec.n / 2.0) if spec.m == 2 else 0.0
+    )
+    north = float("inf") if spec.n == 1 else (
+        2.0 ** (1.0 - spec.m / 2.0) if spec.n == 2 else 0.0
+    )
+    return south, north
+
+
 def classify_bifurcations(spec: ModelSpec) -> list:
     """Critical eps values where the fixed-point count changes.
 
     Saddle-node events occur at the inflection points of r with
     eps_c = +-v r'(p); transcritical events exist only for a mode index
-    of exactly 2, at eps_c = +-v 2^(1-n/2) (south) or +-v 2^(1-m/2) (north).
+    of exactly 2, at eps_c = +-v times the pole's slope (pole_slopes).
     """
     events = []
     for p in inflection_points(spec):
@@ -331,13 +347,14 @@ def classify_bifurcations(spec: ModelSpec) -> list:
             eps_c = sign * spec.v * slope
             energy = (spec.v**2 / eps_c) * classical_commutator(spec, p) + eps_c * p
             events.append(BifurcationEvent(eps_c, "saddle_node", p, energy))
+    south, north = pole_slopes(spec)
     if spec.m == 2:
         for sign in (1.0, -1.0):
-            eps_c = sign * spec.v * 2.0 ** (1.0 - spec.n / 2.0)
+            eps_c = sign * spec.v * south
             events.append(BifurcationEvent(eps_c, "transcritical", "south_pole", -eps_c / 2.0))
     if spec.n == 2:
         for sign in (1.0, -1.0):
-            eps_c = sign * spec.v * 2.0 ** (1.0 - spec.m / 2.0)
+            eps_c = sign * spec.v * north
             events.append(BifurcationEvent(eps_c, "transcritical", "north_pole", eps_c / 2.0))
     events.sort(key=lambda ev: (abs(ev.eps_critical), ev.eps_critical))
     return events
@@ -431,27 +448,3 @@ def kummer_mesh(spec: ModelSpec, n_theta: int, n_p: int) -> np.ndarray:
     mesh[:, :, 1] = r[:, None] * np.sin(theta)[None, :]
     mesh[:, :, 2] = p[:, None]
     return mesh
-
-
-@dataclass(frozen=True)
-class KummerGeometry:
-    """Shape data for one (m, n) pair: the radius profile and its scale."""
-
-    spec: ModelSpec
-
-    @property
-    def r0(self) -> float:
-        return radius_coefficient(self.spec)
-
-    def radius(self, p):
-        return radius(self.spec, p)
-
-    def pole_slopes(self):
-        """(south, north) slope of r; infinite for a mode index of 1."""
-        south = float("inf") if self.spec.m == 1 else (
-            2.0 ** (1.0 - self.spec.n / 2.0) if self.spec.m == 2 else 0.0
-        )
-        north = float("inf") if self.spec.n == 1 else (
-            2.0 ** (1.0 - self.spec.m / 2.0) if self.spec.n == 2 else 0.0
-        )
-        return south, north

@@ -176,18 +176,13 @@ def orbit_angle(spec: ModelSpec, p: float, energy: float) -> float:
 
 
 @lru_cache(maxsize=8)
-def _gauss_legendre(order: int):
-    return np.polynomial.legendre.leggauss(order)
-
-
-@lru_cache(maxsize=8)
 def _sine_rule(order: int):
     """Gauss-Legendre rule in theta for p = center + half*sin(theta).
 
     Returns sin(theta) at the nodes, the weights times pi/2, and the
     weights times cos(theta)*pi/2 (the Jacobian dp/dtheta over half).
     """
-    nodes, weights = _gauss_legendre(order)
+    nodes, weights = np.polynomial.legendre.leggauss(order)
     theta = 0.5 * pi * nodes
     return np.sin(theta), 0.5 * pi * weights, 0.5 * pi * weights * np.cos(theta)
 
@@ -218,6 +213,25 @@ def _radius_excess(spec: ModelSpec, p):
     return np.sqrt(np.where(inside, ratio, 0.0)) - 1.0
 
 
+def _deflated_band(spec: ModelSpec, energy: float, roots, p_left: float,
+                   p_right: float, p_nodes):
+    """Band polynomial at real `p_nodes` divided by (p - p_left)(p_right - p).
+
+    The divided roots are the one of `roots` nearest p_left and, of the
+    others, the one nearest p_right.  Returns the quotient and the roots
+    left in it.
+    """
+    roots = roots.tolist()  # a handful of roots: plain complex is faster
+    left = min(range(len(roots)), key=lambda i: abs(roots[i] - p_left))
+    right = min((i for i in range(len(roots)) if i != left),
+                key=lambda i: abs(roots[i] - p_right))
+    rest = [z for i, z in enumerate(roots) if i not in (left, right)]
+    quotient = np.full(p_nodes.shape, -_band_poly_coeffs(spec, energy)[-1] + 0j)
+    for z in rest:
+        quotient *= p_nodes - z
+    return quotient.real, rest
+
+
 def _action_integral(spec: ModelSpec, energy: float, p_left, p_right,
                      order: int = ACTION_ORDER, shift=None, roots=None):
     """Integral of q(p) dp between two turning points (real or complex).
@@ -231,10 +245,11 @@ def _action_integral(spec: ModelSpec, energy: float, p_left, p_right,
     half orbit: dH = (rho - 1)(E - eps*p) is the first-order energy
     change (see _region_area) and dt = dp / sqrt(B), B = (v r sin q)^2
     the band polynomial.  On the real axis B is divided by its two
-    endpoint roots, found in `roots`, so (p - p_left)(p_right - p) =
-    (half*cos(theta))^2 cancels against the Jacobian exactly and a
-    region narrower than the roots' accuracy stays smooth; on a contour
-    to a complex turning point v r sin q itself fixes the branch.
+    endpoint roots, found in `roots` (_deflated_band), so
+    (p - p_left)(p_right - p) = (half*cos(theta))^2 cancels against the
+    Jacobian exactly and a region narrower than the roots' accuracy
+    stays smooth; on a contour to a complex turning point v r sin q
+    itself fixes the branch.
     """
     sin_t, weights, jacobian = _sine_rule(order)
     half = 0.5 * (p_right - p_left)
@@ -247,16 +262,10 @@ def _action_integral(spec: ModelSpec, energy: float, p_left, p_right,
         return total
     dh = _radius_excess(spec, p_nodes) * gap - shift
     if np.isrealobj(p_nodes):
-        left = np.argmin(np.abs(roots - p_left))
-        to_right = np.abs(roots - p_right)
-        to_right[left] = np.inf
-        rest = np.ones_like(p_nodes, dtype=complex)
-        for z in np.delete(roots, [left, np.argmin(to_right)]):
-            rest *= p_nodes - z
+        quotient, _ = _deflated_band(spec, energy, roots, p_left, p_right, p_nodes)
         # positive inside the region; a root pair at an endpoint can tip
         # its rounding below zero
-        rest = np.abs(_band_poly_coeffs(spec, energy)[-1] * rest.real)
-        return total + complex(np.dot(weights, dh / np.sqrt(rest)))
+        return total + complex(np.dot(weights, dh / np.sqrt(np.abs(quotient))))
     return total + half * complex(np.dot(jacobian, dh / (vr * np.sin(q))))
 
 
@@ -315,23 +324,11 @@ def action_area(spec: ModelSpec, energy: float, region=None,
 # tunneling machinery
 
 
-def _forbidden_integral(spec: ModelSpec, energy: float, p_left: float,
-                        p_right: float, order: int = ACTION_ORDER) -> float:
-    """Integral of |q(p)| dp across a real classically forbidden gap."""
-    nodes, weights = _gauss_legendre(order)
-    center = 0.5 * (p_left + p_right)
-    half = 0.5 * (p_right - p_left)
-    theta = 0.5 * pi * nodes
-    p_nodes = center + half * np.sin(theta)
-    w = np.abs((energy - spec.eps * p_nodes) / (spec.v * meanfield.radius(spec, p_nodes)))
-    q = np.arccosh(np.maximum(w, 1.0))
-    return float(np.dot(weights, q * half * np.cos(theta) * (0.5 * pi)))
-
-
 def _tunneling_signed(spec: ModelSpec, energy: float, gap) -> float:
     """Barrier parameter: positive below the barrier, negative above.
 
-    Below: (1/(pi*eta)) * integral of |q| over the real gap (p1, p2).
+    Below: (1/(pi*eta)) * integral of |q| over the real gap (p1, p2),
+    where q = arccos(w) has the imaginary part +-arccosh|w|, |w| > 1.
     Above: the same integral continued along the straight contour
     between the complex pair, oriented so the parameter passes through
     zero continuously at the barrier top.
@@ -339,7 +336,7 @@ def _tunneling_signed(spec: ModelSpec, energy: float, gap) -> float:
     eta = spec.eta
     if isinstance(gap, tuple):
         p1, p2 = gap
-        return _forbidden_integral(spec, energy, p1, p2) / (pi * eta)
+        return abs(_action_integral(spec, energy, p1, p2).imag) / (pi * eta)
     z = gap  # upper-half complex turning point
     # the principal arccos equals pi at both complex turning points (the
     # barrier lives on the lower curve); integrate its deviation from pi
@@ -382,39 +379,31 @@ def orbit_period(spec: ModelSpec, energy: float, nodes: int = 1024) -> float:
     """Mean-field period T(E), summed over allowed regions.
 
     The band polynomial is deflated by the two bounding roots of each
-    region and the remaining factor integrated with Gauss-Chebyshev
-    nodes, which absorb the inverse-square-root endpoints exactly.
-    Raises PeriodDivergenceError at saddle energies.
+    region (_deflated_band) and the remaining factor integrated with
+    Gauss-Chebyshev nodes, which absorb the inverse-square-root
+    endpoints exactly.  Raises PeriodDivergenceError at saddle energies.
     """
     tps = turning_points(spec, energy)
     if tps.out_of_band:
         raise OutOfBandError(f"E = {energy} is outside the classical band")
-    lead = _band_poly_coeffs(spec, energy)[-1]
-    roots = tps.roots
 
     theta = pi * (np.arange(nodes) + 0.5) / nodes
     total = 0.0
     for pl, pr, _, _ in tps.regions:
         span = max(pr - pl, 1e-300)
-        # identify the two deflated roots; every other root must stay clear
-        idx = sorted(range(len(roots)), key=lambda i: min(abs(roots[i] - pl), abs(roots[i] - pr)))
-        keep = idx[2:]
-        for i in keep:
-            ri = roots[i]
-            if abs(ri.imag) < 1e-9 and pl - 1e-10 * span <= ri.real <= pr + 1e-10 * span:
-                raise PeriodDivergenceError(
-                    f"period diverges: saddle turning point inside region at E = {energy}"
-                )
         center = 0.5 * (pl + pr)
         half = 0.5 * (pr - pl)
         p_nodes = center + half * np.cos(theta)
-        q_factor = np.full(nodes, -lead + 0j)
-        for i in keep:
-            q_factor = q_factor * (p_nodes - roots[i])
-        q_real = q_factor.real
-        if np.any(q_real <= 0.0):
+        quotient, rest = _deflated_band(spec, energy, tps.roots, pl, pr, p_nodes)
+        # every root left in the quotient must stay clear of the region
+        for z in rest:
+            if abs(z.imag) < 1e-9 and pl - 1e-10 * span <= z.real <= pr + 1e-10 * span:
+                raise PeriodDivergenceError(
+                    f"period diverges: saddle turning point inside region at E = {energy}"
+                )
+        if np.any(quotient <= 0.0):
             raise PeriodDivergenceError(f"deflated factor not positive at E = {energy}")
-        total += 2.0 * (pi / nodes) * float(np.sum(1.0 / np.sqrt(q_real)))
+        total += 2.0 * (pi / nodes) * float(np.sum(1.0 / np.sqrt(quotient)))
     return total
 
 
@@ -670,10 +659,13 @@ def _edge_action(spec: ModelSpec, bound: float, side: int, span: float, shift: f
     (r ~ (1/2+p)^(m/2), m >= 3) may never resolve, but S is continuous
     across every boundary: S is then taken just outside, and at a band
     end, which has no outside, it is 0 at the bottom and 2*pi at the
-    top.  An interior boundary that resolves on neither side raises
-    OutOfBandError.  S is clamped to [0, 2*pi]: next to a saddle on a
-    conical pole (mode index 2) the first-order term is no longer small
-    and can push it past the whole band's area.
+    top.  A boundary counts as a band end when it lies within the
+    probe's reach of one, the first offset or 1e-7 of the band if that
+    is wider: a well born a hair away from a pole saddle can put the
+    band bottom there.  Any other boundary that resolves on neither
+    side raises OutOfBandError.  S is clamped to [0, 2*pi]: next to a
+    saddle on a conical pole (mode index 2) the first-order term is no
+    longer small and can push it past the whole band's area.
     """
     first = max(1e-12, 1e-7 * span)
     for probe_side in (side, -side):
@@ -687,9 +679,10 @@ def _edge_action(spec: ModelSpec, bound: float, side: int, span: float, shift: f
             except OutOfBandError:
                 margin *= 10.0
     _, bounds, _ = _structure_boundaries(spec)
-    band_end = bounds[0] if side > 0 else bounds[-1]
-    if abs(bound - band_end) <= 1e-12 * (1.0 + abs(bound)):
-        return bound + side * first, (0.0 if side > 0 else TWO_PI)
+    reach = max(first, 1e-7 * (bounds[-1] - bounds[0]))
+    for band_end, area in ((bounds[0], 0.0), (bounds[-1], TWO_PI)):
+        if abs(bound - band_end) <= reach:
+            return bound + side * first, area
     raise OutOfBandError(f"band structure unresolvable near E = {bound}")
 
 
@@ -777,7 +770,11 @@ def _boundary_saddle(fps, energy: float, q_value: float):
 
 
 def _interval_mode(spec: ModelSpec, fps, lo: float, hi: float):
-    """Mode of one energy interval plus the continued barrier locations."""
+    """Mode of one energy interval and the `barrier_p` of _levels_in_interval.
+
+    barrier_p is the location of the continued barrier, (lower, upper)
+    for "froman_both", and None where nothing is continued.
+    """
     mid = 0.5 * (lo + hi)
     tps = turning_points(spec, mid)
     regions = tps.regions
@@ -787,16 +784,16 @@ def _interval_mode(spec: ModelSpec, fps, lo: float, hi: float):
         gap_mid = 0.5 * (regions[0][1] + regions[1][0])
         u_lo, u_hi = meanfield.potentials(spec, gap_mid)
         mode = "matching_lower" if mid < u_lo else "matching_upper"
-        return mode, None, None
+        return mode, None
     low_saddle = _boundary_saddle(fps, lo, pi)  # barrier top on U-
     high_saddle = _boundary_saddle(fps, hi, 0.0)  # dip bottom on U+
     if low_saddle and high_saddle:
-        return "froman_both", low_saddle.p, high_saddle.p
+        return "froman_both", (low_saddle.p, high_saddle.p)
     if low_saddle:
-        return "froman_lower", low_saddle.p, None
+        return "froman_lower", low_saddle.p
     if high_saddle:
-        return "froman_upper", None, high_saddle.p
-    return "plain", None, None
+        return "froman_upper", high_saddle.p
+    return "plain", None
 
 
 def _levels_in_interval(spec: ModelSpec, lo: float, hi: float, mode: str,
@@ -807,14 +804,11 @@ def _levels_in_interval(spec: ModelSpec, lo: float, hi: float, mode: str,
         return []
     if mode == "plain":
         return [(e, SINGLE_WELL) for e in _plain_levels(spec, lo, hi, shifts)]
-    if mode == "matching_upper":
-        sub = _levels_in_interval(spec.mirrored(), -hi, -lo, "matching_lower",
-                                  shifts.mirrored(), oversample, seam_frac)
-        return [(-e, tag + "_mirrored") for e, tag in reversed(sub)]
-    if mode == "froman_upper":
+    if mode in ("matching_upper", "froman_upper"):
         mirror_p = None if barrier_p is None else -barrier_p
-        sub = _levels_in_interval(spec.mirrored(), -hi, -lo, "froman_lower",
-                                  shifts.mirrored(), oversample, seam_frac, mirror_p)
+        sub = _levels_in_interval(spec.mirrored(), -hi, -lo,
+                                  mode.replace("upper", "lower"), shifts.mirrored(),
+                                  oversample, seam_frac, mirror_p)
         return [(-e, tag + "_mirrored") for e, tag in reversed(sub)]
     if mode == "froman_both":
         # barrier continuation from below on the lower part of the band
@@ -823,7 +817,7 @@ def _levels_in_interval(spec: ModelSpec, lo: float, hi: float, mode: str,
         # fraction avoids pinning it onto a symmetric model's central
         # level, and a spacing-based dedupe removes the one level a
         # seam straddle can produce twice
-        p_low, p_high = barrier_p if isinstance(barrier_p, tuple) else (None, None)
+        p_low, p_high = barrier_p
         seam = lo + seam_frac * (hi - lo)
         low_shifts, high_shifts = shifts.split(seam)
         low_part = _levels_in_interval(spec, lo, seam, "froman_lower", low_shifts,
@@ -918,15 +912,7 @@ def semiclassical_spectrum(spec: ModelSpec, _retry: int = 0) -> SemiclassicalSpe
         shifts = [None] * len(bounds)
     found = []
     for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-        mode, p_low, p_high = _interval_mode(spec, fps, lo, hi)
-        if mode == "froman_both":
-            barrier_p = (p_low, p_high)
-        elif mode == "froman_lower":
-            barrier_p = p_low
-        elif mode == "froman_upper":
-            barrier_p = p_high
-        else:
-            barrier_p = None
+        mode, barrier_p = _interval_mode(spec, fps, lo, hi)
         found.extend(_levels_in_interval(
             spec, lo, hi, mode, _Shifts(lo, hi, shifts[k], shifts[k + 1]),
             oversample, seam_frac, barrier_p,
@@ -953,35 +939,3 @@ def semiclassical_spectrum(spec: ModelSpec, _retry: int = 0) -> SemiclassicalSpe
         SemiclassicalLevel(nu, e, tag) for nu, (e, tag) in enumerate(dedup)
     )
     return SemiclassicalSpectrum(spec, levels, _retry)
-
-
-def quantize_single_well(spec: ModelSpec) -> SemiclassicalSpectrum:
-    """Single-well quantization; refuses regimes with two allowed regions."""
-    _, bounds, shifts = _structure_boundaries(spec)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if hi - lo <= 1e-12:
-            continue
-        mid = 0.5 * (lo + hi)
-        if len(turning_points(spec, mid).regions) != 1:
-            raise QuantizationError(
-                "two allowed regions present; use the double-well quantizer"
-            )
-    levels = []
-    for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-        levels.extend(_levels_in_interval(
-            spec, lo, hi, "plain", _Shifts(lo, hi, shifts[k], shifts[k + 1])
-        ))
-    levels.sort(key=lambda pair: pair[0])
-    if len(levels) != spec.dim:
-        raise QuantizationError(
-            f"found {len(levels)} levels, expected {spec.dim} for {spec}"
-        )
-    return SemiclassicalSpectrum(
-        spec,
-        tuple(SemiclassicalLevel(nu, e, tag) for nu, (e, tag) in enumerate(levels)),
-    )
-
-
-def quantize_double_well(spec: ModelSpec) -> SemiclassicalSpectrum:
-    """Full quantizer with barrier matching and complex continuation."""
-    return semiclassical_spectrum(spec)

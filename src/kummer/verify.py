@@ -100,8 +100,7 @@ def check_classical_identities(spec: ModelSpec):
 
 
 def check_pole_slopes(spec: ModelSpec):
-    geo = meanfield.KummerGeometry(spec)
-    south, north = geo.pole_slopes()
+    south, north = meanfield.pole_slopes(spec)
     h = 1e-10
     ok = True
     detail = []

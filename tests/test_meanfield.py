@@ -244,8 +244,7 @@ class TestPoleSlopes:
     )
     def test_slope_rules(self, m, n, south, north):
         spec = ModelSpec(m, n, 8 * m * n)
-        geo = meanfield.KummerGeometry(spec)
-        got_south, got_north = geo.pole_slopes()
+        got_south, got_north = meanfield.pole_slopes(spec)
         assert got_south == south
         if north is not None:
             assert got_north == north

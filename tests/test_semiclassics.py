@@ -10,15 +10,12 @@ from kummer.model import ModelSpec
 from kummer.semiclassics import (
     OutOfBandError,
     PeriodDivergenceError,
-    QuantizationError,
     TWO_PI,
     _tunneling_signed,
     action_area,
     orbit_angle,
     orbit_period,
     phase_correction,
-    quantize_double_well,
-    quantize_single_well,
     semiclassical_spectrum,
     tunneling_integral,
     turning_points,
@@ -214,6 +211,23 @@ class TestTunneling:
             assert below > 0 > above
             assert abs(below + above) < 1e-7
 
+    @pytest.mark.parametrize("below", [1e-2, 1e-3, 1e-5])
+    def test_gap_integral_against_quad(self, below):
+        # below the top the parameter is the integral of arccosh|w|,
+        # w = (E - eps*p)/(v r), over the real gap, divided by pi*eta
+        spec = self.spec
+        energy = self.saddle_energy - below
+        tps = turning_points(spec, energy)
+        gap = (tps.regions[0][1], tps.regions[1][0])
+
+        def depth(p):
+            w = (energy - spec.eps * p) / (spec.v * meanfield.radius(spec, p))
+            return np.arccosh(max(abs(w), 1.0))
+
+        want, _ = quad(depth, *gap, epsabs=0.0, epsrel=1e-13, limit=200)
+        got = _tunneling_signed(spec, energy, gap)
+        assert got == pytest.approx(want / (pi * spec.eta), rel=1e-10)
+
     def test_magnitude_exposed(self):
         energy = self.saddle_energy + 1e-4
         tps = turning_points(self.spec, energy)
@@ -263,19 +277,19 @@ class TestTunneling:
 class TestQuantization:
     def test_three_level_system_matches_exact(self):
         spec = ModelSpec(1, 1, 2, eps=0.0, v=1.0)
-        wkb = quantize_single_well(spec)
+        wkb = semiclassical_spectrum(spec)
         assert np.allclose(wkb.energies, [-1 / 3, 0.0, 1 / 3], atol=1e-9)
 
     def test_su2_whole_band_exact(self):
         spec = ModelSpec(1, 1, 40, eps=0.7, v=1.3)
-        wkb = quantize_single_well(spec)
+        wkb = semiclassical_spectrum(spec)
         exact = quantum.eigen_spectrum(spec).scaled_eigenvalues
         assert np.max(np.abs(wkb.energies - exact)) < 1e-12
 
     def test_supercritical_teardrop_regression(self):
         # frozen pilot bounds: tip levels carry the largest deviations
         spec = ModelSpec(2, 1, 80, eps=1.5, v=1.0)
-        wkb = quantize_single_well(spec)
+        wkb = semiclassical_spectrum(spec)
         exact = quantum.eigen_spectrum(spec).scaled_eigenvalues
         dev = np.abs(wkb.energies - exact)
         assert len(wkb.levels) == 41
@@ -287,22 +301,12 @@ class TestQuantization:
         # the exact ground level sits about twice the harmonic 0.5*eta*rate
         # above the tip: the rule needs its first-order term to get there
         spec = ModelSpec(2, 1, 80, eps=1.5, v=1.0)
-        wkb = quantize_single_well(spec)
+        wkb = semiclassical_spectrum(spec)
         exact = quantum.eigen_spectrum(spec).scaled_eigenvalues
         fps = meanfield.find_fixed_points(spec)
         bottom = min(fps, key=lambda fp: fp.energy)
         offset = wkb.energies[0] - bottom.energy
         assert offset == pytest.approx(exact[0] - bottom.energy, rel=0.35)
-
-    def test_single_well_refuses_double_region(self):
-        with pytest.raises(QuantizationError):
-            quantize_single_well(ModelSpec(4, 1, 160, eps=0.5, v=1.0))
-
-    def test_double_well_alias(self):
-        spec = ModelSpec(4, 1, 160, eps=0.5, v=1.0)
-        a = quantize_double_well(spec)
-        b = semiclassical_spectrum(spec)
-        assert np.array_equal(a.energies, b.energies)
 
     def test_full_count_and_regimes_4_1(self):
         spec = ModelSpec(4, 1, 160, eps=0.5, v=1.0)
@@ -387,6 +391,17 @@ class TestFirstOrderTerm:
         levels = semiclassical_spectrum(spec).energies
         assert len(levels) == 41
         assert np.all(np.isfinite(levels)) and np.all(np.diff(levels) > 0)
+        exact = quantum.eigen_spectrum(spec).scaled_eigenvalues
+        assert np.max(np.abs(levels - exact) / np.gradient(exact)) <= 0.10
+
+    @pytest.mark.parametrize("m,n", [(2, 3), (3, 2)])
+    def test_well_born_beside_conical_pole_saddle(self, m, n):
+        # near eps = 1/sqrt(2) a well splits off the m = 2 (n = 2) pole:
+        # the band bottom is an interior center 1.1e-11 from the pole's
+        # saddle, closer than the probes of the interval beside it reach
+        spec = ModelSpec(m, n, 360, eps=0.7071)
+        levels = semiclassical_spectrum(spec).energies
+        assert len(levels) == 61 and np.all(np.diff(levels) > 0)
         exact = quantum.eigen_spectrum(spec).scaled_eigenvalues
         assert np.max(np.abs(levels - exact) / np.gradient(exact)) <= 0.10
 
