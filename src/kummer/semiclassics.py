@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import acosh, ceil, cos, exp, floor, log, pi, sqrt
+from math import acosh, atan2, ceil, cos, exp, floor, hypot, log, pi, sin
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -363,14 +363,6 @@ def phase_correction(s_eps: float) -> float:
     return float(loggamma(0.5 + 1j * s_eps).imag - s_eps * log(abs(s_eps)) + s_eps)
 
 
-def _matching_amplitude(s_eps: float) -> float:
-    """1/sqrt(1 + kappa^2) with kappa = exp(-pi*S_eps), overflow safe."""
-    x = pi * s_eps
-    if x >= 0.0:
-        return 1.0 / sqrt(1.0 + exp(-2.0 * x))
-    return exp(x) / sqrt(1.0 + exp(2.0 * x))
-
-
 # ---------------------------------------------------------------------
 # orbit period and density of states
 
@@ -450,14 +442,12 @@ class SemiclassicalSpectrum:
 
     @property
     def search(self) -> dict:
-        """The level search that succeeded; attempt > 0 means fallbacks fired."""
-        first_order, oversample, seam_frac = _ATTEMPTS[self.attempt]
-        return {"attempt": self.attempt, "first_order_term": first_order,
-                "oversample": oversample, "seam_fraction": seam_frac}
+        """The level search that succeeded; attempt 1 is the rule without the term."""
+        return {"attempt": self.attempt, "first_order_term": _ATTEMPTS[self.attempt]}
 
 
 def _total_action(spec: ModelSpec, energy: float, shift=None) -> float:
-    """Sum of orbit areas over all allowed regions at E (shift: _region_area)."""
+    """Phase-space area below E over all allowed regions (shift: _region_area)."""
     tps = turning_points(spec, energy)
     if tps.out_of_band:
         raise OutOfBandError(f"E = {energy} is outside the classical band")
@@ -465,7 +455,15 @@ def _total_action(spec: ModelSpec, energy: float, shift=None) -> float:
 
 
 def _sum_areas(spec: ModelSpec, tps: TurningPointSet, shift=None) -> float:
-    return sum(_region_area(spec, tps, k, shift) for k in range(len(tps.regions)))
+    """Sum of the region areas, less 2*pi for each gap above U+ between two.
+
+    The regions on either side of such a gap both measure their area
+    across it from their far pole (_area_from_cases), so each already
+    contains the whole gap and the sum counts the circle once too often.
+    """
+    upper_gaps = sum(region[3] == UPPER for region in tps.regions[:-1])
+    return sum(_region_area(spec, tps, k, shift)
+               for k in range(len(tps.regions))) - TWO_PI * upper_gaps
 
 
 @dataclass(frozen=True)
@@ -546,69 +544,29 @@ def barrier_actions(spec: ModelSpec, energy: float, barrier_p=None,
                      phase_correction(s_eps), kappa)
 
 
-def _matching_residual(spec: ModelSpec, actions: ActionSet) -> float:
-    eta = spec.eta
-    amp = _matching_amplitude(actions.s_eps)
-    return cos((actions.left + actions.right) / (2.0 * eta) - actions.s_phi) + \
-        amp * cos((actions.left - actions.right) / (2.0 * eta))
+def _matching_area(spec: ModelSpec, energy: float, barrier_p, shift) -> float:
+    """Area form of the matching condition across a barrier.
 
-
-def _matching_residual_below(spec: ModelSpec, energy: float, shift):
-    """Residual of the two-well matching condition below the barrier."""
-    tps = turning_points(spec, energy)
-    if len(tps.regions) != 2:
-        raise ValueError(f"expected two allowed regions at E = {energy}")
-    return _matching_residual(spec, barrier_actions(spec, energy, tps=tps, shift=shift))
-
-
-def _matching_residual_above(spec: ModelSpec, energy: float, barrier_p, shift):
-    """Residual above the barrier top, with complex inner turning points."""
-    tps = turning_points(spec, energy)
-    if len(tps.regions) != 1:
-        raise ValueError(f"expected one allowed region at E = {energy}")
-    if _continued_pair(tps, barrier_p) is None:
-        # barrier influence out of reach; plain single-well residual
-        return cos(_sum_areas(spec, tps, shift) / (2.0 * spec.eta))
-    return _matching_residual(spec, barrier_actions(spec, energy, barrier_p, tps=tps, shift=shift))
-
-
-def _scan_roots(fn, lo: float, hi: float, n_grid: int):
-    """Bracketed sign changes of fn on [lo, hi], refined with brentq.
-
-    Grid points where fn cannot be evaluated (structure unresolvable a
-    hair away from a boundary) are skipped; the count check upstream
-    guards against a root hiding in such a sliver.
+    The residual cos(A - phi) + a*cos(B), with A, B = (S_l +- S_r)/(2*eta),
+    phi = s_phi and a = 1/sqrt(1 + kappa^2) < 1, factors exactly
+    as |1 + a*exp(-i*x)| * cos(Phi), where x = S_r/eta - phi and
+    Phi = A - phi - atan2(a*sin(x), 1 + a*cos(x)).  The modulus never
+    vanishes, so the levels solve 2*eta*Phi = 2*pi*eta*(nu + 1/2), the
+    plain-well target, and 2*eta*Phi is the area returned: a tunnelling
+    doublet is two neighbouring targets.  As the barrier correction dies
+    out (a, phi -> 0) it passes into S(E), which is returned where no
+    barrier continuation is usable (see _continued_pair).
     """
-    grid = list(np.linspace(lo, hi, n_grid))
-    span = hi - lo
-    for k in range(6, 44):  # extra resolution against endpoint bunching
-        grid.append(lo + span * 2.0**-k)
-        grid.append(hi - span * 2.0**-k)
-    grid = np.unique(np.array(grid))
-
-    def safe(e):
-        try:
-            return fn(e)
-        except (ValueError, OutOfBandError):
-            return np.nan
-
-    vals = np.array([safe(e) for e in grid])
-    roots = []
-    for i in range(len(grid) - 1):
-        a, b = vals[i], vals[i + 1]
-        if np.isnan(a) or np.isnan(b):
-            continue
-        if a == 0.0:
-            roots.append(grid[i])
-        elif a * b < 0.0:
-            try:
-                roots.append(brentq(safe, grid[i], grid[i + 1],
-                                    xtol=1e-14, rtol=8.9e-16))
-            except ValueError:
-                pass
-    if len(vals) and vals[-1] == 0.0:
-        roots.append(grid[-1])
-    return roots
+    tps = turning_points(spec, energy)
+    if tps.out_of_band:
+        raise OutOfBandError(f"E = {energy} is outside the classical band")
+    if len(tps.regions) != 2 and _continued_pair(tps, barrier_p) is None:
+        return _sum_areas(spec, tps, shift)
+    actions = barrier_actions(spec, energy, barrier_p, tps=tps, shift=shift)
+    amp = 1.0 / hypot(1.0, actions.kappa)
+    x = actions.right / spec.eta - actions.s_phi
+    return actions.total - 2.0 * spec.eta * (
+        actions.s_phi + atan2(amp * sin(x), 1.0 + amp * cos(x)))
 
 
 @dataclass(frozen=True)
@@ -650,8 +608,8 @@ class _Shifts:
                 _Shifts(seam, self.hi, s_seam, self.s_hi))
 
 
-def _edge_action(spec: ModelSpec, bound: float, side: int, span: float, shift: float):
-    """(E, S(E)) just inside a structure boundary, S the quantization area.
+def _edge_action(spec: ModelSpec, bound: float, side: int, span: float, area):
+    """(E, S(E)) just inside a structure boundary, S = area(E).
 
     Close root pairs at a pole or a saddle leave the turning points
     unresolvable a hair away from the boundary, so the offset grows
@@ -673,38 +631,39 @@ def _edge_action(spec: ModelSpec, bound: float, side: int, span: float, shift: f
         while margin <= 1.5e-3 * span:
             e = bound + probe_side * margin
             try:
-                area = _total_action(spec, e, shift)
+                s = area(e)
                 return (e if probe_side == side else bound + side * first,
-                        min(max(area, 0.0), TWO_PI))
+                        min(max(s, 0.0), TWO_PI))
             except OutOfBandError:
                 margin *= 10.0
     _, bounds, _ = _structure_boundaries(spec)
     reach = max(first, 1e-7 * (bounds[-1] - bounds[0]))
-    for band_end, area in ((bounds[0], 0.0), (bounds[-1], TWO_PI)):
+    for band_end, s_end in ((bounds[0], 0.0), (bounds[-1], TWO_PI)):
         if abs(bound - band_end) <= reach:
-            return bound + side * first, area
+            return bound + side * first, s_end
     raise OutOfBandError(f"band structure unresolvable near E = {bound}")
 
 
-def _plain_levels(spec: ModelSpec, lo: float, hi: float, shifts: _Shifts) -> list:
-    """Single-well levels in (lo, hi) by bisection of the monotone area.
+def _area_levels(spec: ModelSpec, lo: float, hi: float, area) -> list:
+    """(E, target) of each level in (lo, hi) by bisection of a monotone area.
 
-    Every area evaluated is kept, and each level is bracketed by the
-    closest kept energies on either side of its target.
+    The targets are 2*pi*eta*(nu + 1/2) between the areas at the two
+    edges.  Every area evaluated is kept, and each level is bracketed by
+    the closest kept energies on either side of its target.
     """
     eta = spec.eta
     if hi - lo <= 2e-12:
         return []
-    a, s_a = _edge_action(spec, lo, +1, hi - lo, shifts.s_lo)
-    b, s_b = _edge_action(spec, hi, -1, hi - lo, shifts.s_hi)
+    a, s_a = _edge_action(spec, lo, +1, hi - lo, area)
+    b, s_b = _edge_action(spec, hi, -1, hi - lo, area)
     if b <= a:
         return []
     known = {a: s_a, b: s_b}
 
-    def area(e):
+    def kept(e):
         if e not in known:
             try:
-                known[e] = _total_action(spec, e, shifts(e))
+                known[e] = area(e)
             except OutOfBandError:  # unresolved newborn well: its edge value
                 known[e] = s_a if e - a < b - e else s_b
         return known[e]
@@ -718,19 +677,9 @@ def _plain_levels(spec: ModelSpec, lo: float, hi: float, shifts: _Shifts) -> lis
         right = min((e for e, s in known.items() if s > target), default=b)
         if not left < right:  # the area is not monotone here
             left, right = a, b
-        root = brentq(lambda e: area(e) - target, left, right, xtol=1e-14, rtol=8.9e-16)
-        out.append(shifts.place(root))
+        root = brentq(lambda e: kept(e) - target, left, right, xtol=1e-14, rtol=8.9e-16)
+        out.append((root, target))
     return out
-
-
-def _count_estimate(spec: ModelSpec, lo: float, hi: float, shifts: _Shifts) -> int:
-    eta = spec.eta
-    try:
-        _, s_lo = _edge_action(spec, lo, +1, hi - lo, shifts.s_lo)
-        _, s_hi = _edge_action(spec, hi, -1, hi - lo, shifts.s_hi)
-    except OutOfBandError:
-        return 0
-    return max(0, int(round((s_hi - s_lo) / (TWO_PI * eta))))
 
 
 def _fixed_point_shift(spec: ModelSpec, fp) -> float:
@@ -796,19 +745,37 @@ def _interval_mode(spec: ModelSpec, fps, lo: float, hi: float):
     return "plain", None
 
 
+def _spurious_root(spec: ModelSpec, lo: float, hi: float, barrier_p, area, solved) -> bool:
+    """Whether a level took a root of the matching condition that is an artefact.
+
+    Where _continued_pair gives up, the matching area steps from its
+    continued form to S(E).  Within a few eta of a pinched pole the
+    first-order term can make that a step down past a target, which then
+    has three roots: the one before the step comes from the term alone.
+    """
+    def usable(e):
+        return _continued_pair(turning_points(spec, e), barrier_p) is not None
+
+    a, b = lo, hi
+    if usable(b):
+        return False
+    while b - a > 1e-12 * (1.0 + abs(a) + abs(b)):
+        mid = 0.5 * (a + b)
+        a, b = (mid, b) if usable(mid) else (a, mid)
+    s_end = area(b)
+    return a > lo and any(e < a and target > s_end for e, target in solved)
+
+
 def _levels_in_interval(spec: ModelSpec, lo: float, hi: float, mode: str,
-                        shifts: _Shifts, oversample: int = 16,
-                        seam_frac: float = 0.6180339887, barrier_p=None):
+                        shifts: _Shifts, barrier_p=None):
     """Level energies and regime labels inside one structure interval."""
     if hi - lo <= 1e-12 * (1.0 + abs(lo) + abs(hi)):
         return []
-    if mode == "plain":
-        return [(e, SINGLE_WELL) for e in _plain_levels(spec, lo, hi, shifts)]
     if mode in ("matching_upper", "froman_upper"):
         mirror_p = None if barrier_p is None else -barrier_p
         sub = _levels_in_interval(spec.mirrored(), -hi, -lo,
                                   mode.replace("upper", "lower"), shifts.mirrored(),
-                                  oversample, seam_frac, mirror_p)
+                                  mirror_p)
         return [(-e, tag + "_mirrored") for e, tag in reversed(sub)]
     if mode == "froman_both":
         # barrier continuation from below on the lower part of the band
@@ -818,30 +785,28 @@ def _levels_in_interval(spec: ModelSpec, lo: float, hi: float, mode: str,
         # level, and a spacing-based dedupe removes the one level a
         # seam straddle can produce twice
         p_low, p_high = barrier_p
-        seam = lo + seam_frac * (hi - lo)
+        seam = lo + 0.6180339887 * (hi - lo)
         low_shifts, high_shifts = shifts.split(seam)
-        low_part = _levels_in_interval(spec, lo, seam, "froman_lower", low_shifts,
-                                       oversample, seam_frac, p_low)
-        high_part = _levels_in_interval(spec, seam, hi, "froman_upper", high_shifts,
-                                        oversample, seam_frac, p_high)
+        low_part = _levels_in_interval(spec, lo, seam, "froman_lower", low_shifts, p_low)
+        high_part = _levels_in_interval(spec, seam, hi, "froman_upper", high_shifts, p_high)
         if low_part and high_part:
             spacing = TWO_PI * spec.eta / orbit_period(spec, seam)
             if high_part[0][0] - low_part[-1][0] < 0.3 * spacing:
                 high_part = high_part[1:]
         return low_part + high_part
-    if mode == "matching_lower":
-        fn = lambda e: _matching_residual_below(spec, e, shifts(e))
-        tag = DOUBLE_WELL
-    elif mode == "froman_lower":
-        fn = lambda e: _matching_residual_above(spec, e, barrier_p, shifts(e))
-        tag = ABOVE_BARRIER
+    if mode == "plain":
+        area = lambda e: _total_action(spec, e, shifts(e))
+        tag = SINGLE_WELL
+    elif mode in ("matching_lower", "froman_lower"):
+        area = lambda e: _matching_area(spec, e, barrier_p, shifts(e))
+        tag = DOUBLE_WELL if mode == "matching_lower" else ABOVE_BARRIER
     else:
         raise ValueError(f"unknown interval mode {mode!r}")
-
-    margin = max(1e-12, 1e-7 * (hi - lo))
-    n_grid = max(81, oversample * (_count_estimate(spec, lo, hi, shifts) + 2))
-    roots = _scan_roots(fn, lo + margin, hi - margin, n_grid)
-    return [(shifts.place(e), tag) for e in roots]
+    solved = _area_levels(spec, lo, hi, area)
+    if (mode == "froman_lower" and shifts.s_lo is not None
+            and _spurious_root(spec, lo, hi, barrier_p, area, solved)):
+        return []  # the count check then falls back on the rule without the term
+    return [(shifts.place(e), tag) for e, _ in solved]
 
 
 def _rescue_boundary_levels(spec: ModelSpec, bounds, shifts, dedup):
@@ -859,9 +824,10 @@ def _rescue_boundary_levels(spec: ModelSpec, bounds, shifts, dedup):
     have = [e for e, _ in dedup]
     out = list(dedup)
     for bound, shift in zip(bounds[1:-1], shifts[1:-1]):
+        area = lambda e: _total_action(spec, e, shift)
         try:
-            e_lo, s_lo = _edge_action(spec, bound, -1, span, shift)
-            e_hi, s_hi = _edge_action(spec, bound, +1, span, shift)
+            e_lo, s_lo = _edge_action(spec, bound, -1, span, area)
+            e_hi, s_hi = _edge_action(spec, bound, +1, span, area)
         except OutOfBandError:
             continue
         if s_hi <= s_lo or s_hi - s_lo > 2.0 * TWO_PI * eta:
@@ -884,11 +850,8 @@ def _rescue_boundary_levels(spec: ModelSpec, bounds, shifts, dedup):
     return out
 
 
-# (first-order term, oversampling, seam fraction) of successive attempts
-_ATTEMPTS = (
-    (True, 16, 0.6180339887), (True, 64, 0.5352),
-    (False, 16, 0.6180339887), (False, 64, 0.5352), (False, 256, 0.7071),
-)
+# whether the rule carries the first-order term, by attempt
+_ATTEMPTS = (True, False)
 
 
 def semiclassical_spectrum(spec: ModelSpec, _retry: int = 0) -> SemiclassicalSpectrum:
@@ -897,25 +860,27 @@ def semiclassical_spectrum(spec: ModelSpec, _retry: int = 0) -> SemiclassicalSpe
     The band is partitioned at the fixed-point energies; each interval
     has a fixed structure (plain well, double well below a barrier, or
     barrier-top continuation, possibly mirrored for structures of the
-    upper potential curve).  A global count check against the subspace
-    dimension guards the oscillatory root searches.  On a miss the search
-    is repeated with finer sampling and another seam, and last without
-    the first-order term: within a few eta of a pinched pole the term
-    is no longer small, and the matching condition can gain spurious
-    roots there.  The result's `search` names the attempt that matched.
+    upper potential curve).  Every interval finds its levels the same
+    way, by bisection of a monotone area against the targets
+    2*pi*eta*(nu + 1/2): the orbit area S(E) in a plain well, the area
+    form of the matching condition across a barrier (_matching_area).
+    A global count check against the subspace dimension guards the
+    result.  On a miss the search is repeated once without the
+    first-order term: within a few eta of a pinched pole the term is no
+    longer small, and an interval where it gives the matching condition
+    a spurious root (_spurious_root) reports no levels.  The result's
+    `search` names the attempt that matched.
     """
-    first_order, oversample, seam_frac = _ATTEMPTS[_retry]
     fps, bounds, shifts = _structure_boundaries(spec)
     if len(bounds) < 2:
         raise QuantizationError("classical band is degenerate")
-    if not first_order:
+    if not _ATTEMPTS[_retry]:
         shifts = [None] * len(bounds)
     found = []
     for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
         mode, barrier_p = _interval_mode(spec, fps, lo, hi)
         found.extend(_levels_in_interval(
-            spec, lo, hi, mode, _Shifts(lo, hi, shifts[k], shifts[k + 1]),
-            oversample, seam_frac, barrier_p,
+            spec, lo, hi, mode, _Shifts(lo, hi, shifts[k], shifts[k + 1]), barrier_p,
         ))
     found.sort(key=lambda pair: pair[0])
 

@@ -180,20 +180,13 @@ def check_action_period(spec: ModelSpec):
     fps = meanfield.find_fixed_points(spec)
     energies = sorted(fp.energy for fp in fps)
     emin, emax = energies[0], energies[-1]
+    s_tot = lambda x: semiclassics._total_action(spec, x)
     worst = 0.0
     for frac in (0.31, 0.57, 0.83):
         e = emin + frac * (emax - emin)
         if any(abs(e - fp.energy) < 2e-3 * (emax - emin) for fp in fps):
             continue
-        tps = semiclassics.turning_points(spec, e)
         h = 1e-6 * (emax - emin)
-
-        def s_tot(x):
-            t = semiclassics.turning_points(spec, x)
-            return sum(
-                semiclassics.action_area(spec, x, i) for i in range(len(t.regions))
-            )
-
         deriv = (s_tot(e + h) - s_tot(e - h)) / (2 * h)
         period = semiclassics.orbit_period(spec, e)
         worst = max(worst, abs(deriv - period) / period)
@@ -208,10 +201,7 @@ def check_action_monotonic(spec: ModelSpec):
     vals = []
     for e in grid:
         try:
-            t = semiclassics.turning_points(spec, float(e))
-            vals.append(
-                sum(semiclassics.action_area(spec, float(e), i) for i in range(len(t.regions)))
-            )
+            vals.append(semiclassics._total_action(spec, float(e)))
         except ValueError:
             vals.append(np.nan)
     vals = np.array(vals)

@@ -133,6 +133,14 @@ class TestMain:
         assert "checks passed" in out
         assert "FAIL" not in out
 
+    def test_verify_upper_double_well(self, tmp_path, capsys):
+        # at eps = 0.1 the (3,3) band has two wells under U+: the total
+        # area counts the gap between them once
+        assert main(f"verify --m 3 --n 3 --N 90 --eps 0.1 --out {tmp_path}".split()) == 0
+        out = capsys.readouterr().out
+        assert "16/16 checks passed" in out
+        assert "FAIL" not in out
+
 
 def test_jobs_env_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("KUMMER_JOBS", "2")

@@ -134,11 +134,15 @@ class TestActionArea:
             (ModelSpec(2, 1, 80, eps=0.5, v=1.0), 0.1),
             (ModelSpec(4, 1, 160, eps=0.5, v=1.0), -0.2),
             (ModelSpec(3, 2, 120, eps=0.4, v=1.0), 0.05),
+            # two wells, with the gap between them below U- and above U+:
+            # across a gap above U+ both regions' areas contain the gap,
+            # and the total counts it once
+            (ModelSpec(4, 1, 160, eps=0.5, v=1.0), -0.23),
+            (ModelSpec(3, 3, 90, eps=0.1, v=1.0), 0.04956),
         ],
     )
     def test_against_area_oracle(self, spec, energy):
-        tps = turning_points(spec, energy)
-        total = sum(action_area(spec, energy, i) for i in range(len(tps.regions)))
+        total = semiclassics._total_action(spec, energy)
         assert total == pytest.approx(area_below_oracle(spec, energy), abs=2e-7)
 
     def test_node_doubling_convergence(self):
@@ -375,14 +379,30 @@ class TestFirstOrderTerm:
         assert rel[len(rel) // 2] <= 0.01
 
     def test_rule_without_term_near_pinched_pole(self):
-        # a saddle 0.85 eta from an m = 3 pole: the term is not small there
-        # and the matching condition gains roots, so the count check falls
-        # back on the rule without it, and the result says so
+        # a saddle 0.85 eta from an m = 3 pole: the term is not small there.
+        # Where the barrier continuation ends, the matching area steps back
+        # down past a target and a level takes the root before the step, so
+        # the interval reports no levels, the count check falls back on the
+        # rule without the term, and the result says so
         spec = ModelSpec(3, 1, 120, eps=0.3671)
         wkb = semiclassical_spectrum(spec)
         assert wkb.attempt > 0 and not wkb.search["first_order_term"]
         levels = wkb.energies
         assert len(levels) == spec.dim and np.all(np.diff(levels) > 0)
+
+    @pytest.mark.parametrize("m,n,N,eps", [
+        (1, 4, 204, -0.6), (4, 1, 240, -0.3429), (3, 1, 180, -0.2929),
+    ])
+    def test_tunnelling_levels_in_one_pass(self, m, n, N, eps):
+        # close tunnelling doublets and saddles near a pole: the area form
+        # of the matching condition finds every level with the term at
+        # the first attempt
+        spec = ModelSpec(m, n, N, eps=eps)
+        wkb = semiclassical_spectrum(spec)
+        assert wkb.attempt == 0 and wkb.search["first_order_term"]
+        assert len(wkb.levels) == spec.dim
+        exact = quantum.eigen_spectrum(spec).scaled_eigenvalues
+        assert np.max(np.abs(wkb.energies - exact) / np.gradient(exact)) <= 0.15
 
     def test_pinched_pole_band_bottom(self):
         # the m = 4 pole is the band bottom at E = -eps/2; the well born
@@ -504,6 +524,33 @@ class TestBarrierActions:
         assert 0 < acts.kappa < 1
         assert acts.left > 0 and acts.right > 0
         assert acts.total == pytest.approx(acts.left + acts.right, abs=0)
+
+    def test_area_form_zeroes_matching_residual(self):
+        # below the barrier the area form is monotone, and where it meets
+        # a target 2*pi*eta*(nu + 1/2) the matching residual
+        # cos((S_l + S_r)/(2 eta) - phi) + a cos((S_l - S_r)/(2 eta)) vanishes
+        spec = ModelSpec(4, 1, 160, eps=0.5, v=1.0)
+        eta = spec.eta
+        # the second well is born at the m = 4 pole, E = -eps/2
+        saddle = [f for f in meanfield.find_fixed_points(spec) if f.stability == "saddle"][0]
+        grid = np.linspace(-0.25 + 1e-4, saddle.energy - 1e-4, 161)
+        area = lambda e: semiclassics._matching_area(spec, e, None, None)
+        values = np.array([area(e) for e in grid])
+        assert np.all(np.diff(values) > 0)
+
+        def residual(e):
+            acts = semiclassics.barrier_actions(spec, e)
+            amp = 1.0 / sqrt(1.0 + acts.kappa**2)
+            return (np.cos((acts.left + acts.right) / (2 * eta) - acts.s_phi)
+                    + amp * np.cos((acts.left - acts.right) / (2 * eta)))
+
+        nus = range(int(np.ceil(values[0] / (TWO_PI * eta) - 0.5)),
+                    int(np.floor(values[-1] / (TWO_PI * eta) - 0.5)) + 1)
+        assert len(nus) >= 4
+        for nu in nus:
+            target = TWO_PI * eta * (nu + 0.5)
+            root = brentq(lambda e: area(e) - target, grid[0], grid[-1], xtol=1e-14)
+            assert abs(residual(root)) < 1e-9
 
     def test_no_barrier_raises(self):
         spec = ModelSpec(1, 1, 20, eps=0.3, v=1.0)
