@@ -32,6 +32,7 @@ from .quantum import (
     dos_histogram,
     eigen_spectrum,
     ladder_strength,
+    level_counts,
     sweep_epsilon,
 )
 from .semiclassics import (

@@ -221,8 +221,7 @@ def _cmd_quantize(cfg: RunConfig):
 
 
 def _cmd_dos(cfg: RunConfig):
-    result = quantum.eigen_spectrum(cfg.spec)
-    hist = quantum.dos_histogram(result, cfg.options["bins"])
+    hist = quantum.dos_histogram(cfg.spec, cfg.options["bins"])
     centers = 0.5 * (hist.bin_edges[:-1] + hist.bin_edges[1:])
     curve = semiclassics.dos_semiclassical(cfg.spec, centers)
     saddles = [fp.energy for fp in meanfield.find_fixed_points(cfg.spec)

@@ -115,14 +115,8 @@ def eigen_spectrum(spec: ModelSpec) -> SpectrumResult:
     matrices (eigenvalues only, O(dim^2), no dense workspace).
     """
     ops = build_operators(spec)
-    if spec.dim == 1:
-        raw = ops.h.diag.copy()
-    else:
-        raw = eigvalsh_tridiagonal(
-            ops.h.diag, ops.h.offdiag, lapack_driver="sterf"
-        )
-    raw = np.sort(raw)
-    return SpectrumResult(spec, raw)
+    raw = eigvalsh_tridiagonal(ops.h.diag, ops.h.offdiag, lapack_driver="sterf")
+    return SpectrumResult(spec, np.sort(raw))
 
 
 def eigen_residual(spec: ModelSpec) -> float:
@@ -142,25 +136,82 @@ def eigen_residual(spec: ModelSpec) -> float:
     return float(np.max(res) / norm_h)
 
 
+def level_counts(spec: ModelSpec, energies) -> np.ndarray:
+    """Number of levels strictly below each scaled energy, without an eigensolve.
+
+    Sylvester inertia of H - x: the LDL^T pivots q_0 = d_0 - x and
+    q_i = (d_i - x) - e_{i-1}^2 / q_{i-1} have as many negatives as H has
+    eigenvalues below x (Barth, Martin & Wilkinson 1967; LAPACK dstebz).
+    One pass over the dimension, vectorised over all energies.  A pivot
+    smaller in magnitude than pivmin (dstebz's guard) is set to +pivmin,
+    so a level that x hits exactly counts as not below it.
+    """
+    ops = build_operators(spec)
+    x = np.asarray(energies, dtype=float) / spec.eta
+    e2 = ops.h.offdiag ** 2
+    pivmin = np.finfo(float).tiny * max(1.0, float(np.max(e2, initial=0.0)))
+    q = np.full_like(x, np.inf)  # with e_{-1} = 0 the first pivot is d_0 - x
+    step = np.empty_like(x)
+    keep = np.empty(x.shape, dtype=bool)
+    above = np.zeros(x.shape, dtype=np.intp)
+    # the loop runs dim times over arrays only as long as `energies`, so
+    # call overhead dominates: out arguments are positional
+    for d, e2_prev in zip(ops.h.diag.tolist(), [0.0] + e2.tolist()):
+        np.subtract(d, x, step)
+        np.divide(e2_prev, q, q)
+        np.subtract(step, q, q)
+        np.greater(q, -pivmin, keep)  # not negative once guarded
+        above += keep
+        np.maximum(q, pivmin, out=q, where=keep)
+    return spec.dim - above
+
+
+def _scaled_levels(spec: ModelSpec, first: int, last: int) -> np.ndarray:
+    """Scaled levels first..last (ascending indices) by LAPACK bisection, O(dim) each."""
+    ops = build_operators(spec)
+    raw = eigvalsh_tridiagonal(ops.h.diag, ops.h.offdiag, select="i",
+                               select_range=(first, last))
+    return spec.eta * raw
+
+
 @dataclass(frozen=True)
 class DosHistogram:
     bin_edges: np.ndarray
     density: np.ndarray
 
 
-def dos_histogram(result: SpectrumResult, bins: int, value_range=None) -> DosHistogram:
-    """Probability-density histogram of the scaled eigenvalues.
+def dos_histogram(spec: ModelSpec, bins: int, value_range=None) -> DosHistogram:
+    """Probability-density histogram of the scaled levels, from level counts.
 
-    Density normalisation makes the histogram directly comparable to
+    Follows np.histogram on the eigenvalues: equal bins over value_range
+    (default: the lowest to the highest level, widened by 0.5 either way
+    when they coincide), each bin half-open but the last closed, density
+    = counts / width / counted levels.  Only the two band extremes are
+    solved for; the counts come from level_counts, so a level within
+    rounding of an edge may land in either neighbouring bin.  Density
+    normalisation makes the histogram directly comparable to
     T(E)/(2*pi), whose integral over the band is also one.
     """
     if bins < 2:
         raise ValueError("bins must be >= 2")
-    values = np.asarray(result.scaled_eigenvalues)
-    if values.size == 0:
-        raise ValueError("empty spectrum")
-    density, edges = np.histogram(values, bins=bins, range=value_range, density=True)
-    return DosHistogram(edges, density)
+    if value_range is None:
+        lo = _scaled_levels(spec, 0, 0)[0]
+        hi = _scaled_levels(spec, spec.dim - 1, spec.dim - 1)[0]
+    else:
+        lo, hi = (float(v) for v in value_range)
+        if not lo <= hi:
+            raise ValueError("value_range must be increasing")
+    if lo == hi:
+        lo, hi = lo - 0.5, hi + 0.5
+    edges = np.linspace(lo, hi, bins + 1)
+    if value_range is None:
+        below = np.concatenate(([0], level_counts(spec, edges[1:-1]), [spec.dim]))
+    else:  # the last bin is closed
+        below = level_counts(spec, np.append(edges[:-1], np.nextafter(hi, np.inf)))
+    counts = np.diff(below)
+    if counts.sum() == 0:
+        raise ValueError(f"no levels in {value_range}")
+    return DosHistogram(edges, counts / np.diff(edges) / counts.sum())
 
 
 @dataclass(frozen=True)

@@ -522,8 +522,11 @@ def barrier_actions(spec: ModelSpec, energy: float, barrier_p=None,
     if tps is None:
         tps = turning_points(spec, energy)
     roots = tps.roots
+    overlap = 0.0  # as in _sum_areas: across a gap above U+ both areas contain it
     if len(tps.regions) == 2:
         s_left, s_right = (_region_area(spec, tps, k, shift) for k in (0, 1))
+        if tps.regions[0][3] == UPPER:
+            overlap = TWO_PI
         s_eps = _tunneling_signed(
             spec, energy, (tps.regions[0][1], tps.regions[1][0])
         )
@@ -540,7 +543,7 @@ def barrier_actions(spec: ModelSpec, energy: float, barrier_p=None,
     else:
         raise ValueError(f"expected one or two allowed regions at E = {energy}")
     kappa = exp(-pi * s_eps) if pi * s_eps > -700 else float("inf")
-    return ActionSet(s_left + s_right, s_left, s_right, s_eps,
+    return ActionSet(s_left + s_right - overlap, s_left, s_right, s_eps,
                      phase_correction(s_eps), kappa)
 
 

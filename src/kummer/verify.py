@@ -137,6 +137,34 @@ def check_nondegeneracy(spec: ModelSpec):
     return "nondegenerate spectrum", bool(gap > 0), f"min gap {gap:.3e}"
 
 
+def check_level_counts(spec: ModelSpec):
+    """WKB levels below each fixed-point energy against the exact Sturm count.
+
+    The counts must agree, or differ by one where the exact level that
+    changes sides lies within a quarter of its local spacing (the
+    central difference of its neighbours) of that energy.
+    """
+    energies = sorted({fp.energy for fp in meanfield.find_fixed_points(spec)})
+    wkb = semiclassics.semiclassical_spectrum(spec).energies
+    exact = quantum.level_counts(spec, energies)
+    ok, off, worst = True, 0, 0.0
+    for energy, count in zip(energies, exact):
+        found = int(np.searchsorted(wkb, energy))
+        if found == count:
+            continue
+        off += 1
+        k = min(found, int(count))
+        lo, hi = max(k - 1, 0), min(k + 1, spec.dim - 1)
+        near = quantum._scaled_levels(spec, lo, hi)
+        gap = abs(near[k - lo] - energy) * (hi - lo) / (near[-1] - near[0])
+        worst = max(worst, gap)
+        ok &= abs(found - count) == 1 and gap <= 0.25
+    detail = f"{off} of {len(energies)} off by one"
+    if off:
+        detail += f", the level that changes sides {worst:.3f} of a spacing away (tol 0.25)"
+    return "WKB level counts at fixed-point energies", bool(ok), detail
+
+
 def check_fixed_point_count(spec: ModelSpec):
     limit = min(spec.m + spec.n, 6)
     worst = 0
@@ -267,6 +295,7 @@ ALL_CHECKS = (
     check_pole_slopes,
     check_spectrum_bounds,
     check_nondegeneracy,
+    check_level_counts,
     check_fixed_point_count,
     check_poincare_index,
     check_action_period,

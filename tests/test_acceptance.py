@@ -235,8 +235,7 @@ def test_criterion_07_density_of_states():
     for m, n, eps in cases:
         t0 = time.time()
         spec = ModelSpec(m, n, 9000, eps=eps, v=1.0)
-        result = quantum.eigen_spectrum(spec)
-        hist = quantum.dos_histogram(result, bins)
+        hist = quantum.dos_histogram(spec, bins)
         centers = 0.5 * (hist.bin_edges[:-1] + hist.bin_edges[1:])
         width = hist.bin_edges[1] - hist.bin_edges[0]
         fps = meanfield.find_fixed_points(spec)
@@ -303,16 +302,18 @@ def test_criterion_08_dos_step_resolution():
     fps = meanfield.find_fixed_points(spec)
     pole = [fp for fp in fps if fp.location == "south_pole"][0]
     step = pole.energy  # -eps/2 = -0.04, the inner extremum energy
-    scaled = quantum.eigen_spectrum(spec).scaled_eigenvalues
-    total = len(scaled)
+    total = spec.dim
     w = 5e-4
-    left = scaled[(scaled > step - 8 * w) & (scaled < step - w / 2)]
-    right = scaled[(scaled > step + w / 2) & (scaled < step + 3.5 * w)]
-    rho_left = len(left) / (total * 7.5 * w)
-    rho_right = len(right) / (total * 3.0 * w)
+    # levels in the open windows (step - 8w, step - w/2) and (step + w/2, step + 3.5w):
+    # level_counts counts strictly below, so each lower end moves up by one ulp
+    lower = np.nextafter([step - 8 * w, step + w / 2], np.inf)
+    below = quantum.level_counts(spec, [lower[0], step - w / 2, lower[1], step + 3.5 * w])
+    n_left, n_right = int(below[1] - below[0]), int(below[3] - below[2])
+    rho_left = n_left / (total * 7.5 * w)
+    rho_right = n_right / (total * 3.0 * w)
     noise = np.hypot(
-        sqrt(max(len(left), 1)) / (total * 7.5 * w),
-        sqrt(max(len(right), 1)) / (total * 3.0 * w),
+        sqrt(max(n_left, 1)) / (total * 7.5 * w),
+        sqrt(max(n_right, 1)) / (total * 3.0 * w),
     )
     jump = rho_right - rho_left
     ok = abs(step + 0.04) < 1e-12 and jump >= 3.0 * noise

@@ -138,7 +138,7 @@ class TestMain:
         # area counts the gap between them once
         assert main(f"verify --m 3 --n 3 --N 90 --eps 0.1 --out {tmp_path}".split()) == 0
         out = capsys.readouterr().out
-        assert "16/16 checks passed" in out
+        assert "17/17 checks passed" in out
         assert "FAIL" not in out
 
 

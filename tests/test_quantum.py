@@ -99,27 +99,100 @@ class TestEigenSpectrum:
         assert len(res.raw_eigenvalues) == 2
 
 
+class TestLevelCounts:
+    @pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 5) for n in range(1, 5)])
+    def test_equals_searchsorted_on_eigenvalues(self, m, n):
+        rng = np.random.RandomState(100 * m + n)
+        for dim in (2, 41, 301):
+            spec = ModelSpec(m, n, (dim - 1) * m * n, eps=rng.uniform(-1.5, 1.5), v=1.0)
+            eigs = quantum.eigen_spectrum(spec).scaled_eigenvalues
+            span = eigs[-1] - eigs[0]
+            x = np.concatenate((rng.uniform(eigs[0] - 0.1 * span, eigs[-1] + 0.1 * span, 200),
+                                0.5 * (eigs[1:] + eigs[:-1])))
+            assert np.array_equal(quantum.level_counts(spec, x), np.searchsorted(eigs, x))
+
+    @pytest.mark.parametrize("dim", [40, 41])
+    def test_zero_pivot(self, dim):
+        # eps = 0: x = 0 equals every diagonal entry, so the first pivot is
+        # exactly zero; an odd dimension also has a level at 0, not below it
+        spec = ModelSpec(2, 1, 2 * (dim - 1), eps=0.0)
+        eigs = quantum.eigen_spectrum(spec).scaled_eigenvalues
+        got = quantum.level_counts(spec, [0.0, 0.1])
+        assert got[0] == dim // 2
+        assert got[1] == np.searchsorted(eigs, 0.1)
+
+    def test_shape_follows_energies(self):
+        spec = ModelSpec(2, 1, 40, eps=0.3)
+        assert quantum.level_counts(spec, 10.0) == spec.dim
+        assert quantum.level_counts(spec, np.zeros((2, 3))).shape == (2, 3)
+
+
 class TestDosHistogram:
-    def test_uniform_synthetic(self):
-        spec = ModelSpec(1, 1, 10)
-        vals = (np.arange(1000) + 0.5) / 1000.0
-        res = quantum.SpectrumResult(spec, vals / spec.eta, vals)
-        hist = quantum.dos_histogram(res, 10, value_range=(0.0, 1.0))
-        assert np.allclose(hist.density, 1.0, atol=1e-12)
+    def test_matches_numpy_histogram(self):
+        spec = ModelSpec(3, 2, 1200, eps=0.4)
+        eigs = quantum.eigen_spectrum(spec).scaled_eigenvalues
+        hist = quantum.dos_histogram(spec, 37)
+        counts, edges = np.histogram(eigs, bins=37)
+        assert np.max(np.abs(hist.bin_edges - edges)) < 1e-12 * (edges[-1] - edges[0])
+        assert np.allclose(hist.density * np.diff(hist.bin_edges) * spec.dim, counts,
+                           rtol=0, atol=1e-9)
+
+    def test_value_range(self):
+        spec = ModelSpec(2, 1, 800, eps=0.5)
+        eigs = quantum.eigen_spectrum(spec).scaled_eigenvalues
+        for value_range in ((-0.1, 0.2), (eigs[0] - 0.3, eigs[-1] + 0.3)):
+            hist = quantum.dos_histogram(spec, 23, value_range=value_range)
+            density, edges = np.histogram(eigs, bins=23, range=value_range, density=True)
+            assert np.array_equal(hist.bin_edges, edges)
+            assert np.allclose(hist.density, density, rtol=1e-14, atol=0)
+
+    def test_uniform_levels_midway_edges(self):
+        # 1:1 levels are exactly equally spaced; with every edge midway
+        # between two levels each bin holds 100 of the 1000 levels
+        spec = ModelSpec(1, 1, 999, eps=0.6, v=0.8)
+        eigs = quantum.eigen_spectrum(spec).scaled_eigenvalues
+        spacing = spec.eta * np.hypot(0.6, 0.8)
+        value_range = (eigs[0] - 0.5 * spacing, eigs[-1] + 0.5 * spacing)
+        hist = quantum.dos_histogram(spec, 10, value_range=value_range)
+        assert np.allclose(hist.density * spacing * spec.dim, 1.0, rtol=1e-12, atol=0)
+
+    def test_ties_on_equally_spaced_levels(self):
+        # levels of a 1:1 spec sit within rounding of some edges; such a
+        # level may land in either bin beside its edge, every other bin agrees
+        spec = ModelSpec(1, 1, 3638, eps=0.5151, v=1.0)
+        eigs = quantum.eigen_spectrum(spec).scaled_eigenvalues
+        hist = quantum.dos_histogram(spec, 255)
+        want, edges = np.histogram(eigs, bins=255)
+        got = np.rint(hist.density * np.diff(hist.bin_edges) * spec.dim).astype(int)
+        span = edges[-1] - edges[0]
+        tied = [k for k, e in enumerate(edges)
+                if np.min(np.abs(eigs - e)) < 1e-12 * span]
+        assert tied  # the case exercises ties
+        assert got.sum() == spec.dim
+        for k in np.nonzero(got != want)[0]:
+            assert k in tied or k + 1 in tied
 
     def test_density_normalisation(self):
-        res = quantum.eigen_spectrum(ModelSpec(2, 1, 400, eps=0.5, v=1.0))
-        hist = quantum.dos_histogram(res, 37)
+        hist = quantum.dos_histogram(ModelSpec(2, 1, 400, eps=0.5, v=1.0), 37)
         widths = np.diff(hist.bin_edges)
         assert np.sum(hist.density * widths) == pytest.approx(1.0, abs=1e-12)
 
+    def test_coincident_levels_widen_range(self):
+        # v = eps = 0 puts every level at 0: np.histogram's +-0.5 range
+        spec = ModelSpec(2, 1, 40, eps=0.0, v=0.0)
+        hist = quantum.dos_histogram(spec, 4)
+        density, edges = np.histogram(np.zeros(spec.dim), bins=4, density=True)
+        assert np.array_equal(hist.bin_edges, edges)
+        assert np.array_equal(hist.density, density)
+
     def test_rejects_bad_input(self):
-        res = quantum.eigen_spectrum(ModelSpec(2, 1, 8))
+        spec = ModelSpec(2, 1, 8)
         with pytest.raises(ValueError):
-            quantum.dos_histogram(res, 1)
-        empty = quantum.SpectrumResult(ModelSpec(1, 1, 2), np.array([]), np.array([]))
+            quantum.dos_histogram(spec, 1)
         with pytest.raises(ValueError):
-            quantum.dos_histogram(empty, 4)
+            quantum.dos_histogram(spec, 4, value_range=(1.0, -1.0))
+        with pytest.raises(ValueError):
+            quantum.dos_histogram(spec, 4, value_range=(5.0, 6.0))
 
 
 class TestSweep:

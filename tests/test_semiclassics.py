@@ -5,7 +5,7 @@ from math import pi, sqrt, cosh, exp
 from scipy.integrate import quad, simpson
 from scipy.optimize import brentq
 
-from kummer import meanfield, quantum, semiclassics
+from kummer import meanfield, quantum, semiclassics, verify
 from kummer.model import ModelSpec
 from kummer.semiclassics import (
     OutOfBandError,
@@ -525,6 +525,16 @@ class TestBarrierActions:
         assert acts.left > 0 and acts.right > 0
         assert acts.total == pytest.approx(acts.left + acts.right, abs=0)
 
+    def test_total_across_upper_gap(self):
+        # two wells of U+ at (3,3,90, eps=0.1): both areas measure across the
+        # gap from their far poles, so the total counts the circle once less
+        spec = ModelSpec(3, 3, 90, eps=0.1, v=1.0)
+        energy = 0.04956
+        acts = semiclassics.barrier_actions(spec, energy)
+        assert acts.total == pytest.approx(acts.left + acts.right - 2 * pi, abs=1e-12)
+        assert acts.total == pytest.approx(semiclassics._total_action(spec, energy), abs=1e-12)
+        assert acts.total == pytest.approx(6.0704, abs=1e-4)
+
     def test_area_form_zeroes_matching_residual(self):
         # below the barrier the area form is monotone, and where it meets
         # a target 2*pi*eta*(nu + 1/2) the matching residual
@@ -594,3 +604,18 @@ def test_band_coefficients_bit_identical_to_direct_build(m, n):
         want[:3] -= quad
         got = semiclassics._band_poly_coeffs(spec, energy)
         assert got.tobytes() == want.tobytes()
+
+
+def test_level_counts_at_fixed_point_energies():
+    # each structure interval holds as many WKB levels as the exact Sturm
+    # count says, up to one level sitting next to a fixed-point energy;
+    # the quantizer itself never reads these counts
+    failures = []
+    for m in range(1, 5):
+        for n in range(1, 5):
+            for eps in np.arange(-2.0, 2.0, 0.7) + 0.0123:
+                spec = ModelSpec(m, n, 40 * m * n, eps=float(eps))
+                _, ok, detail = verify.check_level_counts(spec)
+                if not ok:
+                    failures.append(f"{spec}: {detail}")
+    assert not failures
