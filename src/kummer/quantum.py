@@ -9,7 +9,7 @@ weights, which keeps the whole module in real arithmetic.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
@@ -99,13 +99,10 @@ def build_operators(spec: ModelSpec) -> OperatorSet:
 class SpectrumResult:
     spec: ModelSpec
     raw_eigenvalues: np.ndarray
-    scaled_eigenvalues: np.ndarray = field(default=None)
 
-    def __post_init__(self):
-        if self.scaled_eigenvalues is None:
-            object.__setattr__(
-                self, "scaled_eigenvalues", self.spec.eta * self.raw_eigenvalues
-            )
+    @property
+    def scaled_eigenvalues(self) -> np.ndarray:
+        return self.spec.eta * self.raw_eigenvalues
 
 
 def eigen_spectrum(spec: ModelSpec) -> SpectrumResult:
