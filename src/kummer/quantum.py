@@ -163,12 +163,12 @@ def level_counts(spec: ModelSpec, energies) -> np.ndarray:
     return spec.dim - above
 
 
-def _scaled_levels(spec: ModelSpec, first: int, last: int) -> np.ndarray:
-    """Scaled levels first..last (ascending indices) by LAPACK bisection, O(dim) each."""
+def _scaled_level(spec: ModelSpec, index: int) -> float:
+    """Scaled level `index` (ascending) by one LAPACK bisection solve, O(dim)."""
     ops = build_operators(spec)
     raw = eigvalsh_tridiagonal(ops.h.diag, ops.h.offdiag, select="i",
-                               select_range=(first, last))
-    return spec.eta * raw
+                               select_range=(index, index))
+    return spec.eta * raw[0]
 
 
 @dataclass(frozen=True)
@@ -192,8 +192,7 @@ def dos_histogram(spec: ModelSpec, bins: int, value_range=None) -> DosHistogram:
     if bins < 2:
         raise ValueError("bins must be >= 2")
     if value_range is None:
-        lo = _scaled_levels(spec, 0, 0)[0]
-        hi = _scaled_levels(spec, spec.dim - 1, spec.dim - 1)[0]
+        lo, hi = _scaled_level(spec, 0), _scaled_level(spec, spec.dim - 1)
     else:
         lo, hi = (float(v) for v in value_range)
         if not lo <= hi:

@@ -454,16 +454,21 @@ def _total_action(spec: ModelSpec, energy: float, shift=None) -> float:
     return _sum_areas(spec, tps, shift)
 
 
-def _sum_areas(spec: ModelSpec, tps: TurningPointSet, shift=None) -> float:
-    """Sum of the region areas, less 2*pi for each gap above U+ between two.
+def _upper_gaps(tps: TurningPointSet) -> int:
+    """Number of gaps above U+ between two allowed regions.
 
     The regions on either side of such a gap both measure their area
     across it from their far pole (_area_from_cases), so each already
-    contains the whole gap and the sum counts the circle once too often.
+    contains the whole gap and a sum of areas counts the circle once too
+    often per gap.
     """
-    upper_gaps = sum(region[3] == UPPER for region in tps.regions[:-1])
+    return sum(region[3] == UPPER for region in tps.regions[:-1])
+
+
+def _sum_areas(spec: ModelSpec, tps: TurningPointSet, shift=None) -> float:
+    """Sum of the region areas, less 2*pi for each gap above U+ (_upper_gaps)."""
     return sum(_region_area(spec, tps, k, shift)
-               for k in range(len(tps.regions))) - TWO_PI * upper_gaps
+               for k in range(len(tps.regions))) - TWO_PI * _upper_gaps(tps)
 
 
 @dataclass(frozen=True)
@@ -522,11 +527,10 @@ def barrier_actions(spec: ModelSpec, energy: float, barrier_p=None,
     if tps is None:
         tps = turning_points(spec, energy)
     roots = tps.roots
-    overlap = 0.0  # as in _sum_areas: across a gap above U+ both areas contain it
+    overlap = 0.0  # as in _sum_areas
     if len(tps.regions) == 2:
         s_left, s_right = (_region_area(spec, tps, k, shift) for k in (0, 1))
-        if tps.regions[0][3] == UPPER:
-            overlap = TWO_PI
+        overlap = TWO_PI * _upper_gaps(tps)
         s_eps = _tunneling_signed(
             spec, energy, (tps.regions[0][1], tps.regions[1][0])
         )

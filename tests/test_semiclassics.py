@@ -613,7 +613,7 @@ def test_level_counts_at_fixed_point_energies():
     failures = []
     for m in range(1, 5):
         for n in range(1, 5):
-            for eps in np.arange(-2.0, 2.0, 0.7) + 0.0123:
+            for eps in np.arange(-2.0, 2.0, 1.0) + 0.0123:
                 spec = ModelSpec(m, n, 40 * m * n, eps=float(eps))
                 _, ok, detail = verify.check_level_counts(spec)
                 if not ok:

@@ -3,27 +3,35 @@
     python3 tools/record_bench.py --label 6                      # full size
     python3 tools/record_bench.py --tiny --label smoke --out /tmp  # smoke test
 
-Runs perfbench/run.py once per workload of BENCHMARK.json with --trace 0
-(end-to-end metrics) and once with --trace 1 (per-layer metrics), all
-with one seed, and writes the metrics with their units, the seed, the
-git revision and the versions of Python, numpy, scipy and kummer.  The
-benchmark itself is unchanged: this script only runs it and keeps what
-it prints.  Exits 1, after writing the file, if a run fails or its
-metrics are not exactly the ones BENCHMARK.json names.
+Runs each workload of BENCHMARK.json through perfbench/report.py's runner,
+once with --trace 0 (end-to-end metrics) and once with --trace 1
+(per-layer metrics), always with seed 1, and writes the metrics with
+their units, the seed, the git revision and the versions of Python,
+numpy, scipy and kummer.  The benchmark itself is unchanged: this script
+only runs it and keeps what it prints.  Exits 1, after writing the file,
+if a run fails or its metrics are not exactly the ones BENCHMARK.json
+names.
 """
 
 import argparse
 import json
+import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+import scipy
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 sys.path.insert(0, str(ROOT / "src"))
 
 import kummer  # noqa: E402
-from report import problems  # noqa: E402
+from report import problems, run  # noqa: E402
+
+SEED = 1  # the seed report.run passes to perfbench/run.py
 
 
 def git(*args):
@@ -31,44 +39,30 @@ def git(*args):
                           timeout=30).stdout.strip()
 
 
-def run(workload, trace, seed, seconds, tiny):
-    """One perfbench/run.py call: (result JSON, env JSON, error lines)."""
-    cmd = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
-    out = subprocess.run(cmd + ["--tiny"] * tiny, cwd=ROOT, capture_output=True,
-                         text=True, timeout=900)
-    if out.returncode != 0:
-        return None, None, [f"exit {out.returncode}: {out.stderr.strip()[-400:]}"]
-    lines = out.stdout.strip().splitlines()
-    env = next((json.loads(line[len("# env "):]) for line in lines
-                if line.startswith("# env ")), None)
-    return json.loads(lines[-1]), env, []
-
-
 def main():
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--label", required=True, help="file name suffix: BENCH_<label>.json")
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--out", default=str(ROOT), help="output directory (default: repo root)")
     parser.add_argument("--tiny", action="store_true", help="tiny sizes (smoke test)")
     args = parser.parse_args()
 
-    record = {"label": args.label, "seed": args.seed, "seconds": spec["run_seconds"],
+    # perfbench/run.py runs under this same interpreter (sys.executable).
+    versions = {"kummer": kummer.__version__, "python": platform.python_version(),
+                "numpy": np.__version__, "scipy": scipy.__version__,
+                "machine": platform.machine(), "nproc": os.cpu_count()}
+    record = {"label": args.label, "seed": SEED, "seconds": spec["run_seconds"],
               "tiny": args.tiny, "revision": git("rev-parse", "HEAD") or None,
               "dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
-              "versions": {"kummer": kummer.__version__}, "workloads": {}, "problems": []}
+              "versions": versions, "workloads": {}, "problems": []}
     for workload in (w["name"] for w in spec["workloads"]):
         entry = record["workloads"][workload] = {}
         for trace, key in ((0, "end_to_end"), (1, "per_layer")):
-            result, env, found = run(workload, trace, args.seed, spec["run_seconds"], args.tiny)
+            result, found = run(workload, trace, spec["run_seconds"], args.tiny)
             if result is not None:
                 found = problems(result, spec[key])
                 entry[key] = result["metrics"]
                 entry[f"{key}_ops"] = {k: result[k] for k in ("attempted", "failed", "correct")}
-            if env is not None:
-                record["versions"].update({k: env[k] for k in
-                                           ("python", "numpy", "scipy", "machine", "nproc")})
             record["problems"] += [f"{workload} trace={trace}: {line}" for line in found]
             print(f"{workload} trace={trace}: "
                   + ("; ".join(found) if found else f"{result['attempted']} ops, ok"))
