@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import cos, nan, pi, sin, sqrt
+from math import cos, isfinite, nan, pi, sin, sqrt
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -374,51 +374,69 @@ def integrate_trajectory(spec: ModelSpec, initial, t_end: float, dt: float,
 
     The initial point must satisfy C(s) = 0 within 1e-10.  Conservation
     of H and C is tracked at every step; states are stored every
-    `stride` steps.
+    `stride` steps.  The step loop runs on Python floats only: with numpy
+    scalars each operation costs several times more.
     """
     sx, sy, sz = (float(c) for c in initial)
-    if abs(casimir_value(spec, (sx, sy, sz))) > 1e-10:
+    if not abs(casimir_value(spec, (sx, sy, sz))) <= 1e-10:
         raise ValueError("initial point does not lie on the C = 0 surface")
-    if dt <= 0 or t_end <= 0:
-        raise ValueError("t_end and dt must be positive")
+    t_end, dt = float(t_end), float(dt)
+    if not (isfinite(t_end) and t_end > 0):
+        raise ValueError(f"t_end must be positive and finite, got {t_end!r}")
+    if not (isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    if stride < 1:
+        raise ValueError(f"stride must be at least 1, got {stride!r}")
+    steps = int(round(t_end / dt))
+    if steps < 1:
+        raise ValueError(f"dt = {dt!r} is at least twice t_end = {t_end!r}: no step to take")
 
     eps, v = spec.eps, spec.v
     core = structure_polynomials(spec.m, spec.n)
-    fc = core.f[::-1]  # descending for Horner
-    gc = core.g[::-1]
+    fc = core.f[::-1].tolist()  # descending for Horner
+    gc = core.g[::-1].tolist()
 
-    def fval(z):
-        acc = 0.0
-        for c in fc:
-            acc = acc * z + c
-        return acc
-
-    def gval(z):
-        acc = 0.0
-        for c in gc:
-            acc = acc * z + c
-        return acc
-
+    gz = 0.0
+    for c in gc:
+        gz = gz * sz + c
     h0 = v * sx + eps * sz
-    c0 = sx * sx + sy * sy + gval(sz)
-    steps = int(round(t_end / dt))
+    c0 = sx * sx + sy * sy + gz
     times = [0.0]
     states = [(sx, sy, sz)]
     drift_h = 0.0
     drift_c = 0.0
     for k in range(1, steps + 1):
-        ax1, ay1, az1 = -eps * sy, eps * sx - v * fval(sz), v * sy
+        fz = 0.0
+        for c in fc:
+            fz = fz * sz + c
+        ax1, ay1, az1 = -eps * sy, eps * sx - v * fz, v * sy
         x2, y2, z2 = sx + 0.5 * dt * ax1, sy + 0.5 * dt * ay1, sz + 0.5 * dt * az1
-        ax2, ay2, az2 = -eps * y2, eps * x2 - v * fval(z2), v * y2
+        fz = 0.0
+        for c in fc:
+            fz = fz * z2 + c
+        ax2, ay2, az2 = -eps * y2, eps * x2 - v * fz, v * y2
         x3, y3, z3 = sx + 0.5 * dt * ax2, sy + 0.5 * dt * ay2, sz + 0.5 * dt * az2
-        ax3, ay3, az3 = -eps * y3, eps * x3 - v * fval(z3), v * y3
+        fz = 0.0
+        for c in fc:
+            fz = fz * z3 + c
+        ax3, ay3, az3 = -eps * y3, eps * x3 - v * fz, v * y3
         x4, y4, z4 = sx + dt * ax3, sy + dt * ay3, sz + dt * az3
-        ax4, ay4, az4 = -eps * y4, eps * x4 - v * fval(z4), v * y4
+        fz = 0.0
+        for c in fc:
+            fz = fz * z4 + c
+        ax4, ay4, az4 = -eps * y4, eps * x4 - v * fz, v * y4
         sx += dt * (ax1 + 2 * ax2 + 2 * ax3 + ax4) / 6.0
         sy += dt * (ay1 + 2 * ay2 + 2 * ay3 + ay4) / 6.0
         sz += dt * (az1 + 2 * az2 + 2 * az3 + az4) / 6.0
-        drift_h = max(drift_h, abs(v * sx + eps * sz - h0))
-        drift_c = max(drift_c, abs(sx * sx + sy * sy + gval(sz) - c0))
+        d = abs(v * sx + eps * sz - h0)
+        if d > drift_h:
+            drift_h = d
+        gz = 0.0
+        for c in gc:
+            gz = gz * sz + c
+        d = abs(sx * sx + sy * sy + gz - c0)
+        if d > drift_c:
+            drift_c = d
         if k % stride == 0 or k == steps:
             times.append(k * dt)
             states.append((sx, sy, sz))

@@ -32,11 +32,17 @@ def check_structure_symmetry(spec: ModelSpec):
 
 
 def check_structure_degree(spec: ModelSpec):
-    """F has degree m+n-1 and G degree m+n (finite-difference order)."""
+    """F has degree m+n-1 and G degree m+n (finite-difference order).
+
+    The samples span the ladder's z range [-z_max, z_max]: on a fixed
+    step near z = 0 the top differences fall below the tolerance once
+    the low-order terms grow with N.
+    """
+    z_max = spec.z_max
 
     def degree_of(fn, max_deg):
-        h = 0.5
-        vals = np.array([fn(k * h) for k in range(max_deg + 2)])
+        h = 2.0 * z_max / (max_deg + 1)
+        vals = np.array([fn(-z_max + k * h) for k in range(max_deg + 2)])
         for deg in range(max_deg + 1):
             diffs = np.diff(vals, deg + 1)
             scale = np.max(np.abs(vals)) + 1e-300

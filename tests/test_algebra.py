@@ -112,6 +112,31 @@ def test_structure_polynomial_degrees(m, n):
     assert finite_difference_degree(lambda z: algebra.casimir_poly(spec, z), m + n + 1) == m + n
 
 
+@pytest.mark.parametrize("m,n,N,eps", [
+    (3, 3, 1800, 0.08), (3, 3, 7200, 0.08), (2, 2, 1600, 0.6), (4, 4, 3200, 0.1), (1, 4, 4000, 0.3),
+])
+def test_verify_structure_degree_at_large_n(m, n, N, eps, monkeypatch):
+    from kummer import verify
+
+    spec = ModelSpec(m, n, N, eps=eps)
+    _, ok, detail = verify.check_structure_degree(spec)
+    assert ok, detail
+
+    def one_factor_short(spec, z):
+        # ladder_product without its first n-factor: F and G one degree lower
+        val = 1.0
+        for mu in range(1, m + 1):
+            val *= spec.z_max + z + mu / m
+        for nu in range(2, n + 1):
+            val *= spec.z_max - z - 1.0 + nu / n
+        return val
+
+    monkeypatch.setattr(algebra, "ladder_product", one_factor_short)
+    _, ok, detail = verify.check_structure_degree(spec)
+    assert not ok
+    assert f"deg F={m + n - 2} " in detail and f"deg G={m + n - 1} " in detail
+
+
 class TestCasimirCompletion:
     def test_su2_case(self):
         # linear deformation: phi(z) = z + z^2

@@ -105,7 +105,29 @@ class TestMain:
         )
         assert main(argv.split()) == 0
         assert "drift_H" in capsys.readouterr().out
-        assert (tmp_path / "trajectory.csv").exists()
+        # the header comments hold plain floats, equal to the JSON sidecar's
+        sidecar = json.loads((tmp_path / "trajectory.json").read_text())
+        comments = dict(
+            line[2:].split("=", 1)
+            for line in (tmp_path / "trajectory.csv").read_text().splitlines()
+            if line.startswith("# drift_")
+        )
+        assert float(comments["drift_H"]) == sidecar["drift_H"]
+        assert float(comments["drift_C"]) == sidecar["drift_C"]
+
+    @pytest.mark.parametrize("flags,name", [
+        ("--stride 0", "stride"),
+        ("--dt nan", "dt"),
+        ("--t-end inf", "t_end"),
+        ("--dt 5 --t-end 1", "dt"),
+    ])
+    def test_trajectory_rejects_bad_steps(self, tmp_path, capsys, flags, name):
+        argv = (
+            f"trajectory --m 2 --n 1 --N 80 --eps 0.5 --sx 0.5 --sy 0 --sz 0 "
+            f"{flags} --out {tmp_path}"
+        )
+        assert main(argv.split()) == 1
+        assert f"ValueError: {name} " in capsys.readouterr().err
 
     def test_quantize_compare_columns(self, tmp_path, capsys):
         argv = f"quantize --m 4 --n 1 --N 160 --eps 0.5 --out {tmp_path}"

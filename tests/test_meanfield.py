@@ -297,6 +297,33 @@ class TestTrajectory:
         worst = max(abs(meanfield.casimir_value(spec, s)) for s in rec.states)
         assert worst < 1e-11
 
+    @pytest.mark.parametrize("m,n,N,eps,p,angle", [
+        (2, 1, 80, 0.5, 0.2, 1.0),
+        (1, 1, 20, 0.7, 0.3, 0.5),
+        (3, 3, 90, 0.3, 0.1, 1.0),
+        (4, 1, 160, 0.5, 0.1, 2.0),
+        (2, 2, 160, 0.9, -0.4, 0.5),  # conical south pole, orbit beside the tip
+    ])
+    def test_return_time_is_orbit_period(self, m, n, N, eps, p, angle):
+        # cross-layer oracle: successive upward zero crossings of sy on
+        # the RK4 path are one period T(E) of the semiclassical quadrature
+        from scipy.interpolate import CubicHermiteSpline
+        from kummer import semiclassics
+
+        spec = ModelSpec(m, n, N, eps=eps, v=1.0)
+        start = meanfield.surface_point(spec, p, angle)
+        energy = spec.v * start[0] + spec.eps * start[2]
+        assert len(semiclassics.turning_points(spec, energy).regions) == 1
+        period = semiclassics.orbit_period(spec, energy)
+        rec = meanfield.integrate_trajectory(spec, start, 3.2 * period, 1e-3, stride=1)
+        sx, sy, sz = rec.states.T
+        dsy = spec.eps * sx - spec.v * meanfield.classical_commutator(spec, sz)
+        path = CubicHermiteSpline(rec.times, sy, dsy)
+        roots = path.roots(extrapolate=False)
+        returns = np.diff(roots[path(roots, 1) > 0])
+        assert len(returns) >= 2
+        assert np.max(np.abs(returns - period)) < 1e-8 * period
+
 
 class TestMesh:
     def test_sphere_mesh(self):
