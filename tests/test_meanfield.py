@@ -279,8 +279,9 @@ class TestTrajectory:
 
     def test_off_surface_rejected(self):
         spec = ModelSpec(2, 1, 80)
-        with pytest.raises(ValueError):
-            meanfield.integrate_trajectory(spec, (0.4, 0.0, 0.0), 1.0, 1e-3)
+        for start in ((0.4, 0.0, 0.0), (float("nan"), 0.0, 0.0)):
+            with pytest.raises(ValueError, match="surface"):
+                meanfield.integrate_trajectory(spec, start, 1.0, 1e-3)
 
     def test_conservation_medium_run(self):
         spec = ModelSpec(3, 3, 90, eps=0.1, v=1.0)
