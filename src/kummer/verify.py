@@ -34,9 +34,8 @@ def check_structure_symmetry(spec: ModelSpec):
 def check_structure_degree(spec: ModelSpec):
     """F has degree m+n-1 and G degree m+n (finite-difference order).
 
-    The samples span the ladder's z range [-z_max, z_max]: on a fixed
-    step near z = 0 the top differences fall below the tolerance once
-    the low-order terms grow with N.
+    The samples span the ladder's z range [-z_max, z_max], which keeps
+    the top differences comparable to the values at any N.
     """
     z_max = spec.z_max
 
