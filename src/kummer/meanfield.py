@@ -50,20 +50,6 @@ def radius(spec: ModelSpec, p):
     return float(out) if out.ndim == 0 else out
 
 
-def radius_deriv(spec: ModelSpec, p):
-    """dr/dp; infinite at a pole whose mode index is 1."""
-    p = _check_domain(p)
-    m, n = spec.m, spec.n
-    x = np.maximum(0.5 + p, 0.0)
-    y = np.maximum(0.5 - p, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = radius_coefficient(spec) * (
-            (m / 2.0) * x ** (m / 2.0 - 1.0) * y ** (n / 2.0)
-            - (n / 2.0) * x ** (m / 2.0) * y ** (n / 2.0 - 1.0)
-        )
-    return float(out) if out.ndim == 0 else out
-
-
 def classical_commutator(spec: ModelSpec, p):
     """Structure function f with {sx, sy} = f(sz); a polynomial, total in p."""
     p = np.asarray(p, dtype=float)
@@ -340,7 +326,7 @@ def classify_bifurcations(spec: ModelSpec) -> list:
     """
     events = []
     for p in inflection_points(spec):
-        slope = radius_deriv(spec, p)
+        slope = -classical_commutator(spec, p) / radius(spec, p)  # g = -r^2, dg/dp = 2f
         if abs(slope) < 1e-14:
             continue
         for sign in (1.0, -1.0):

@@ -51,7 +51,7 @@ class PeriodDivergenceError(ValueError):
 
 
 class QuantizationError(RuntimeError):
-    """Level search produced a level count different from the dimension."""
+    """The level search cannot place every level exactly once."""
 
 
 # ---------------------------------------------------------------------
@@ -399,13 +399,16 @@ def orbit_period(spec: ModelSpec, energy: float, nodes: int = 1024) -> float:
     return total
 
 
-def dos_semiclassical(spec: ModelSpec, energies, saddle_margin: float = 1e-6):
-    """T(E)/(2*pi) on a grid; NaN inside the margin around saddle energies."""
+SADDLE_MARGIN = 1e-6  # dos_semiclassical masks energies this close to a saddle
+
+
+def dos_semiclassical(spec: ModelSpec, energies):
+    """T(E)/(2*pi) on a grid; NaN within SADDLE_MARGIN of saddle energies."""
     fps = meanfield.find_fixed_points(spec)
     saddles = [fp.energy for fp in fps if fp.stability == "saddle"]
     out = np.full(len(energies), np.nan)
     for i, e in enumerate(energies):
-        if any(abs(e - s) < saddle_margin for s in saddles):
+        if any(abs(e - s) < SADDLE_MARGIN for s in saddles):
             continue
         try:
             out[i] = orbit_period(spec, float(e)) / TWO_PI
@@ -434,16 +437,10 @@ class SemiclassicalLevel:
 class SemiclassicalSpectrum:
     spec: ModelSpec
     levels: tuple
-    attempt: int = 0  # index into _ATTEMPTS of the search whose count matched
 
     @property
     def energies(self) -> np.ndarray:
         return np.array([lv.energy for lv in self.levels])
-
-    @property
-    def search(self) -> dict:
-        """The level search that succeeded; attempt 1 is the rule without the term."""
-        return {"attempt": self.attempt, "first_order_term": _ATTEMPTS[self.attempt]}
 
 
 def _total_action(spec: ModelSpec, energy: float, shift=None) -> float:
@@ -576,45 +573,6 @@ def _matching_area(spec: ModelSpec, energy: float, barrier_p, shift) -> float:
         actions.s_phi + atan2(amp * sin(x), 1.0 + amp * cos(x)))
 
 
-@dataclass(frozen=True)
-class _Shifts:
-    """Energy shift s(E) over one structure interval, linear between its ends.
-
-    Levels are solved for in the mean-field energy E with the areas of
-    _region_area(..., shift=s(E)) and placed at E + s(E).  Each structure
-    boundary carries dH at its fixed point, shared by both intervals that
-    meet there: at a saddle that keeps the areas finite, and where a well
-    is born it makes the new well's area start from 0, so the total area
-    stays continuous across the boundary.  Ends of None select the rule
-    without the first-order term (s(E) is None, levels stay at E).
-    """
-
-    lo: float
-    hi: float
-    s_lo: float | None
-    s_hi: float | None
-
-    def __call__(self, energy: float):
-        if self.s_lo is None:
-            return None
-        return self.s_lo + (self.s_hi - self.s_lo) * (energy - self.lo) / (self.hi - self.lo)
-
-    def place(self, energy: float) -> float:
-        """Level energy for a solution of the rule at `energy`."""
-        shift = self(energy)
-        return energy if shift is None else energy + shift
-
-    def mirrored(self) -> "_Shifts":
-        if self.s_lo is None:
-            return _Shifts(-self.hi, -self.lo, None, None)
-        return _Shifts(-self.hi, -self.lo, -self.s_hi, -self.s_lo)
-
-    def split(self, seam: float):
-        s_seam = self(seam)
-        return (_Shifts(self.lo, seam, self.s_lo, s_seam),
-                _Shifts(seam, self.hi, s_seam, self.s_hi))
-
-
 def _edge_action(spec: ModelSpec, bound: float, side: int, span: float, area):
     """(E, S(E)) just inside a structure boundary, S = area(E).
 
@@ -651,20 +609,22 @@ def _edge_action(spec: ModelSpec, bound: float, side: int, span: float, area):
     raise OutOfBandError(f"band structure unresolvable near E = {bound}")
 
 
-def _area_levels(spec: ModelSpec, lo: float, hi: float, area) -> list:
-    """(E, target) of each level in (lo, hi) by bisection of a monotone area.
+def _area_levels(spec: ModelSpec, lo: float, hi: float, area):
+    """Roots {nu: E} of a monotone area in (lo, hi), and its two edge points.
 
     The targets are 2*pi*eta*(nu + 1/2) between the areas at the two
-    edges.  Every area evaluated is kept, and each level is bracketed by
-    the closest kept energies on either side of its target.
+    edges, which are returned as ((E, A(E)), (E, A(E))); an interval too
+    narrow to probe has no edges.  Every area evaluated is kept, and each
+    level is bracketed by the closest kept energies on either side of its
+    target.
     """
     eta = spec.eta
     if hi - lo <= 2e-12:
-        return []
+        return {}, ()
     a, s_a = _edge_action(spec, lo, +1, hi - lo, area)
     b, s_b = _edge_action(spec, hi, -1, hi - lo, area)
     if b <= a:
-        return []
+        return {}, ()
     known = {a: s_a, b: s_b}
 
     def kept(e):
@@ -677,16 +637,15 @@ def _area_levels(spec: ModelSpec, lo: float, hi: float, area) -> list:
 
     nu_lo = ceil(s_a / (TWO_PI * eta) - 0.5)
     nu_hi = floor(s_b / (TWO_PI * eta) - 0.5)
-    out = []
+    roots = {}
     for nu in range(max(nu_lo, 0), nu_hi + 1):
         target = TWO_PI * eta * (nu + 0.5)
         left = max((e for e, s in known.items() if s < target), default=a)
         right = min((e for e, s in known.items() if s > target), default=b)
         if not left < right:  # the area is not monotone here
             left, right = a, b
-        root = brentq(lambda e: kept(e) - target, left, right, xtol=1e-14, rtol=8.9e-16)
-        out.append((root, target))
-    return out
+        roots[nu] = brentq(lambda e: kept(e) - target, left, right, xtol=1e-14, rtol=8.9e-16)
+    return roots, ((a, s_a), (b, s_b))
 
 
 def _fixed_point_shift(spec: ModelSpec, fp) -> float:
@@ -726,7 +685,7 @@ def _boundary_saddle(fps, energy: float, q_value: float):
 
 
 def _interval_mode(spec: ModelSpec, fps, lo: float, hi: float):
-    """Mode of one energy interval and the `barrier_p` of _levels_in_interval.
+    """Mode of one energy interval and the `barrier_p` of _interval_pieces.
 
     barrier_p is the location of the continued barrier, (lower, upper)
     for "froman_both", and None where nothing is continued.
@@ -752,116 +711,110 @@ def _interval_mode(spec: ModelSpec, fps, lo: float, hi: float):
     return "plain", None
 
 
-def _spurious_root(spec: ModelSpec, lo: float, hi: float, barrier_p, area, solved) -> bool:
-    """Whether a level took a root of the matching condition that is an artefact.
+def _step_past_continuation(spec: ModelSpec, lo: float, hi: float, barrier_p, area,
+                            roots: dict, edges) -> None:
+    """Move the roots taken before the step where a barrier continuation ends.
 
     Where _continued_pair gives up, the matching area steps from its
     continued form to S(E).  Within a few eta of a pinched pole the
     first-order term can make that a step down past a target, which then
-    has three roots: the one before the step comes from the term alone.
+    has three roots: the one before the step comes from the term alone,
+    and the level is the root beyond it, bracketed by the step and the
+    upper edge.
     """
     def usable(e):
         return _continued_pair(turning_points(spec, e), barrier_p) is not None
 
+    if not roots or usable(hi):
+        return
     a, b = lo, hi
-    if usable(b):
-        return False
     while b - a > 1e-12 * (1.0 + abs(a) + abs(b)):
         mid = 0.5 * (a + b)
         a, b = (mid, b) if usable(mid) else (a, mid)
+    if a == lo:
+        return
     s_end = area(b)
-    return a > lo and any(e < a and target > s_end for e, target in solved)
+    edge = edges[1][0]
+    for nu, e in roots.items():
+        target = TWO_PI * spec.eta * (nu + 0.5)
+        if e < a and target > s_end:
+            roots[nu] = brentq(lambda x: area(x) - target, b, edge, xtol=1e-14, rtol=8.9e-16)
 
 
-def _levels_in_interval(spec: ModelSpec, lo: float, hi: float, mode: str,
-                        shifts: _Shifts, barrier_p=None):
-    """Level energies and regime labels inside one structure interval."""
+def _interval_pieces(spec: ModelSpec, lo: float, hi: float, mode: str, shift,
+                     barrier_p=None) -> list:
+    """Pieces (roots {nu: E}, edges, regime) solved inside one structure interval.
+
+    Roots and edges (E, A(E)) are those of _area_levels in this spec's
+    orientation: a mirrored piece maps E -> -E, A -> 2*pi - A and
+    nu -> dim - 1 - nu.  `shift` is s(E) (see semiclassical_spectrum).
+    """
     if hi - lo <= 1e-12 * (1.0 + abs(lo) + abs(hi)):
         return []
     if mode in ("matching_upper", "froman_upper"):
         mirror_p = None if barrier_p is None else -barrier_p
-        sub = _levels_in_interval(spec.mirrored(), -hi, -lo,
-                                  mode.replace("upper", "lower"), shifts.mirrored(),
-                                  mirror_p)
-        return [(-e, tag + "_mirrored") for e, tag in reversed(sub)]
+        top = spec.dim - 1
+        sub = _interval_pieces(spec.mirrored(), -hi, -lo, mode.replace("upper", "lower"),
+                               lambda e: -shift(-e), mirror_p)
+        return [({top - nu: -e for nu, e in roots.items()},
+                 tuple((-e, TWO_PI - a) for e, a in reversed(edges)), tag + "_mirrored")
+                for roots, edges, tag in sub]
     if mode == "froman_both":
         # barrier continuation from below on the lower part of the band
         # and (mirrored) from above higher up, joined at a seam where
         # both barrier corrections are negligible; the asymmetric seam
-        # fraction avoids pinning it onto a symmetric model's central
-        # level, and a spacing-based dedupe removes the one level a
-        # seam straddle can produce twice
+        # fraction avoids pinning it onto a symmetric model's central level
         p_low, p_high = barrier_p
         seam = lo + 0.6180339887 * (hi - lo)
-        low_shifts, high_shifts = shifts.split(seam)
-        low_part = _levels_in_interval(spec, lo, seam, "froman_lower", low_shifts, p_low)
-        high_part = _levels_in_interval(spec, seam, hi, "froman_upper", high_shifts, p_high)
-        if low_part and high_part:
-            spacing = TWO_PI * spec.eta / orbit_period(spec, seam)
-            if high_part[0][0] - low_part[-1][0] < 0.3 * spacing:
-                high_part = high_part[1:]
-        return low_part + high_part
+        return (_interval_pieces(spec, lo, seam, "froman_lower", shift, p_low)
+                + _interval_pieces(spec, seam, hi, "froman_upper", shift, p_high))
     if mode == "plain":
-        area = lambda e: _total_action(spec, e, shifts(e))
+        area = lambda e: _total_action(spec, e, shift(e))
         tag = SINGLE_WELL
     elif mode in ("matching_lower", "froman_lower"):
-        area = lambda e: _matching_area(spec, e, barrier_p, shifts(e))
+        area = lambda e: _matching_area(spec, e, barrier_p, shift(e))
         tag = DOUBLE_WELL if mode == "matching_lower" else ABOVE_BARRIER
     else:
         raise ValueError(f"unknown interval mode {mode!r}")
-    solved = _area_levels(spec, lo, hi, area)
-    if (mode == "froman_lower" and shifts.s_lo is not None
-            and _spurious_root(spec, lo, hi, barrier_p, area, solved)):
-        return []  # the count check then falls back on the rule without the term
-    return [(shifts.place(e), tag) for e, _ in solved]
+    roots, edges = _area_levels(spec, lo, hi, area)
+    if mode == "froman_lower":
+        _step_past_continuation(spec, lo, hi, barrier_p, area, roots, edges)
+    return [(roots, edges, tag)]
 
 
-def _rescue_boundary_levels(spec: ModelSpec, bounds, shifts, dedup):
-    """Recover levels sitting exactly on a structure boundary.
+def _assemble(spec: ModelSpec, band, pieces) -> list:
+    """Level (E, regime) of every nu, from the pieces or from their windows.
 
-    A quantization target can coincide with an interval endpoint (a
-    symmetric model pins its central level to a degenerate pole energy,
-    for instance), where both adjacent searches exclude it by their
-    margins.  The area is continuous across every boundary, so a target
-    caught inside the small excluded window belongs to a level at the
-    boundary energy itself.
+    Each nu takes its root from the first piece that solved it.  Any
+    other target lies in a window between two consecutive edges, the
+    band ends counting as edges at (E_min, 0) and (E_max, 2*pi), and its
+    level is interpolated linearly in the area there; a window left
+    between pieces is a small probe margin, so one that would hold two
+    levels is a fault.
     """
-    eta = spec.eta
-    span = bounds[-1] - bounds[0]
-    have = [e for e, _ in dedup]
-    out = list(dedup)
-    for bound, shift in zip(bounds[1:-1], shifts[1:-1]):
-        area = lambda e: _total_action(spec, e, shift)
-        try:
-            e_lo, s_lo = _edge_action(spec, bound, -1, span, area)
-            e_hi, s_hi = _edge_action(spec, bound, +1, span, area)
-        except OutOfBandError:
+    found = {}
+    for roots, _, tag in pieces:
+        for nu, e in roots.items():
+            found.setdefault(nu, (e, tag))
+    edges = sorted([(band[0], 0.0, SINGLE_WELL), (band[1], TWO_PI, SINGLE_WELL)]
+                   + [(e, a, tag) for _, piece_edges, tag in pieces for e, a in piece_edges])
+    filled = {}
+    for nu in range(spec.dim):
+        if nu in found:
             continue
-        if s_hi <= s_lo or s_hi - s_lo > 2.0 * TWO_PI * eta:
-            continue  # window is a hairline; a wide one means bad structure
-        spacing = TWO_PI * eta * (e_hi - e_lo) / (s_hi - s_lo)
-        nu_lo = ceil(s_lo / (TWO_PI * eta) - 0.5)
-        nu_hi = floor(s_hi / (TWO_PI * eta) - 0.5)
-        for nu in range(nu_lo, nu_hi + 1):
-            target = TWO_PI * eta * (nu + 0.5)
-            if not s_lo <= target <= s_hi:
-                continue
-            frac = (target - s_lo) / (s_hi - s_lo)
-            level = e_lo + frac * (e_hi - e_lo) + (shift or 0.0)
-            # levels the interval searches already placed stay theirs
-            if any(abs(level - e) < 0.45 * spacing for e in have):
-                continue
-            out.append((level, SINGLE_WELL))
-            have.append(level)
-    out.sort(key=lambda pair: pair[0])
-    return out
+        target = TWO_PI * spec.eta * (nu + 0.5)
+        k = next(k for k in range(len(edges) - 1) if edges[k][1] < target <= edges[k + 1][1])
+        (e_lo, a_lo, tag), (e_hi, a_hi, _) = edges[k], edges[k + 1]
+        if k in filled:
+            raise QuantizationError(
+                f"levels {filled[k]} and {nu} of {spec} fall in one window, "
+                f"E in [{e_lo!r}, {e_hi!r}], areas [{a_lo!r}, {a_hi!r}]")
+        filled[k] = nu
+        found[nu] = (e_lo + (target - a_lo) / (a_hi - a_lo) * (e_hi - e_lo), tag)
+    return [found[nu] for nu in range(spec.dim)]
 
 
-# whether the rule carries the first-order term, by attempt
-_ATTEMPTS = (True, False)
-
-
-def semiclassical_spectrum(spec: ModelSpec, _retry: int = 0) -> SemiclassicalSpectrum:
+def semiclassical_spectrum(spec: ModelSpec) -> SemiclassicalSpectrum:
     """All dim levels from the WKB rules, regime-labeled and sorted.
 
     The band is partitioned at the fixed-point energies; each interval
@@ -871,43 +824,23 @@ def semiclassical_spectrum(spec: ModelSpec, _retry: int = 0) -> SemiclassicalSpe
     way, by bisection of a monotone area against the targets
     2*pi*eta*(nu + 1/2): the orbit area S(E) in a plain well, the area
     form of the matching condition across a barrier (_matching_area).
-    A global count check against the subspace dimension guards the
-    result.  On a miss the search is repeated once without the
-    first-order term: within a few eta of a pinched pole the term is no
-    longer small, and an interval where it gives the matching condition
-    a spurious root (_spurious_root) reports no levels.  The result's
-    `search` names the attempt that matched.
+    Levels are assembled by their index nu (_assemble), and each sits at
+    E + s(E): s runs linearly between the values of dH at the structure
+    boundaries, shared by the two intervals that meet there, so the area
+    stays continuous across every boundary.  A window holding two levels,
+    or levels that do not increase strictly, raise QuantizationError.
     """
     fps, bounds, shifts = _structure_boundaries(spec)
     if len(bounds) < 2:
         raise QuantizationError("classical band is degenerate")
-    if not _ATTEMPTS[_retry]:
-        shifts = [None] * len(bounds)
-    found = []
-    for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+    table = np.array(bounds), np.array(shifts)
+    shift = lambda e: float(np.interp(e, *table))
+    pieces = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
         mode, barrier_p = _interval_mode(spec, fps, lo, hi)
-        found.extend(_levels_in_interval(
-            spec, lo, hi, mode, _Shifts(lo, hi, shifts[k], shifts[k + 1]), barrier_p,
-        ))
-    found.sort(key=lambda pair: pair[0])
-
-    # dedupe roots found twice at interval seams
-    dedup = []
-    tol = 1e-9 * spec.eta * (bounds[-1] - bounds[0])
-    for e, tag in found:
-        if dedup and abs(e - dedup[-1][0]) < tol:
-            continue
-        dedup.append((e, tag))
-
-    if len(dedup) < spec.dim:
-        dedup = _rescue_boundary_levels(spec, bounds, shifts, dedup)
-    if len(dedup) != spec.dim:
-        if _retry + 1 < len(_ATTEMPTS):
-            return semiclassical_spectrum(spec, _retry + 1)
-        raise QuantizationError(
-            f"found {len(dedup)} levels, expected {spec.dim} for {spec}"
-        )
-    levels = tuple(
-        SemiclassicalLevel(nu, e, tag) for nu, (e, tag) in enumerate(dedup)
-    )
-    return SemiclassicalSpectrum(spec, levels, _retry)
+        pieces += _interval_pieces(spec, lo, hi, mode, shift, barrier_p)
+    levels = [(e + shift(e), tag) for e, tag in _assemble(spec, (bounds[0], bounds[-1]), pieces)]
+    if any(b[0] <= a[0] for a, b in zip(levels, levels[1:])):
+        raise QuantizationError(f"levels of {spec} do not increase strictly")
+    return SemiclassicalSpectrum(spec, tuple(
+        SemiclassicalLevel(nu, e, tag) for nu, (e, tag) in enumerate(levels)))

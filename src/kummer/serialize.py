@@ -9,6 +9,10 @@ from __future__ import annotations
 import json
 import os
 
+import numpy as np
+
+from .semiclassics import SADDLE_MARGIN
+
 
 def _fmt(x) -> str:
     if isinstance(x, float):
@@ -198,7 +202,6 @@ def write_semiclassical(result, stem, exact=None):
         stem + ".json",
         {
             "spec": _spec_dict(result.spec),
-            "search": result.search,
             "levels": [
                 {"nu": lv.nu, "energy": lv.energy, "regime": lv.regime}
                 for lv in result.levels
@@ -220,7 +223,8 @@ def write_dos(spec, hist, curve_energies, curve_values, stem, saddle_energies=()
     comments = ()
     if len(saddle_energies):
         listed = ", ".join(_fmt(float(s)) for s in saddle_energies)
-        comments = (f"log-divergent saddle energies (curve masked within 1e-6): {listed}",)
+        margin = np.format_float_scientific(SADDLE_MARGIN, trim="-", exp_digits=1)
+        comments = (f"log-divergent saddle energies (curve masked within {margin}): {listed}",)
     write_csv(
         stem + "_curve.csv",
         ("scaled_energy", "period_over_2pi"),

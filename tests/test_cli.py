@@ -184,5 +184,3 @@ def test_quantize_pinched_pole_band_bottom(tmp_path):
     assert main(argv.split()) == 0
     rows = (tmp_path / "quantize.csv").read_text().splitlines()
     assert len([r for r in rows if not r.startswith("#")]) == 1 + 41
-    search = json.loads((tmp_path / "quantize.json").read_text())["search"]
-    assert search["attempt"] == 0 and search["first_order_term"]

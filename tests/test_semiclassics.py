@@ -378,28 +378,49 @@ class TestFirstOrderTerm:
         assert rel[0] <= tol and rel[-1] <= tol
         assert rel[len(rel) // 2] <= 0.01
 
-    def test_rule_without_term_near_pinched_pole(self):
-        # a saddle 0.85 eta from an m = 3 pole: the term is not small there.
-        # Where the barrier continuation ends, the matching area steps back
-        # down past a target and a level takes the root before the step, so
-        # the interval reports no levels, the count check falls back on the
-        # rule without the term, and the result says so
-        spec = ModelSpec(3, 1, 120, eps=0.3671)
-        wkb = semiclassical_spectrum(spec)
-        assert wkb.attempt > 0 and not wkb.search["first_order_term"]
-        levels = wkb.energies
+    @pytest.mark.parametrize("m,n,N,eps", [
+        (3, 1, 120, 0.3671),
+        (1, 3, 120, 0.3623), (3, 1, 120, 0.3623),
+        (1, 3, 180, 0.3071), (3, 1, 180, 0.3071),
+        (1, 3, 360, 0.2957), (3, 1, 360, 0.2957),
+        (3, 4, 1440, -0.0543), (4, 3, 1440, -0.0543),
+    ])
+    def test_levels_beside_pinched_pole(self, m, n, N, eps):
+        # saddles within a few eta of an m = 3 pole, where the term is not
+        # small: the matching area steps back down past a target where the
+        # barrier continuation ends, a target can fall in the probe window
+        # between two intervals, and two intervals can solve one target
+        spec = ModelSpec(m, n, N, eps=eps)
+        levels = semiclassical_spectrum(spec).energies
         assert len(levels) == spec.dim and np.all(np.diff(levels) > 0)
+        exact = quantum.eigen_spectrum(spec).scaled_eigenvalues
+        assert np.max(np.abs(levels - exact) / np.gradient(exact)) <= 0.15
+
+    def test_window_holding_several_levels_raises(self, monkeypatch):
+        # an interval that yields no piece leaves its levels to one window
+        spec = ModelSpec(4, 1, 160, eps=0.5)
+        solve = semiclassics._area_levels
+        saddle = [f for f in meanfield.find_fixed_points(spec) if f.stability == "saddle"][0]
+
+        def dropped(spec_, lo, hi, area):
+            roots, edges = solve(spec_, lo, hi, area)
+            if spec_ == spec and hi == saddle.energy:
+                assert len(roots) >= 2
+                return {}, ()
+            return roots, edges
+
+        monkeypatch.setattr(semiclassics, "_area_levels", dropped)
+        with pytest.raises(semiclassics.QuantizationError, match="one window, E in"):
+            semiclassical_spectrum(spec)
 
     @pytest.mark.parametrize("m,n,N,eps", [
         (1, 4, 204, -0.6), (4, 1, 240, -0.3429), (3, 1, 180, -0.2929),
     ])
     def test_tunnelling_levels_in_one_pass(self, m, n, N, eps):
         # close tunnelling doublets and saddles near a pole: the area form
-        # of the matching condition finds every level with the term at
-        # the first attempt
+        # of the matching condition finds every level with the term
         spec = ModelSpec(m, n, N, eps=eps)
         wkb = semiclassical_spectrum(spec)
-        assert wkb.attempt == 0 and wkb.search["first_order_term"]
         assert len(wkb.levels) == spec.dim
         exact = quantum.eigen_spectrum(spec).scaled_eigenvalues
         assert np.max(np.abs(wkb.energies - exact) / np.gradient(exact)) <= 0.15
