@@ -785,17 +785,23 @@ def _interval_pieces(spec: ModelSpec, lo: float, hi: float, mode: str, shift,
 def _assemble(spec: ModelSpec, band, pieces) -> list:
     """Level (E, regime) of every nu, from the pieces or from their windows.
 
-    Each nu takes its root from the first piece that solved it.  Any
-    other target lies in a window between two consecutive edges, the
-    band ends counting as edges at (E_min, 0) and (E_max, 2*pi), and its
-    level is interpolated linearly in the area there; a window left
-    between pieces is a small probe margin, so one that would hold two
-    levels is a fault.
+    A target that two pieces both solve takes the root of the piece
+    whose area at an edge comes closest to it: the root nearest the
+    shared edge, where the two areas meet.  The mirror map A -> 2*pi - A
+    leaves that choice unchanged.  Any other target lies in a window
+    between two consecutive edges, the band ends counting as edges at
+    (E_min, 0) and (E_max, 2*pi), and its level is interpolated linearly
+    in the area there; a window left between pieces is a small probe
+    margin, so one that would hold two levels is a fault.
     """
-    found = {}
-    for roots, _, tag in pieces:
+    best = {}
+    for roots, ((_, a_lo), (_, a_hi)), tag in (p for p in pieces if p[0]):
         for nu, e in roots.items():
-            found.setdefault(nu, (e, tag))
+            target = TWO_PI * spec.eta * (nu + 0.5)
+            mismatch = min(target - a_lo, a_hi - target)
+            if nu not in best or mismatch < best[nu][0]:
+                best[nu] = (mismatch, e, tag)
+    found = {nu: (e, tag) for nu, (_, e, tag) in best.items()}
     edges = sorted([(band[0], 0.0, SINGLE_WELL), (band[1], TWO_PI, SINGLE_WELL)]
                    + [(e, a, tag) for _, piece_edges, tag in pieces for e, a in piece_edges])
     filled = {}

@@ -350,6 +350,15 @@ class TestQuantization:
         b = semiclassical_spectrum(spec.mirrored())
         assert np.allclose(a.energies, -b.energies[::-1], atol=1e-9)
 
+    def test_mode_swap_negates_level_solved_twice(self):
+        # two neighbouring intervals both solve level 117; the one kept must
+        # not depend on which mode is called the first
+        spec = ModelSpec(3, 4, 1440, eps=-0.0543)
+        a = semiclassical_spectrum(spec).energies
+        b = -semiclassical_spectrum(spec.mirrored()).energies[::-1]
+        spacing = np.gradient(quantum.eigen_spectrum(spec).scaled_eigenvalues)
+        assert np.max(np.abs(a - b) / spacing) <= 1e-9
+
 
 class TestFirstOrderTerm:
     @pytest.mark.parametrize("m,n,N", [(1, 1, 40), (2, 1, 80), (4, 1, 160), (3, 3, 360)])
