@@ -8,9 +8,11 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import asdict, astuple, fields
 
 import numpy as np
 
+from .meanfield import BifurcationEvent, FixedPoint
 from .semiclassics import SADDLE_MARGIN
 
 
@@ -46,10 +48,6 @@ def read_csv(path):
     return header, rows
 
 
-def _spec_dict(spec):
-    return {"m": spec.m, "n": spec.n, "N": spec.N, "eps": spec.eps, "v": spec.v}
-
-
 def write_json(path, payload):
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=1)
@@ -70,60 +68,26 @@ def write_spectrum(result, stem):
     write_json(
         stem + ".json",
         {
-            "spec": _spec_dict(result.spec),
+            "spec": asdict(result.spec),
             "raw_eigenvalues": list(result.raw_eigenvalues),
             "scaled_eigenvalues": list(result.scaled_eigenvalues),
         },
     )
 
 
+def _write_records(stem, spec_dict, key, cls, records):
+    """CSV and JSON of dataclass records, one column and one key per field."""
+    write_csv(stem + ".csv", [f.name for f in fields(cls)], [astuple(r) for r in records])
+    write_json(stem + ".json", {"spec": spec_dict, key: [asdict(r) for r in records]})
+
+
 def write_fixed_points(spec, fps, stem):
-    write_csv(
-        stem + ".csv",
-        ("p", "q", "sx", "energy", "stability", "rate", "location"),
-        [(fp.p, fp.q, fp.sx, fp.energy, fp.stability, fp.rate, fp.location) for fp in fps],
-    )
-    write_json(
-        stem + ".json",
-        {
-            "spec": _spec_dict(spec),
-            "fixed_points": [
-                {
-                    "p": fp.p,
-                    "q": fp.q,
-                    "sx": fp.sx,
-                    "energy": fp.energy,
-                    "stability": fp.stability,
-                    "rate": fp.rate,
-                    "location": fp.location,
-                }
-                for fp in fps
-            ],
-        },
-    )
+    _write_records(stem, asdict(spec), "fixed_points", FixedPoint, fps)
 
 
 def write_bifurcations(spec, events, stem):
-    write_csv(
-        stem + ".csv",
-        ("eps_critical", "kind", "location", "energy"),
-        [(ev.eps_critical, ev.kind, ev.location, ev.energy) for ev in events],
-    )
-    write_json(
-        stem + ".json",
-        {
-            "spec": {k: v for k, v in _spec_dict(spec).items() if k != "eps"},
-            "events": [
-                {
-                    "eps_critical": ev.eps_critical,
-                    "kind": ev.kind,
-                    "location": ev.location,
-                    "energy": ev.energy,
-                }
-                for ev in events
-            ],
-        },
-    )
+    spec_dict = {k: v for k, v in asdict(spec).items() if k != "eps"}
+    _write_records(stem, spec_dict, "events", BifurcationEvent, events)
 
 
 def write_sweep(table, stem):
@@ -142,7 +106,7 @@ def write_sweep(table, stem):
     write_json(
         stem + ".json",
         {
-            "spec": {k: v for k, v in _spec_dict(table.spec).items() if k != "eps"},
+            "spec": {k: v for k, v in asdict(table.spec).items() if k != "eps"},
             "eps": list(table.eps_values),
             "scaled_levels": [list(v) for v in table.scaled_levels],
             "fixed_point_energies": [list(v) for v in table.fixed_point_energies],
@@ -161,7 +125,7 @@ def write_trajectory(spec, record, stem):
     write_json(
         stem + ".json",
         {
-            "spec": _spec_dict(spec),
+            "spec": asdict(spec),
             "times": list(record.times),
             "states": [list(s) for s in record.states],
             "drift_H": record.drift_h,
@@ -187,26 +151,16 @@ def write_mesh(spec, mesh, stem):
     )
 
 
-def write_semiclassical(result, stem, exact=None):
-    if exact is None:
-        rows = [(lv.nu, lv.energy, lv.regime) for lv in result.levels]
-        fields = ("nu", "scaled_energy", "regime")
-    else:
-        rows = [
-            (lv.nu, lv.energy, ex, abs(lv.energy - ex), lv.regime)
-            for lv, ex in zip(result.levels, exact)
-        ]
-        fields = ("nu", "scaled_energy", "exact", "abs_deviation", "regime")
-    write_csv(stem + ".csv", fields, rows)
+def write_semiclassical(result, stem, exact):
+    write_csv(
+        stem + ".csv",
+        ("nu", "scaled_energy", "exact", "abs_deviation", "regime"),
+        [(lv.nu, lv.energy, ex, abs(lv.energy - ex), lv.regime)
+         for lv, ex in zip(result.levels, exact)],
+    )
     write_json(
         stem + ".json",
-        {
-            "spec": _spec_dict(result.spec),
-            "levels": [
-                {"nu": lv.nu, "energy": lv.energy, "regime": lv.regime}
-                for lv in result.levels
-            ],
-        },
+        {"spec": asdict(result.spec), "levels": [asdict(lv) for lv in result.levels]},
     )
 
 

@@ -77,3 +77,39 @@ def test_identical_inputs_identical_bytes(tmp_path):
     serialize.write_sweep(table, str(tmp_path / "b"))
     assert (tmp_path / "a_levels.csv").read_bytes() == (tmp_path / "b_levels.csv").read_bytes()
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+def test_record_schemas(tmp_path):
+    """One CSV column and one JSON key per record field, in field order."""
+    from dataclasses import fields
+
+    from kummer.cli import main
+
+    schemas = {
+        "fixed_points": ("fixed_points", meanfield.FixedPoint,
+                         ["p", "q", "sx", "energy", "stability", "rate", "location"]),
+        "bifurcations": ("events", meanfield.BifurcationEvent,
+                         ["eps_critical", "kind", "location", "energy"]),
+    }
+    for m, n in ((2, 2), (1, 1)):  # (1, 1) has no bifurcation events
+        out = tmp_path / f"{m}{n}"
+        for command in ("fixed-points", "bifurcations"):
+            assert main([command, "--m", str(m), "--n", str(n), "--eps", "0.6",
+                         "--out", str(out)]) == 0
+        for stem, (key, cls, names) in schemas.items():
+            assert [f.name for f in fields(cls)] == names
+            header, rows = serialize.read_csv(out / f"{stem}.csv")
+            records = json.loads((out / f"{stem}.json").read_text())[key]
+            assert header == names
+            assert len(records) == len(rows)
+            assert all(list(rec) == names for rec in records)
+        if (m, n) == (1, 1):
+            assert serialize.read_csv(out / "bifurcations.csv") == (schemas["bifurcations"][2], [])
+            assert json.loads((out / "bifurcations.json").read_text())["events"] == []
+
+    out = tmp_path / "q"
+    assert main(["quantize", "--m", "1", "--n", "1", "--N", "6", "--eps", "0.3",
+                 "--out", str(out)]) == 0
+    levels = json.loads((out / "quantize.json").read_text())["levels"]
+    assert len(levels) == 7
+    assert all(list(lv) == ["nu", "energy", "regime"] for lv in levels)
