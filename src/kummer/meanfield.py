@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import cos, isfinite, nan, pi, sin, sqrt
+from math import copysign, cos, isfinite, nan, pi, sin, sqrt
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -188,13 +188,18 @@ def _polish(coeffs, p: float, order: int) -> float:
 
 
 def _interior_roots(spec: ModelSpec) -> list:
-    """Roots in (-1/2, 1/2) of v^2 fixed_a - eps^2 fixed_b, for eps != 0.
+    """Fixed points (p, sx) in (-1/2, 1/2): roots of v^2 fixed_a - eps^2 fixed_b.
 
     Companion-matrix roots (Edelman & Murakami, Math. Comp. 64, 1995) are
     grouped by real part.  A lone real root gets Newton steps.  A cluster
     is driven onto the residual's extremum: a zero there (to rounding) is
     a tangency, else the cluster holds two close real roots or none.  The
     domain test follows polishing, so a root driven onto a pole is dropped.
+    A root carries sx = (v/eps) f(p), except in the cluster about the zero
+    p0 of f, which is the q = 0, pi pair of small |eps| and never a
+    tangency: there f(p)/eps is rounding over eps, and sx = +-r(p) with the
+    sign of v f(p)/eps, or both signs at the extremum if rounding merges
+    the pair.
     """
     core = structure_polynomials(spec.m, spec.n)
     va, eb = spec.v**2 * core.fixed_a, spec.eps**2 * core.fixed_b
@@ -210,28 +215,41 @@ def _interior_roots(spec: ModelSpec) -> list:
             clusters.append([x])
 
     coeffs = coeffs.tolist()
+    p0 = (spec.m - spec.n) / (2.0 * (spec.m + spec.n))
+    v_eps = spec.v / spec.eps
     roots = []
     for cluster in clusters:
         if len(cluster) == 1:
-            roots.append(_polish(coeffs, cluster[0], 0))
+            p = _polish(coeffs, cluster[0], 0)
+            roots.append((p, v_eps * classical_commutator(spec, p)))
             continue
         p = _polish(coeffs, sum(cluster) / len(cluster), 1)
         val, _, curv = _horner(coeffs, p)
+        pair = []
+        if val * curv < 0.0:  # two close simple roots, one either side
+            half = sqrt(-2.0 * val / curv)
+            pair = [_polish(coeffs, p - half, 0), _polish(coeffs, p + half, 0)]
+        if cluster[0] - ROOT_CLUSTER_TOL <= p0 <= cluster[-1] + ROOT_CLUSTER_TOL:
+            signs = [copysign(1.0, v_eps * classical_commutator(spec, z)) for z in pair]
+            resolved = sorted(signs) == [-1.0, 1.0] and all(
+                abs(z - p) <= ROOT_CLUSTER_TOL for z in pair)
+            if not resolved:  # rounding merges the pair
+                pair, signs = [p, p], [1.0, -1.0]
+            roots += [(z, sign * radius(spec, z)) for z, sign in zip(pair, signs)]
+            continue
         noise = _horner((np.abs(va) + np.abs(eb)).tolist(), abs(p))[0]
         if abs(val) <= TANGENCY_ULPS * np.finfo(float).eps * noise:
-            roots.append(p)
-        elif val * curv < 0.0:  # two close simple roots, one either side
-            half = sqrt(-2.0 * val / curv)
-            roots += [_polish(coeffs, p - half, 0), _polish(coeffs, p + half, 0)]
-    return [p for p in roots if -0.5 < p < 0.5]
+            pair = [p]
+        roots += [(z, v_eps * classical_commutator(spec, z)) for z in pair]
+    return [(p, sx) for p, sx in roots if -0.5 < p < 0.5]
 
 
 def find_fixed_points(spec: ModelSpec) -> list:
     """All fixed points: interior roots plus the poles demanded by m, n > 1.
 
-    Interior points carry sx = (v/eps) f(p) (or sx = +-r for eps = 0);
-    energies are E = v*sx + eps*p.  Stability follows the sign of
-    eps^2 + v^2 f'(p).
+    Interior points carry sx = (v/eps) f(p) (or sx = +-r beside the zero
+    of f, and for eps = 0); energies are E = v*sx + eps*p.  Stability
+    follows the sign of eps^2 + v^2 f'(p).
     """
     out = []
     if spec.m > 1:
@@ -249,8 +267,7 @@ def find_fixed_points(spec: ModelSpec) -> list:
         out.append(FixedPoint(p, 0.0, r, spec.v * r, kind, rate, "interior"))
         out.append(FixedPoint(p, pi, -r, -spec.v * r, kind, rate, "interior"))
     else:
-        for p in _interior_roots(spec):
-            sx = (spec.v / spec.eps) * classical_commutator(spec, p)
+        for p, sx in _interior_roots(spec):
             q = 0.0 if sx >= 0.0 else pi
             energy = spec.v * sx + spec.eps * p
             kind, rate = _classify(spec, p)

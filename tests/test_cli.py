@@ -1,7 +1,9 @@
 import json
+from math import sqrt
 
 import pytest
 
+from kummer import serialize
 from kummer.cli import UsageError, main, parse_config
 
 
@@ -82,6 +84,17 @@ class TestMain:
         assert main(argv.split() + ["--out", str(b), "--plot"]) == 0
         for name in ("sweep_levels.csv", "sweep_fixed_points.csv", "sweep.json", "sweep.svg"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_sweep_row_at_rounded_zero_eps(self, tmp_path):
+        # linspace gives 5.55e-17 for eps = 0; that row keeps both interior centres
+        argv = "sweep --m 2 --n 1 --N 80 --eps-min -0.3 --eps-max 0.5 --eps-steps 9"
+        assert main(argv.split() + ["--out", str(tmp_path)]) == 0
+        _, rows = serialize.read_csv(tmp_path / "sweep_fixed_points.csv")
+        row = [(float(e), kind) for eps, e, kind in rows if 0.0 < float(eps) < 1e-15]
+        assert sorted(kind for _, kind in row) == ["center", "center", "saddle"]
+        centres = sorted(e for e, kind in row if kind == "center")
+        r = 2.0 * sqrt(2.0) / (3.0 * sqrt(3.0))  # r(p0) of (2,1) at p0 = 1/6
+        assert centres == pytest.approx([-r, r], abs=1e-12)
 
     def test_sweep_parallel_jobs(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -426,6 +426,21 @@ class TestFixedPointRoots:
         assert interior[0] == pytest.approx(-p0, abs=1e-12)
         assert interior[1] == pytest.approx(p0, abs=1e-12)
 
+    @pytest.mark.parametrize("eps", [s * e for e in (1e-6, 1e-7, 1e-9, 1e-12, 1e-15)
+                                     for s in (1, -1)] + [5.55e-17])
+    @pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 5) for n in range(1, 5)])
+    def test_pair_about_zero_of_f_at_small_eps(self, m, n, eps):
+        # the q = 0 and q = pi points about p0, where f = 0, lie within rounding
+        # of each other at small |eps|; both are kept, at E = +-v r(p0) + O(eps)
+        spec = ModelSpec(m, n, m * n, eps=eps, v=1.0)
+        p0 = (m - n) / (2.0 * (m + n))
+        interior = [fp for fp in meanfield.find_fixed_points(spec) if fp.location == "interior"]
+        pair = sorted(interior, key=lambda fp: abs(fp.p - p0))[:2]
+        assert sorted(fp.q for fp in pair) == [0.0, pi]
+        r = meanfield.radius(spec, p0)
+        for fp in pair:
+            assert abs(fp.energy - (r if fp.q == 0.0 else -r)) <= abs(eps) + 1e-12
+
     @pytest.mark.parametrize("m,n", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 2), (4, 2)])
     def test_root_on_pole_at_transcritical_eps_is_dropped(self, m, n):
         spec = ModelSpec(m, n, m * n, v=1.0)
