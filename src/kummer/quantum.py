@@ -18,42 +18,36 @@ from . import meanfield
 from .model import ModelSpec
 
 
-def ladder_strength(spec: ModelSpec, mu: int) -> float:
-    """Squared hopping weight beta_mu connecting basis states mu-1 and mu.
+def _ladder_weights(spec: ModelSpec, mu):
+    """Squared hopping weights beta_mu for an int or an integer array mu.
 
     Product of the m factors mu*m, mu*m-1, ... and the n factors
     N/m - mu*n + n, ..., N/m - mu*n + 1, with the 1/N^(m+n-2) scaling
     interleaved factor by factor so intermediate values stay bounded for
-    large N.  beta_0 = 0 and beta_{N/(m*n)+1} = 0 terminate the chain.
+    large N.  It vanishes at both chain ends, mu = 0 and mu = dim.
     """
     m, n = spec.m, spec.n
-    top = spec.N // (m * n)
+    scale = float(spec.N) ** ((m + n - 2) / (m + n))
+    val = 1.0
+    for i in range(m):
+        val = val * ((mu * m - i) / scale)
+    base = spec.N // m - mu * n
+    for i in range(n):
+        val = val * ((base + n - i) / scale)
+    return val
+
+
+def ladder_strength(spec: ModelSpec, mu: int) -> float:
+    """Squared hopping weight beta_mu connecting basis states mu-1 and mu.
+
+    beta_0 = 0 and beta_{N/(m*n)+1} = 0 terminate the chain.
+    """
+    top = spec.N // (spec.m * spec.n)
     if mu < 0 or mu > top + 1:
         raise ValueError(f"mu must lie in 0..{top + 1}")
     if mu == 0 or mu == top + 1:
         return 0.0
-    scale = float(spec.N) ** ((m + n - 2) / (m + n))
-    val = 1.0
-    for i in range(m):
-        val *= (mu * m - i) / scale
-    base = spec.N // m - mu * n
-    for i in range(n):
-        val *= (base + n - i) / scale
-    return val
-
-
-def _ladder_weights(spec: ModelSpec) -> np.ndarray:
-    """ladder_strength(spec, mu) for mu = 1..dim-1, same factors in the same order."""
-    m, n = spec.m, spec.n
-    mu = np.arange(1, spec.dim)
-    scale = float(spec.N) ** ((m + n - 2) / (m + n))
-    val = np.ones(len(mu))
-    for i in range(m):
-        val *= (mu * m - i) / scale
-    base = spec.N // m - mu * n
-    for i in range(n):
-        val *= (base + n - i) / scale
-    return val
+    return _ladder_weights(spec, mu)
 
 
 @dataclass(frozen=True)
@@ -85,7 +79,7 @@ class OperatorSet:
 def build_operators(spec: ModelSpec) -> OperatorSet:
     """Matrices of sx, sy, sz and H = eps*sz + v*sx on the N-subspace."""
     dim = spec.dim
-    sqrt_beta = np.sqrt(_ladder_weights(spec))
+    sqrt_beta = np.sqrt(_ladder_weights(spec, np.arange(1, dim)))
     z = np.arange(dim) - spec.z_max  # spec.sz_value(mu) for every mu
     zero = np.zeros(dim)
     sx = TridiagonalOperator(zero, 0.5 * sqrt_beta, "sx")
@@ -262,7 +256,7 @@ def commutator_residuals(spec: ModelSpec) -> dict:
 
     ops = build_operators(spec)
     dim = spec.dim
-    beta = np.concatenate(([0.0], _ladder_weights(spec), [0.0]))  # mu = 0..dim
+    beta = _ladder_weights(spec, np.arange(dim + 1))  # mu = 0..dim, zero at both ends
     z, ax, ay = ops.sz.diag, ops.sx.offdiag, ops.sy.offdiag
 
     # superdiagonals (sy = +i*ay there): [sz, sx] = -step*ax vs i*sy = -ay,

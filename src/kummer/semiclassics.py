@@ -367,7 +367,10 @@ def phase_correction(s_eps: float) -> float:
 # orbit period and density of states
 
 
-def orbit_period(spec: ModelSpec, energy: float, nodes: int = 1024) -> float:
+PERIOD_NODES = 1024  # Gauss-Chebyshev nodes per allowed region in orbit_period
+
+
+def orbit_period(spec: ModelSpec, energy: float) -> float:
     """Mean-field period T(E), summed over allowed regions.
 
     The band polynomial is deflated by the two bounding roots of each
@@ -379,7 +382,7 @@ def orbit_period(spec: ModelSpec, energy: float, nodes: int = 1024) -> float:
     if tps.out_of_band:
         raise OutOfBandError(f"E = {energy} is outside the classical band")
 
-    theta = pi * (np.arange(nodes) + 0.5) / nodes
+    theta = pi * (np.arange(PERIOD_NODES) + 0.5) / PERIOD_NODES
     total = 0.0
     for pl, pr, _, _ in tps.regions:
         span = max(pr - pl, 1e-300)
@@ -395,7 +398,7 @@ def orbit_period(spec: ModelSpec, energy: float, nodes: int = 1024) -> float:
                 )
         if np.any(quotient <= 0.0):
             raise PeriodDivergenceError(f"deflated factor not positive at E = {energy}")
-        total += 2.0 * (pi / nodes) * float(np.sum(1.0 / np.sqrt(quotient)))
+        total += 2.0 * (pi / PERIOD_NODES) * float(np.sum(1.0 / np.sqrt(quotient)))
     return total
 
 

@@ -13,6 +13,7 @@ MARGIN_L = 64
 MARGIN_R = 16
 MARGIN_T = 20
 MARGIN_B = 44
+SERIES_COLORS = ("steelblue", "crimson", "seagreen", "darkorange")  # plot_levels, in turn
 
 
 def _ticks(lo: float, hi: float, target: int = 5):
@@ -188,14 +189,13 @@ def plot_dos(spec, hist, centers, curve, path):
     canvas.save(path)
 
 
-def plot_levels(xs, series, path, title="", xlabel="", ylabel="", colors=None):
+def plot_levels(xs, series, path, title="", xlabel="", ylabel=""):
     """Several y-series against a common x (trajectories, comparisons)."""
     flat = [v for ys in series for v in ys]
     canvas = SvgCanvas(_finite_limits(xs), _finite_limits(flat),
                        title=title, xlabel=xlabel, ylabel=ylabel)
-    palette = colors or ["steelblue", "crimson", "seagreen", "darkorange"]
     for i, ys in enumerate(series):
-        canvas.polyline(xs, ys, color=palette[i % len(palette)])
+        canvas.polyline(xs, ys, color=SERIES_COLORS[i % len(SERIES_COLORS)])
     canvas.save(path)
 
 

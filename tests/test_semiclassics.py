@@ -370,7 +370,7 @@ class TestFirstOrderTerm:
         p = spec.eta * (mu - 0.5 - spec.z_max)
         rho = 1.0 + semiclassics._radius_excess(spec, p)
         r_eta_sq = (rho * meanfield.radius(spec, p)) ** 2
-        want = spec.eta**2 * quantum._ladder_weights(spec)
+        want = spec.eta**2 * quantum._ladder_weights(spec, mu)
         assert np.allclose(r_eta_sq, want, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("spec,tol", [
