@@ -1,8 +1,10 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 
 from kummer import meanfield, quantum, semiclassics, serialize
+from kummer.cli import main
 from kummer.model import ModelSpec
 
 
@@ -81,10 +83,6 @@ def test_identical_inputs_identical_bytes(tmp_path):
 
 def test_record_schemas(tmp_path):
     """One CSV column and one JSON key per record field, in field order."""
-    from dataclasses import fields
-
-    from kummer.cli import main
-
     schemas = {
         "fixed_points": ("fixed_points", meanfield.FixedPoint,
                          ["p", "q", "sx", "energy", "stability", "rate", "location"]),
