@@ -10,6 +10,7 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -70,6 +71,7 @@ class RunConfig:
     plot: bool
 
 
+@cache  # built once per process: a parse leaves no state in it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kummer",

@@ -58,11 +58,21 @@ class QuantizationError(RuntimeError):
 # turning points
 
 
-def _band_poly_coeffs(spec: ModelSpec, energy: float) -> np.ndarray:
-    """Ascending coefficients of v^2 r^2(p) - (E - eps*p)^2."""
+ROOT_IMAG_TOL = 1e-9  # a root is real when |Im z| <= ROOT_IMAG_TOL * (1 + |E|)
+POLE_SLACK = 1e-12  # and Re z lies within [-1/2, 1/2] widened by this
+
+
+def _band_poly_coeffs(spec: ModelSpec, energy) -> np.ndarray:
+    """Ascending coefficients of v^2 r^2(p) - (E - eps*p)^2; a row per E of an array."""
     core = meanfield.structure_polynomials(spec.m, spec.n)
     out = (spec.v**2 * core.r0sq) * core.pole
     eps = spec.eps
+    if isinstance(energy, np.ndarray):
+        out = np.repeat(out[None], len(energy), axis=0)
+        out[:, 0] -= energy * energy
+        out[:, 1] -= -2.0 * energy * eps
+        out[:, 2] -= eps * eps
+        return out
     out[:3] -= (energy * energy, -2.0 * energy * eps, eps * eps)
     return out
 
@@ -113,11 +123,11 @@ def turning_points(spec: ModelSpec, energy: float) -> TurningPointSet:
     coeffs = _band_poly_coeffs(spec, energy)
     roots = npoly.polyroots(coeffs)
     scale = 1.0 + abs(energy)
-    tol_im = 1e-9 * scale
+    tol_im = ROOT_IMAG_TOL * scale
 
     real = []
     for z in roots:
-        if abs(z.imag) <= tol_im and -0.5 - 1e-12 <= z.real <= 0.5 + 1e-12:
+        if abs(z.imag) <= tol_im and -0.5 - POLE_SLACK <= z.real <= 0.5 + POLE_SLACK:
             real.append(min(0.5, max(-0.5, z.real)))
     real.sort()
     labeled = tuple(
@@ -367,39 +377,142 @@ def phase_correction(s_eps: float) -> float:
 # orbit period and density of states
 
 
-PERIOD_NODES = 1024  # Gauss-Chebyshev nodes per allowed region in orbit_period
+PERIOD_NODES = 1024  # Gauss-Chebyshev nodes per allowed region of T(E)
+_PERIOD_BLOCK = 64  # regions per quadrature block: 1 MB complex arrays
+
+# why _periods gives no period at an energy; 0 means it gave one
+_OUT_OF_BAND, _SADDLE_ROOT, _NOT_POSITIVE = 1, 2, 3
+
+
+def _stacked_roots(coeffs: np.ndarray) -> np.ndarray:
+    """Roots of each row of ascending coefficients, sorted, as complex.
+
+    The companion matrices are stacked in npoly.polycompanion's layout
+    and solved by one eigvals call, so each row has the bits that
+    npoly.polyroots gives for it.
+    """
+    count, d = coeffs.shape[0], coeffs.shape[1] - 1
+    mat = np.zeros((count, d, d))
+    mat[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+    mat[:, :, -1] -= coeffs[:, :-1] / coeffs[:, -1:]
+    roots = np.linalg.eigvals(mat)
+    roots.sort(axis=-1)
+    return roots.astype(complex)
+
+
+def _allowed_regions(spec: ModelSpec, energies: np.ndarray, roots: np.ndarray):
+    """Allowed regions of every energy as flat arrays (row, p_left, p_right).
+
+    turning_points' rules in numpy: the real roots in [-1/2, 1/2],
+    clipped to it, and the pairs of consecutive real roots with the band
+    polynomial positive at their midpoint.  Rows ascend, and the regions
+    of one row ascend in p.
+    """
+    tol_im = ROOT_IMAG_TOL * (1.0 + np.abs(energies))
+    re = roots.real
+    real = ((np.abs(roots.imag) <= tol_im[:, None])
+            & (re >= -0.5 - POLE_SLACK) & (re <= 0.5 + POLE_SLACK))
+    points = np.sort(np.where(real, np.clip(re, -0.5, 0.5), np.inf), axis=1)
+    row, i = np.nonzero(np.isfinite(points[:, 1:]))
+    pl, pr = points[row, i], points[row, i + 1]
+    e, mid = energies[row], 0.5 * (pl + pr)
+    value = band_polynomial(spec, e, mid)
+    # numpy's vector power can differ from libm's pow by an ulp, enough to
+    # flip the sign in a region narrower than about 1e-8: where it could,
+    # take the scalar value that turning_points takes
+    for k in np.nonzero(np.abs(value) <= 1e-13 * (e - spec.eps * mid) ** 2)[0]:
+        value[k] = band_polynomial(spec, float(e[k]), float(mid[k]))
+    inside = value > 0.0
+    return row[inside], pl[inside], pr[inside]
+
+
+def _region_periods(roots, lead, p_left, p_right, cos_theta):
+    """Twice the time across each region, and why a region has none.
+
+    Each region's band polynomial is deflated by its two bounding roots
+    as in _deflated_band: the root nearest p_left, then the other root
+    nearest p_right.  The quotient is integrated with Gauss-Chebyshev
+    nodes, which absorb the inverse-square-root endpoints exactly.  A
+    region holding a leftover real root (a saddle turning point) or with
+    a quotient not positive is flagged _SADDLE_ROOT or _NOT_POSITIVE.
+    """
+    count, d = roots.shape
+    rows = np.arange(count)
+    left = np.argmin(np.abs(roots - p_left[:, None]), axis=1)
+    to_right = np.abs(roots - p_right[:, None])
+    to_right[rows, left] = np.inf
+    right = np.argmin(to_right, axis=1)
+    keep = np.ones(roots.shape, dtype=bool)
+    keep[rows, left] = keep[rows, right] = False
+    rest = roots[keep].reshape(count, d - 2)
+
+    span = np.maximum(p_right - p_left, 1e-300)[:, None]
+    half = (0.5 * (p_right - p_left))[:, None]
+    # complex once here, not once per factor below
+    p_nodes = (0.5 * (p_left + p_right)[:, None] + half * cos_theta).astype(complex)
+    quotient = np.full(p_nodes.shape, -lead + 0j)
+    for k in range(d - 2):
+        quotient *= p_nodes - rest[:, k:k + 1]
+    quotient = quotient.real
+    saddle = np.any((np.abs(rest.imag) < 1e-9)
+                    & (rest.real >= p_left[:, None] - 1e-10 * span)
+                    & (rest.real <= p_right[:, None] + 1e-10 * span), axis=1)
+    status = np.where(saddle, _SADDLE_ROOT,
+                      np.where(np.any(quotient <= 0.0, axis=1), _NOT_POSITIVE, 0))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        period = 2.0 * (pi / PERIOD_NODES) * np.sum(1.0 / np.sqrt(quotient), axis=1)
+    return period, status
+
+
+def _periods(spec: ModelSpec, energies):
+    """Mean-field period T(E) at an array of energies, and a status each.
+
+    T(E) sums the regions of an energy in p order (_region_periods).
+    The status is 0 where T is finite; otherwise T is NaN and the status
+    is _OUT_OF_BAND, or the fault of the first faulty region in p order.
+    """
+    energies = np.asarray(energies, dtype=float)
+    total = np.zeros(len(energies))
+    status = np.full(len(energies), _OUT_OF_BAND)
+    coeffs = _band_poly_coeffs(spec, energies)
+    # the leading coefficient does not depend on E; it vanishes only at
+    # v = 0, where -(E - eps*p)^2 allows no region
+    lead = coeffs[0, -1] if len(energies) else 0.0
+    if lead == 0.0:
+        return np.full(len(energies), np.nan), status
+    roots = _stacked_roots(coeffs)
+    row, p_left, p_right = _allowed_regions(spec, energies, roots)
+    status[row] = 0
+    cos_theta = np.cos(pi * (np.arange(PERIOD_NODES) + 0.5) / PERIOD_NODES)
+    fault = np.zeros(len(row), dtype=int)
+    for b in range(0, len(row), _PERIOD_BLOCK):
+        blk = slice(b, b + _PERIOD_BLOCK)
+        period, fault[blk] = _region_periods(roots[row[blk]], lead, p_left[blk],
+                                             p_right[blk], cos_theta)
+        np.add.at(total, row[blk], period)
+    faulty = np.nonzero(fault)[0]
+    first_rows, first = np.unique(row[faulty], return_index=True)
+    status[first_rows] = fault[faulty[first]]
+    total[status != 0] = np.nan
+    return total, status
 
 
 def orbit_period(spec: ModelSpec, energy: float) -> float:
-    """Mean-field period T(E), summed over allowed regions.
+    """Mean-field period T(E), summed over allowed regions (_periods).
 
-    The band polynomial is deflated by the two bounding roots of each
-    region (_deflated_band) and the remaining factor integrated with
-    Gauss-Chebyshev nodes, which absorb the inverse-square-root
-    endpoints exactly.  Raises PeriodDivergenceError at saddle energies.
+    Raises OutOfBandError outside the band and PeriodDivergenceError at
+    saddle energies.
     """
-    tps = turning_points(spec, energy)
-    if tps.out_of_band:
+    period, status = _periods(spec, [energy])
+    if status[0] == _OUT_OF_BAND:
         raise OutOfBandError(f"E = {energy} is outside the classical band")
-
-    theta = pi * (np.arange(PERIOD_NODES) + 0.5) / PERIOD_NODES
-    total = 0.0
-    for pl, pr, _, _ in tps.regions:
-        span = max(pr - pl, 1e-300)
-        center = 0.5 * (pl + pr)
-        half = 0.5 * (pr - pl)
-        p_nodes = center + half * np.cos(theta)
-        quotient, rest = _deflated_band(spec, energy, tps.roots, pl, pr, p_nodes)
-        # every root left in the quotient must stay clear of the region
-        for z in rest:
-            if abs(z.imag) < 1e-9 and pl - 1e-10 * span <= z.real <= pr + 1e-10 * span:
-                raise PeriodDivergenceError(
-                    f"period diverges: saddle turning point inside region at E = {energy}"
-                )
-        if np.any(quotient <= 0.0):
-            raise PeriodDivergenceError(f"deflated factor not positive at E = {energy}")
-        total += 2.0 * (pi / PERIOD_NODES) * float(np.sum(1.0 / np.sqrt(quotient)))
-    return total
+    if status[0] == _SADDLE_ROOT:
+        raise PeriodDivergenceError(
+            f"period diverges: saddle turning point inside region at E = {energy}"
+        )
+    if status[0] == _NOT_POSITIVE:
+        raise PeriodDivergenceError(f"deflated factor not positive at E = {energy}")
+    return float(period[0])
 
 
 SADDLE_MARGIN = 1e-6  # dos_semiclassical masks energies this close to a saddle
@@ -407,16 +520,12 @@ SADDLE_MARGIN = 1e-6  # dos_semiclassical masks energies this close to a saddle
 
 def dos_semiclassical(spec: ModelSpec, energies):
     """T(E)/(2*pi) on a grid; NaN within SADDLE_MARGIN of saddle energies."""
-    fps = meanfield.find_fixed_points(spec)
-    saddles = [fp.energy for fp in fps if fp.stability == "saddle"]
+    energies = np.asarray(energies, dtype=float)
+    saddles = np.array([fp.energy for fp in meanfield.find_fixed_points(spec)
+                        if fp.stability == "saddle"])
+    clear = ~np.any(np.abs(energies[:, None] - saddles) < SADDLE_MARGIN, axis=1)
     out = np.full(len(energies), np.nan)
-    for i, e in enumerate(energies):
-        if any(abs(e - s) < SADDLE_MARGIN for s in saddles):
-            continue
-        try:
-            out[i] = orbit_period(spec, float(e)) / TWO_PI
-        except (OutOfBandError, PeriodDivergenceError):
-            pass
+    out[clear] = _periods(spec, energies[clear])[0] / TWO_PI
     return out
 
 

@@ -3,7 +3,7 @@ from math import sqrt
 
 import pytest
 
-from kummer import serialize
+from kummer import cli, serialize
 from kummer.cli import UsageError, main, parse_config
 
 
@@ -47,6 +47,35 @@ class TestParseConfig:
         conf.write_text("m = 2\nn = 1\nwibble = 3\n")
         with pytest.raises(UsageError, match="wibble"):
             parse_config(["spectrum", "--config", str(conf)])
+
+    def test_consecutive_calls_share_no_values(self, tmp_path):
+        # the parser is built once per process; each parse starts afresh
+        out = str(tmp_path)
+        first = parse_config(["dos", "--m", "3", "--n", "2", "--eps", "0.4",
+                              "--bins", "300", "--plot", "--out", out])
+        traj = parse_config("trajectory --m 1 --n 4 --sx 0.1 --sy 0 --sz 0.2 --dt 0.01".split())
+        again = parse_config("dos --m 2 --n 1".split())
+        assert (first.spec.m, first.spec.n, first.spec.eps) == (3, 2, 0.4)
+        assert first.options == {"bins": 300} and first.plot and first.out == out
+        assert (traj.spec.m, traj.spec.n, traj.spec.eps, traj.spec.N) == (1, 4, 0.0, 160)
+        assert traj.options == {"sx": 0.1, "sy": 0.0, "sz": 0.2, "t_end": 100.0,
+                                "dt": 0.01, "stride": 100}
+        assert traj.plot is False and traj.out == "."
+        assert (again.spec.m, again.spec.n, again.spec.N, again.spec.eps) == (2, 1, 80, 0.0)
+        assert again.options == {"bins": 200} and again.plot is False and again.out == "."
+
+    def test_usage_error_after_parse_unchanged(self, capsys):
+        # a rejected command line leaves the cached parser as a fresh one
+        with pytest.raises(SystemExit):
+            parse_config("dos --m x --n 1".split())
+        first = capsys.readouterr().err
+        parse_config("dos --m 2 --n 1".split())
+        with pytest.raises(SystemExit):
+            parse_config("dos --m x --n 1".split())
+        assert capsys.readouterr().err == first
+        assert "invalid int value: 'x'" in first
+        fresh = cli._build_parser.__wrapped__()
+        assert cli._build_parser().format_help() == fresh.format_help()
 
     def test_malformed_config_line(self, tmp_path):
         conf = tmp_path / "run.conf"

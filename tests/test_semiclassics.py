@@ -533,6 +533,128 @@ class TestDosCurve:
         assert np.isnan(vals[0])
 
 
+class TestBatchedPeriods:
+    """The period kernel behind dos_semiclassical and orbit_period."""
+
+    @pytest.mark.parametrize("m", range(1, 5))
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_roots_and_regions_match_turning_points(self, m, n):
+        for eps in (-1.1, 0.08, 0.5):
+            spec = ModelSpec(m, n, 40 * m * n, eps=eps)
+            fps = meanfield.find_fixed_points(spec)
+            lo, hi = band_range(spec)
+            grid = np.concatenate([
+                np.linspace(lo - 0.02, hi + 0.02, 41),
+                [fp.energy + d for fp in fps
+                 for d in (0.0, -1e-15, 1e-15, -1e-13, 1e-13, -1e-9, 1e-9)],
+            ])
+            roots = semiclassics._stacked_roots(semiclassics._band_poly_coeffs(spec, grid))
+            row, p_left, p_right = semiclassics._allowed_regions(spec, grid, roots)
+            for k, e in enumerate(grid):
+                tps = turning_points(spec, float(e))
+                assert roots[k].tobytes() == tps.roots.astype(complex).tobytes()
+                want = [(pl, pr) for pl, pr, _, _ in tps.regions]
+                assert list(zip(p_left[row == k], p_right[row == k])) == want, (spec, e)
+
+    # dos_semiclassical before the batched kernel, to the last digit
+    @pytest.mark.parametrize("spec,energies,want", [
+        (ModelSpec(2, 1, 9000, eps=0.5),
+         [-0.4769, -0.3843, -0.2685, -0.2499, -0.037, 0.1944, 0.4259, 0.6343],
+         [0.9153102725779869, 1.0304554457291402, 1.486704554440459, 2.7355771943853604,
+          0.882623945230091, 0.7223874405295461, 0.6394923302102388, 0.5901189642916587]),
+        # two regions at E = -0.0396 and 0.0396, summed per energy
+        (ModelSpec(3, 3, 9000, eps=0.08),
+         [-0.0463, -0.0396, -0.0386, -0.0193, 0.0, 0.0193, 0.0396, 0.0463],
+         [8.96375087693049, 32.333626019740386, 25.227274422045724, 8.28360345708815,
+          7.407095279130488, 8.283603457088136, 32.33362601972055, 8.963750876930453]),
+    ])
+    def test_readme_curves_pinned(self, spec, energies, want):
+        got = semiclassics.dos_semiclassical(spec, np.array(energies))
+        assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+        if spec.m == 3:
+            assert len(turning_points(spec, -0.0396).regions) == 2
+
+    def test_curve_is_rk4_return_time(self):
+        # independent oracle: upward zero crossings of sy on the RK4 path
+        from scipy.interpolate import CubicHermiteSpline
+
+        spec = ModelSpec(2, 1, 80, eps=0.5, v=1.0)
+        starts = [meanfield.surface_point(spec, p, angle)
+                  for p, angle in ((0.2, 1.0), (-0.1, 0.3), (0.35, 2.5))]
+        energies = np.array([spec.v * s[0] + spec.eps * s[2] for s in starts])
+        periods = TWO_PI * semiclassics.dos_semiclassical(spec, energies)
+        for start, period in zip(starts, periods):
+            rec = meanfield.integrate_trajectory(spec, start, 2.2 * period, 1e-3, stride=1)
+            sx, sy, sz = rec.states.T
+            dsy = spec.eps * sx - spec.v * meanfield.classical_commutator(spec, sz)
+            path = CubicHermiteSpline(rec.times, sy, dsy)
+            roots = path.roots(extrapolate=False)
+            returns = np.diff(roots[path(roots, 1) > 0])
+            assert len(returns) >= 1
+            assert np.max(np.abs(returns - period)) < 1e-8 * period
+
+    @pytest.mark.parametrize("spec,fracs", [
+        (ModelSpec(3, 2, 120, eps=0.4), (0.25, 0.55, 0.85)),
+        (ModelSpec(3, 3, 90, eps=0.08), (0.1, 0.5, 0.9)),
+    ])
+    def test_curve_is_derivative_of_action(self, spec, fracs):
+        emin, emax = band_range(spec)
+        energies = emin + np.array(fracs) * (emax - emin)
+        if spec.m == 3 and spec.n == 3:  # and one energy with two regions
+            energies = np.append(energies, -0.0396)
+            assert len(turning_points(spec, -0.0396).regions) == 2
+        h = 1e-6 * (emax - emin)
+
+        def total(x):
+            t = turning_points(spec, x)
+            return sum(action_area(spec, x, i) for i in range(len(t.regions)))
+
+        periods = TWO_PI * semiclassics.dos_semiclassical(spec, energies)
+        for e, period in zip(energies, periods):
+            deriv = (total(e + h) - total(e - h)) / (2 * h)
+            assert deriv == pytest.approx(period, rel=1e-6)
+
+    def test_narrow_region_as_turning_points(self):
+        # 1e-15 below the band top the region is 1.2e-8 wide and the sign
+        # at its midpoint is rounding: numpy's vector power and libm's pow
+        # disagree there by an ulp on some CPUs
+        spec = ModelSpec(1, 3, 120, eps=0.08)
+        energy = float.fromhex("0x1.160a2afbf6823p-1")
+        assert band_range(spec)[1] - energy == pytest.approx(1e-15, rel=0.01)
+        assert len(turning_points(spec, energy).regions) == 1
+        period, status = semiclassics._periods(spec, np.array([energy]))
+        assert status[0] == 0 and period[0].hex() == "0x1.c62743913d9ffp+1"
+
+    def test_nan_where_no_period(self):
+        spec = ModelSpec(2, 1, 80, eps=0.5, v=1.0)
+        saddle = [f for f in meanfield.find_fixed_points(spec) if f.stability == "saddle"][0]
+        _, emax = band_range(spec)
+        grid = np.array([0.1, saddle.energy + 0.5e-6, emax + 0.2, saddle.energy - 1e-3])
+        vals = semiclassics.dos_semiclassical(spec, grid)
+        assert np.isfinite(vals[[0, 3]]).all() and np.isnan(vals[[1, 2]]).all()
+        period, status = semiclassics._periods(spec, grid)
+        assert status[2] == semiclassics._OUT_OF_BAND and np.isnan(period[2])
+
+    @pytest.mark.parametrize("spec,offset,status,message", [
+        # quotient <= 0 at a saddle of a pinched pole
+        (ModelSpec(1, 3, 120, eps=-0.3), 0.0, semiclassics._NOT_POSITIVE,
+         "deflated factor not positive"),
+        # a leftover real root inside the region, beside a conical pole
+        (ModelSpec(2, 2, 160, eps=0.08), -1e-11, semiclassics._SADDLE_ROOT,
+         "saddle turning point inside region"),
+    ])
+    def test_divergent_period_is_nan(self, spec, offset, status, message):
+        saddle = [f for f in meanfield.find_fixed_points(spec) if f.stability == "saddle"]
+        energy = saddle[0].energy + offset
+        period, got = semiclassics._periods(spec, np.array([0.0, energy]))
+        assert got.tolist() == [0, status]
+        assert np.isfinite(period[0]) and np.isnan(period[1])
+        with pytest.raises(PeriodDivergenceError, match=message):
+            orbit_period(spec, energy)
+        # the saddle margin masks it in the curve
+        assert np.isnan(semiclassics.dos_semiclassical(spec, np.array([energy]))[0])
+
+
 class TestBarrierActions:
     def test_sum_identity_above_barrier(self):
         # both partial actions continued through one complex point: the
