@@ -557,22 +557,23 @@ class TestBatchedPeriods:
                 assert list(zip(p_left[row == k], p_right[row == k])) == want, (spec, e)
 
     # dos_semiclassical before the batched kernel, to the last digit
-    @pytest.mark.parametrize("spec,energies,want", [
+    @pytest.mark.parametrize("spec,energies,want,two_regions", [
         (ModelSpec(2, 1, 9000, eps=0.5),
          [-0.4769, -0.3843, -0.2685, -0.2499, -0.037, 0.1944, 0.4259, 0.6343],
          [0.9153102725779869, 1.0304554457291402, 1.486704554440459, 2.7355771943853604,
-          0.882623945230091, 0.7223874405295461, 0.6394923302102388, 0.5901189642916587]),
-        # two regions at E = -0.0396 and 0.0396, summed per energy
+          0.882623945230091, 0.7223874405295461, 0.6394923302102388, 0.5901189642916587],
+         []),
         (ModelSpec(3, 3, 9000, eps=0.08),
          [-0.0463, -0.0396, -0.0386, -0.0193, 0.0, 0.0193, 0.0396, 0.0463],
          [8.96375087693049, 32.333626019740386, 25.227274422045724, 8.28360345708815,
-          7.407095279130488, 8.283603457088136, 32.33362601972055, 8.963750876930453]),
+          7.407095279130488, 8.283603457088136, 32.33362601972055, 8.963750876930453],
+         [-0.0396, 0.0396]),
     ])
-    def test_readme_curves_pinned(self, spec, energies, want):
+    def test_readme_curves_pinned(self, spec, energies, want, two_regions):
         got = semiclassics.dos_semiclassical(spec, np.array(energies))
         assert np.allclose(got, want, rtol=1e-13, atol=0.0)
-        if spec.m == 3:
-            assert len(turning_points(spec, -0.0396).regions) == 2
+        for e in two_regions:  # their periods are sums over both regions
+            assert len(turning_points(spec, e).regions) == 2
 
     def test_curve_is_rk4_return_time(self):
         # independent oracle: upward zero crossings of sy on the RK4 path
@@ -593,16 +594,15 @@ class TestBatchedPeriods:
             assert len(returns) >= 1
             assert np.max(np.abs(returns - period)) < 1e-8 * period
 
-    @pytest.mark.parametrize("spec,fracs", [
-        (ModelSpec(3, 2, 120, eps=0.4), (0.25, 0.55, 0.85)),
-        (ModelSpec(3, 3, 90, eps=0.08), (0.1, 0.5, 0.9)),
+    @pytest.mark.parametrize("spec,fracs,two_regions", [
+        (ModelSpec(3, 2, 120, eps=0.4), (0.25, 0.55, 0.85), []),
+        (ModelSpec(3, 3, 90, eps=0.08), (0.1, 0.5, 0.9), [-0.0396]),
     ])
-    def test_curve_is_derivative_of_action(self, spec, fracs):
+    def test_curve_is_derivative_of_action(self, spec, fracs, two_regions):
         emin, emax = band_range(spec)
-        energies = emin + np.array(fracs) * (emax - emin)
-        if spec.m == 3 and spec.n == 3:  # and one energy with two regions
-            energies = np.append(energies, -0.0396)
-            assert len(turning_points(spec, -0.0396).regions) == 2
+        energies = np.append(emin + np.array(fracs) * (emax - emin), two_regions)
+        for e in two_regions:
+            assert len(turning_points(spec, e).regions) == 2
         h = 1e-6 * (emax - emin)
 
         def total(x):
