@@ -20,16 +20,20 @@ solve S(E) - oint (dH - s) dt = 2*pi*eta*(nu + 1/2) and sit at E + s,
 where s runs linearly between the values of dH at the fixed points that
 bound each structure interval: to first order that is the same rule,
 and it stays finite at a saddle, where T(E) diverges.
+
+Turning points, areas and periods are computed for arrays of energies
+at once: one stacked companion eigensolve gives the roots, and blocked
+quadratures give the areas (_area_terms) and periods (_periods).  The
+public functions of one energy are these kernels at that energy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import acosh, atan2, ceil, cos, exp, floor, hypot, log, pi, sin
+from math import acosh, ceil, exp, floor, pi
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 from scipy.optimize import brentq
 from scipy.special import loggamma
 
@@ -95,62 +99,137 @@ class TurningPointSet:
     roots: np.ndarray = None  # every root of the band polynomial
 
 
-def _branch_by_probe(spec: ModelSpec, energy: float, probe: float, fallback: str) -> str:
-    """Branch of a turning point, decided in the adjacent forbidden zone.
+def _stacked_roots(coeffs: np.ndarray) -> np.ndarray:
+    """Roots of each row of ascending coefficients, sorted, as complex.
 
-    At the turning point itself E - eps*p = +-v*r(p) vanishes to rounding
-    for orbits hugging a pole; one step into the forbidden side, E above
-    U+ or below U- is well separated.
+    The companion matrices are stacked in npoly.polycompanion's layout
+    and solved by one eigvals call, so each row has the bits that
+    npoly.polyroots gives for it.
     """
-    gap = energy - spec.eps * probe
-    vr = spec.v * meanfield.radius(spec, probe)
-    if gap > vr:
-        return UPPER
-    if gap < -vr:
-        return LOWER
-    return fallback
+    count, d = coeffs.shape[0], coeffs.shape[1] - 1
+    mat = np.zeros((count, d, d))
+    mat[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+    mat[:, :, -1] -= coeffs[:, :-1] / coeffs[:, -1:]
+    roots = np.linalg.eigvals(mat)
+    roots.sort(axis=-1)
+    return roots.astype(complex)
+
+
+def _regions(spec: ModelSpec, energies: np.ndarray, roots: np.ndarray):
+    """Real turning points of every energy and its allowed regions.
+
+    The real roots lie in [-1/2, 1/2], are clipped to it, and come back
+    sorted in `points`, one row per energy padded with inf.  A region is
+    a pair of consecutive real roots with the band polynomial positive
+    at their midpoint, given as (row, i): from points[row, i] to
+    points[row, i + 1].  Rows ascend, and the regions of one row ascend
+    in p.
+    """
+    tol_im = ROOT_IMAG_TOL * (1.0 + np.abs(energies))
+    re = roots.real
+    real = ((np.abs(roots.imag) <= tol_im[:, None])
+            & (re >= -0.5 - POLE_SLACK) & (re <= 0.5 + POLE_SLACK))
+    points = np.sort(np.where(real, np.clip(re, -0.5, 0.5), np.inf), axis=1)
+    row, i = np.nonzero(np.isfinite(points[:, 1:]))
+    pl, pr = points[row, i], points[row, i + 1]
+    e, mid = energies[row], 0.5 * (pl + pr)
+    value = band_polynomial(spec, e, mid)
+    # numpy's vector power can differ from libm's pow by an ulp, enough to
+    # flip the sign in a region narrower than about 1e-8: where it could,
+    # take the scalar value
+    for k in np.nonzero(np.abs(value) <= 1e-13 * (e - spec.eps * mid) ** 2)[0]:
+        value[k] = band_polynomial(spec, float(e[k]), float(mid[k]))
+    inside = value > 0.0
+    return points, row[inside], i[inside]
+
+
+def _allowed_regions(spec: ModelSpec, energies: np.ndarray, roots: np.ndarray):
+    """Allowed regions of every energy as flat arrays (row, p_left, p_right) (_regions)."""
+    points, row, i = _regions(spec, energies, roots)
+    return row, points[row, i], points[row, i + 1]
+
+
+def _branch_labels(spec: ModelSpec, energies, points, row, i):
+    """Branches of the two ends of every region (_regions), True on U+.
+
+    A branch is decided in the adjacent forbidden zone, midway to the
+    next real point or the pole: at the turning point itself
+    E - eps*p = +-v*r(p) vanishes to rounding for orbits hugging a pole,
+    but one step into the forbidden side E above U+ or below U- is well
+    separated.  Where neither holds, the end is on U+ when E >= eps*p.
+    """
+    width = points.shape[1]
+    p_left, p_right = points[row, i], points[row, i + 1]
+    before = np.where(i > 0, points[row, np.maximum(i - 1, 0)], -0.5)
+    after = points[row, np.minimum(i + 2, width - 1)]
+    after = np.where((i + 2 < width) & np.isfinite(after), after, 0.5)
+    ends = np.concatenate((p_left, p_right))
+    probes = np.concatenate((0.5 * (before + p_left), 0.5 * (p_right + after)))
+    e = np.concatenate((energies[row], energies[row]))
+    gap = e - spec.eps * probes
+    vr = spec.v * meanfield.radius(spec, probes)
+    # the vector power again (see _regions): where the comparison is that
+    # close, take the scalar value
+    for k in np.nonzero(np.abs(np.abs(gap) - vr) <= 1e-13 * vr)[0]:
+        vr[k] = spec.v * meanfield.radius(spec, float(probes[k]))
+    upper = np.where(gap > vr, True, np.where(gap < -vr, False, e >= spec.eps * ends))
+    return upper[:len(row)], upper[len(row):]
+
+
+@dataclass(frozen=True)
+class _Turning:
+    """Turning points of an array of energies (_turning).
+
+    `roots` holds every root of each band polynomial, sorted, and
+    `points` the real ones (_regions).  The allowed regions are flat
+    arrays, in row order and within a row in p order: the row of their
+    energy, their two ends and the branch labels of the ends (True on
+    U+).  `lead` is the leading coefficient of the band polynomial.
+    """
+
+    lead: float
+    roots: np.ndarray
+    points: np.ndarray
+    row: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    upper_left: np.ndarray
+    upper_right: np.ndarray
+
+
+def _turning(spec: ModelSpec, energies: np.ndarray) -> _Turning:
+    """Roots, real turning points, allowed regions and their labels at every energy."""
+    coeffs = _band_poly_coeffs(spec, energies)
+    lead = coeffs[0, -1] if len(energies) else 0.0
+    if lead == 0.0:  # v = 0: -(E - eps*p)^2 allows no region
+        roots = np.zeros((len(energies), 0), dtype=complex)
+    else:
+        roots = _stacked_roots(coeffs)
+    points, row, i = _regions(spec, energies, roots)
+    upper_left, upper_right = _branch_labels(spec, energies, points, row, i)
+    return _Turning(lead, roots, points, row, points[row, i], points[row, i + 1],
+                    upper_left, upper_right)
 
 
 def turning_points(spec: ModelSpec, energy: float) -> TurningPointSet:
     """Classified real solutions of U+-(p) = E plus complex continuations.
 
-    A root belongs to U+ when E >= eps*p there and to U- otherwise; the
-    endpoints of allowed regions are re-labeled through a probe in the
-    neighbouring forbidden zone, which stays well conditioned when the
-    region hugs a pole.  Allowed regions are the intervals between
-    consecutive roots whose midpoint satisfies U- <= E <= U+.
+    The classification of _turning at one energy.  A root belongs to U+
+    when E >= eps*p there and to U- otherwise; the ends of allowed
+    regions are re-labeled through a probe in the neighbouring forbidden
+    zone (_branch_labels), which stays well conditioned when the region
+    hugs a pole.  Allowed regions are the intervals between consecutive
+    roots whose midpoint satisfies U- <= E <= U+.
     """
-    coeffs = _band_poly_coeffs(spec, energy)
-    roots = npoly.polyroots(coeffs)
-    scale = 1.0 + abs(energy)
-    tol_im = ROOT_IMAG_TOL * scale
-
-    real = []
-    for z in roots:
-        if abs(z.imag) <= tol_im and -0.5 - POLE_SLACK <= z.real <= 0.5 + POLE_SLACK:
-            real.append(min(0.5, max(-0.5, z.real)))
-    real.sort()
-    labeled = tuple(
-        (p, UPPER if energy >= spec.eps * p else LOWER) for p in real
-    )
-
-    regions = []
-    for i in range(len(real) - 1):
-        pl, pr = real[i], real[i + 1]
-        if band_polynomial(spec, energy, 0.5 * (pl + pr)) > 0.0:
-            left_edge = real[i - 1] if i > 0 else -0.5
-            right_edge = real[i + 2] if i + 2 < len(real) else 0.5
-            bl = _branch_by_probe(spec, energy, 0.5 * (left_edge + pl), labeled[i][1])
-            br = _branch_by_probe(
-                spec, energy, 0.5 * (pr + right_edge), labeled[i + 1][1]
-            )
-            regions.append((pl, pr, bl, br))
-
-    pairs = tuple(
-        z for z in roots if z.imag > tol_im and -0.5 < z.real < 0.5
-    )
-    out_of_band = not regions
-    return TurningPointSet(energy, labeled, tuple(regions), pairs, out_of_band, roots)
+    tp = _turning(spec, np.array([float(energy)]))
+    real = [float(p) for p in tp.points[0] if p < np.inf]
+    labeled = tuple((p, UPPER if energy >= spec.eps * p else LOWER) for p in real)
+    branch = {True: UPPER, False: LOWER}
+    regions = tuple((float(pl), float(pr), branch[bool(bl)], branch[bool(br)])
+                    for pl, pr, bl, br in zip(tp.left, tp.right, tp.upper_left, tp.upper_right))
+    tol_im = ROOT_IMAG_TOL * (1.0 + abs(energy))
+    pairs = tuple(z for z in tp.roots[0] if z.imag > tol_im and -0.5 < z.real < 0.5)
+    return TurningPointSet(energy, labeled, regions, pairs, not regions, tp.roots[0])
 
 
 # ---------------------------------------------------------------------
@@ -198,6 +277,7 @@ def _sine_rule(order: int):
 
 
 ACTION_ORDER = 96
+_AREA_BLOCK = 256  # regions per quadrature block of _region_areas
 
 
 def _radius_excess(spec: ModelSpec, p):
@@ -223,93 +303,98 @@ def _radius_excess(spec: ModelSpec, p):
     return np.sqrt(np.where(inside, ratio, 0.0)) - 1.0
 
 
-def _deflated_band(spec: ModelSpec, energy: float, roots, p_left: float,
-                   p_right: float, p_nodes):
-    """Band polynomial at real `p_nodes` divided by (p - p_left)(p_right - p).
+def _deflated_roots(roots, p_left, p_right):
+    """The roots of each row less the two that bound its region.
 
-    The divided roots are the one of `roots` nearest p_left and, of the
-    others, the one nearest p_right.  Returns the quotient and the roots
-    left in it.
+    Those are the root nearest p_left and, of the others, the one
+    nearest p_right; the rest keep their order.
     """
-    roots = roots.tolist()  # a handful of roots: plain complex is faster
-    left = min(range(len(roots)), key=lambda i: abs(roots[i] - p_left))
-    right = min((i for i in range(len(roots)) if i != left),
-                key=lambda i: abs(roots[i] - p_right))
-    rest = [z for i, z in enumerate(roots) if i not in (left, right)]
-    quotient = np.full(p_nodes.shape, -_band_poly_coeffs(spec, energy)[-1] + 0j)
-    for z in rest:
-        quotient *= p_nodes - z
-    return quotient.real, rest
+    count, d = roots.shape
+    rows = np.arange(count)
+    left = np.argmin(np.abs(roots - p_left[:, None]), axis=1)
+    to_right = np.abs(roots - p_right[:, None])
+    to_right[rows, left] = np.inf
+    right = np.argmin(to_right, axis=1)
+    keep = np.ones(roots.shape, dtype=bool)
+    keep[rows, left] = keep[rows, right] = False
+    return roots[keep].reshape(count, d - 2)
 
 
-def _action_integral(spec: ModelSpec, energy: float, p_left, p_right,
-                     order: int = ACTION_ORDER, shift=None, roots=None):
-    """Integral of q(p) dp between two turning points (real or complex).
+def _area_from_cases(p_left, p_right, upper_left, upper_right, s_tilde):
+    """Orbit area from the branches of the two turning points (True on U+).
 
-    The substitution p = center + halfwidth*sin(theta) soaks up the
-    square-root behaviour at both endpoints, making the integrand
-    analytic; the straight segment between the endpoints is used as the
-    contour when they are complex.
+    Both ends on U- encloses 2*pi*(p+ - p-) - 2*S~; mixed cases measure
+    from the adjacent pole; both on U+ gives 2*pi - 2*S~, the sign
+    branch that keeps S increasing across the band.
+    """
+    enclosed = np.where(upper_left, np.where(upper_right, 1.0, 0.5 + p_right),
+                        np.where(upper_right, 0.5 - p_left, p_right - p_left))
+    return TWO_PI * enclosed - 2.0 * s_tilde
 
-    A numeric `shift` s adds the integral of (dH - s) dt over the same
-    half orbit: dH = (rho - 1)(E - eps*p) is the first-order energy
-    change (see _region_area) and dt = dp / sqrt(B), B = (v r sin q)^2
-    the band polynomial.  On the real axis B is divided by its two
-    endpoint roots, found in `roots` (_deflated_band), so
-    (p - p_left)(p_right - p) = (half*cos(theta))^2 cancels against the
-    Jacobian exactly and a region narrower than the roots' accuracy
-    stays smooth; on a contour to a complex turning point v r sin q
-    itself fixes the branch.
+
+def _region_areas(spec: ModelSpec, energies, tp: _Turning, shift=None,
+                  order: int = ACTION_ORDER) -> np.ndarray:
+    """Area of every allowed region of `tp` (_turning), in its order.
+
+    S~, the integral of q(p) dp across a region, takes the substitution
+    p = center + half*sin(theta), which soaks up the square-root
+    behaviour at both ends; the area follows from the branch labels
+    (_area_from_cases).  A numeric `shift` s, one per energy, gives the
+    area the quantization rule uses: S(E) - oint ((rho - 1)(E - eps*p) - s) dt
+    over the orbit, the first-order area change when the radius r is
+    replaced by the hopping radius r_eta = rho*r, plus s*T(E).  A level
+    satisfying the rule with this area sits at E + s; s = 0 is the plain
+    first-order rule, and s equal to the energy change at a saddle keeps
+    the area finite where T(E) diverges.  With shift None it is the
+    mean-field S(E).  dt = dp / sqrt(B), B = (v r sin q)^2 the band
+    polynomial, divided by the two roots bounding the region
+    (_deflated_roots), so (p - p_left)(p_right - p) = (half*cos(theta))^2
+    cancels against the Jacobian exactly and a region narrower than the
+    roots' accuracy stays smooth.
     """
     sin_t, weights, jacobian = _sine_rule(order)
-    half = 0.5 * (p_right - p_left)
-    p_nodes = 0.5 * (p_left + p_right) + half * sin_t
-    gap = energy - spec.eps * p_nodes  # v r cos q
+    out = np.empty(len(tp.row))
+    for b in range(0, len(tp.row), _AREA_BLOCK):
+        blk = slice(b, b + _AREA_BLOCK)
+        row, p_left, p_right = tp.row[blk], tp.left[blk], tp.right[blk]
+        half = 0.5 * (p_right - p_left)
+        p_nodes = (0.5 * (p_left + p_right))[:, None] + half[:, None] * sin_t
+        gap = energies[row][:, None] - spec.eps * p_nodes  # v r cos q
+        w = gap / (spec.v * _radius_any(spec, p_nodes))
+        s_tilde = half * (np.arccos(np.clip(w, -1.0, 1.0)) @ jacobian)
+        if shift is not None:
+            quotient = np.full(p_nodes.shape, -tp.lead + 0j)
+            for z in _deflated_roots(tp.roots[row], p_left, p_right).T:
+                quotient *= p_nodes - z[:, None]
+            dh = _radius_excess(spec, p_nodes) * gap - shift[row][:, None]
+            # positive inside the region; a root pair at an end can tip
+            # its rounding below zero
+            s_tilde = s_tilde + (dh / np.sqrt(np.abs(quotient.real))) @ weights
+        out[blk] = _area_from_cases(p_left, p_right, tp.upper_left[blk],
+                                    tp.upper_right[blk], s_tilde)
+    return out
+
+
+def _contour_actions(spec: ModelSpec, energies, start, end, shift=None):
+    """Integral of q(p) dp along the straight segments from `start` to `end`.
+
+    The ends are complex turning points (or a real one and a complex
+    one); q is the principal arccos and r is continued to complex p
+    (_radius_any), under the substitution of _region_areas.  A numeric
+    `shift` adds the first-order term with dt = dp / (v r sin q): on a
+    contour to a complex turning point v r sin q itself fixes the branch.
+    """
+    sin_t, _, jacobian = _sine_rule(ACTION_ORDER)
+    half = 0.5 * (end - start)
+    p_nodes = (0.5 * (start + end))[:, None] + half[:, None] * sin_t
+    gap = energies[:, None] - spec.eps * p_nodes
     vr = spec.v * _radius_any(spec, p_nodes)
-    q = np.emath.arccos(gap / vr)
-    total = half * complex(np.dot(jacobian, q))
+    q = np.arccos(gap / vr)
+    total = half * (q @ jacobian)
     if shift is None:
         return total
-    dh = _radius_excess(spec, p_nodes) * gap - shift
-    if np.isrealobj(p_nodes):
-        quotient, _ = _deflated_band(spec, energy, roots, p_left, p_right, p_nodes)
-        # positive inside the region; a root pair at an endpoint can tip
-        # its rounding below zero
-        return total + complex(np.dot(weights, dh / np.sqrt(np.abs(quotient))))
-    return total + half * complex(np.dot(jacobian, dh / (vr * np.sin(q))))
-
-
-def _area_from_cases(p_left, p_right, branch_left, branch_right, s_tilde):
-    """Orbit area from the branch labels of the two turning points.
-
-    Both endpoints on U- encloses 2*pi*(p+ - p-) - 2*S~; mixed cases
-    measure from the adjacent pole; both on U+ gives 2*pi - 2*S~, the
-    sign branch that keeps S increasing across the band.
-    """
-    if branch_left == LOWER and branch_right == LOWER:
-        return TWO_PI * (p_right - p_left) - 2.0 * s_tilde
-    if branch_left == LOWER and branch_right == UPPER:
-        return TWO_PI * (0.5 - p_left) - 2.0 * s_tilde
-    if branch_left == UPPER and branch_right == LOWER:
-        return TWO_PI * (0.5 + p_right) - 2.0 * s_tilde
-    return TWO_PI - 2.0 * s_tilde
-
-
-def _region_area(spec: ModelSpec, tps: TurningPointSet, region: int, shift=None,
-                 order: int = ACTION_ORDER) -> float:
-    """Area of allowed region `region` at the turning points `tps`.
-
-    A numeric `shift` s gives the area the quantization rule uses:
-    S(E) - oint ((rho - 1)(E - eps*p) - s) dt over the orbit, the
-    first-order area change when the radius r is replaced by the hopping
-    radius r_eta = rho*r, plus s*T(E).  A level satisfying the rule with
-    this area sits at E + s; s = 0 is the plain first-order rule, and s
-    equal to the energy change at a saddle keeps the area finite where
-    T(E) diverges.  With shift None it is the mean-field S(E).
-    """
-    pl, pr, bl, br = tps.regions[region]
-    s_tilde = _action_integral(spec, tps.energy, pl, pr, order, shift, tps.roots).real
-    return float(_area_from_cases(pl, pr, bl, br, s_tilde))
+    dh = _radius_excess(spec, p_nodes) * gap - shift[:, None]
+    return total + half * ((dh / (vr * np.sin(q))) @ jacobian)
 
 
 def action_area(spec: ModelSpec, energy: float, region=None,
@@ -330,32 +415,54 @@ def action_area(spec: ModelSpec, energy: float, region=None,
     return _region_area(spec, tps, region, order=order)
 
 
+def _region_area(spec: ModelSpec, tps: TurningPointSet, region: int, shift=None,
+                 order: int = ACTION_ORDER) -> float:
+    """Area of allowed region `region` at the energy of `tps` (_region_areas)."""
+    energies = np.array([float(tps.energy)])
+    shift = None if shift is None else np.array([float(shift)])
+    return float(_region_areas(spec, energies, _turning(spec, energies), shift, order)[region])
+
+
 # ---------------------------------------------------------------------
 # tunneling machinery
+
+
+def _gap_barrier(spec: ModelSpec, energies, p_left, p_right):
+    """Barrier parameter below the top, across the real gaps (p_left, p_right).
+
+    Across a forbidden gap |w| > 1, so the principal arccos has the
+    imaginary part +-arccosh|w| there.
+    """
+    s = _contour_actions(spec, energies, p_left + 0j, p_right + 0j)
+    return np.abs(s.imag) / (pi * spec.eta)
+
+
+def _continued_barrier(spec: ModelSpec, energies, z):
+    """Barrier parameter above the top, through upper-half turning points z.
+
+    The principal arccos equals pi at both complex turning points (the
+    barrier lives on the lower curve); the parameter integrates its
+    deviation from pi, so it vanishes linearly at the barrier top, and
+    the contour is oriented so it continues to negative values above
+    (the weight exp(-pi*S_eps) must grow for the matching condition to
+    decouple into the single-region rule far above the barrier).
+    """
+    s = _contour_actions(spec, energies, np.conj(z), z) - pi * (z - np.conj(z))
+    return -np.abs((1j * s).real / (pi * spec.eta))
 
 
 def _tunneling_signed(spec: ModelSpec, energy: float, gap) -> float:
     """Barrier parameter: positive below the barrier, negative above.
 
     Below: (1/(pi*eta)) * integral of |q| over the real gap (p1, p2),
-    where q = arccos(w) has the imaginary part +-arccosh|w|, |w| > 1.
-    Above: the same integral continued along the straight contour
-    between the complex pair, oriented so the parameter passes through
-    zero continuously at the barrier top.
+    where q = arccos(w) has the imaginary part +-arccosh|w|, |w| > 1
+    (_gap_barrier).  Above: the same integral continued along the
+    straight contour between the complex pair (_continued_barrier).
     """
-    eta = spec.eta
+    energies = np.array([float(energy)])
     if isinstance(gap, tuple):
-        p1, p2 = gap
-        return abs(_action_integral(spec, energy, p1, p2).imag) / (pi * eta)
-    z = gap  # upper-half complex turning point
-    # the principal arccos equals pi at both complex turning points (the
-    # barrier lives on the lower curve); integrate its deviation from pi
-    # so the parameter vanishes linearly at the barrier top, and orient
-    # the contour so the parameter continues to negative values above
-    # (the weight exp(-pi*S_eps) must grow for the matching condition to
-    # decouple into the single-region rule far above the barrier)
-    s = _action_integral(spec, energy, np.conj(z), z) - pi * (z - np.conj(z))
-    return -abs(float((1j * s).real / (pi * eta)))
+        return float(_gap_barrier(spec, energies, np.array([gap[0]]), np.array([gap[1]]))[0])
+    return float(_continued_barrier(spec, energies, np.array([complex(gap)]))[0])
 
 
 def tunneling_integral(spec: ModelSpec, energy: float, gap) -> float:
@@ -363,14 +470,17 @@ def tunneling_integral(spec: ModelSpec, energy: float, gap) -> float:
     return abs(_tunneling_signed(spec, energy, gap))
 
 
-def phase_correction(s_eps: float) -> float:
+def phase_correction(s_eps):
     """Barrier phase arg Gamma(1/2 + i*S_eps) - S_eps*log|S_eps| + S_eps.
 
     Odd in S_eps and zero at S_eps = 0 (the S log S limit vanishes).
+    Takes a number or an array.
     """
-    if s_eps == 0.0:
-        return 0.0
-    return float(loggamma(0.5 + 1j * s_eps).imag - s_eps * log(abs(s_eps)) + s_eps)
+    s = np.asarray(s_eps, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.where(s == 0.0, 0.0,
+                       loggamma(0.5 + 1j * s).imag - s * np.log(np.abs(s)) + s)
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------
@@ -384,74 +494,23 @@ _PERIOD_BLOCK = 64  # regions per quadrature block: 1 MB complex arrays
 _OUT_OF_BAND, _SADDLE_ROOT, _NOT_POSITIVE = 1, 2, 3
 
 
-def _stacked_roots(coeffs: np.ndarray) -> np.ndarray:
-    """Roots of each row of ascending coefficients, sorted, as complex.
-
-    The companion matrices are stacked in npoly.polycompanion's layout
-    and solved by one eigvals call, so each row has the bits that
-    npoly.polyroots gives for it.
-    """
-    count, d = coeffs.shape[0], coeffs.shape[1] - 1
-    mat = np.zeros((count, d, d))
-    mat[:, np.arange(1, d), np.arange(d - 1)] = 1.0
-    mat[:, :, -1] -= coeffs[:, :-1] / coeffs[:, -1:]
-    roots = np.linalg.eigvals(mat)
-    roots.sort(axis=-1)
-    return roots.astype(complex)
-
-
-def _allowed_regions(spec: ModelSpec, energies: np.ndarray, roots: np.ndarray):
-    """Allowed regions of every energy as flat arrays (row, p_left, p_right).
-
-    turning_points' rules in numpy: the real roots in [-1/2, 1/2],
-    clipped to it, and the pairs of consecutive real roots with the band
-    polynomial positive at their midpoint.  Rows ascend, and the regions
-    of one row ascend in p.
-    """
-    tol_im = ROOT_IMAG_TOL * (1.0 + np.abs(energies))
-    re = roots.real
-    real = ((np.abs(roots.imag) <= tol_im[:, None])
-            & (re >= -0.5 - POLE_SLACK) & (re <= 0.5 + POLE_SLACK))
-    points = np.sort(np.where(real, np.clip(re, -0.5, 0.5), np.inf), axis=1)
-    row, i = np.nonzero(np.isfinite(points[:, 1:]))
-    pl, pr = points[row, i], points[row, i + 1]
-    e, mid = energies[row], 0.5 * (pl + pr)
-    value = band_polynomial(spec, e, mid)
-    # numpy's vector power can differ from libm's pow by an ulp, enough to
-    # flip the sign in a region narrower than about 1e-8: where it could,
-    # take the scalar value that turning_points takes
-    for k in np.nonzero(np.abs(value) <= 1e-13 * (e - spec.eps * mid) ** 2)[0]:
-        value[k] = band_polynomial(spec, float(e[k]), float(mid[k]))
-    inside = value > 0.0
-    return row[inside], pl[inside], pr[inside]
-
-
 def _region_periods(roots, lead, p_left, p_right, cos_theta):
     """Twice the time across each region, and why a region has none.
 
     Each region's band polynomial is deflated by its two bounding roots
-    as in _deflated_band: the root nearest p_left, then the other root
-    nearest p_right.  The quotient is integrated with Gauss-Chebyshev
-    nodes, which absorb the inverse-square-root endpoints exactly.  A
-    region holding a leftover real root (a saddle turning point) or with
-    a quotient not positive is flagged _SADDLE_ROOT or _NOT_POSITIVE.
+    (_deflated_roots), and the quotient is integrated with
+    Gauss-Chebyshev nodes, which absorb the inverse-square-root
+    endpoints exactly.  A region holding a leftover real root (a saddle
+    turning point) or with a quotient not positive is flagged
+    _SADDLE_ROOT or _NOT_POSITIVE.
     """
-    count, d = roots.shape
-    rows = np.arange(count)
-    left = np.argmin(np.abs(roots - p_left[:, None]), axis=1)
-    to_right = np.abs(roots - p_right[:, None])
-    to_right[rows, left] = np.inf
-    right = np.argmin(to_right, axis=1)
-    keep = np.ones(roots.shape, dtype=bool)
-    keep[rows, left] = keep[rows, right] = False
-    rest = roots[keep].reshape(count, d - 2)
-
+    rest = _deflated_roots(roots, p_left, p_right)
     span = np.maximum(p_right - p_left, 1e-300)[:, None]
     half = (0.5 * (p_right - p_left))[:, None]
     # complex once here, not once per factor below
     p_nodes = (0.5 * (p_left + p_right)[:, None] + half * cos_theta).astype(complex)
     quotient = np.full(p_nodes.shape, -lead + 0j)
-    for k in range(d - 2):
+    for k in range(rest.shape[1]):
         quotient *= p_nodes - rest[:, k:k + 1]
     quotient = quotient.real
     saddle = np.any((np.abs(rest.imag) < 1e-9)
@@ -530,12 +589,199 @@ def dos_semiclassical(spec: ModelSpec, energies):
 
 
 # ---------------------------------------------------------------------
+# the area kernel
+
+
+# which form _area_terms took at an energy, besides _OUT_OF_BAND
+_SUMMED, _TWO_REGIONS, _CONTINUED = 0, 4, 5
+
+
+@dataclass(frozen=True)
+class ActionSet:
+    """Orbit areas and barrier quantities entering the matching condition."""
+
+    total: float  # S, summed over allowed regions
+    left: float  # S_l
+    right: float  # S_r
+    s_eps: float  # signed barrier parameter (negative above the top)
+    s_phi: float  # barrier phase correction
+    kappa: float  # exp(-pi * s_eps)
+
+
+@dataclass(frozen=True)
+class _AreaTerms:
+    """The areas of an array of energies and the form each took (_area_terms)."""
+
+    status: np.ndarray  # _OUT_OF_BAND, _SUMMED, _TWO_REGIONS or _CONTINUED
+    count: np.ndarray  # allowed regions
+    total: np.ndarray  # the regions' sum S, or S_l + S_r across a barrier
+    left: np.ndarray  # S_l, S_r and the signed barrier parameter; NaN
+    right: np.ndarray  # where no barrier applies
+    s_eps: np.ndarray
+
+
+def _continued_pairs(energies, tp: _Turning, barrier_p):
+    """Upper-half root continuing a barrier's turning points; NaN where none is usable.
+
+    Only an energy with one allowed region has one.  Near the barrier top
+    the pair sits close to the real axis at the barrier location, inside
+    the region; the pair nearest `barrier_p` is taken, or the one nearest
+    the axis if it is None.  A pair far from the axis (relative to the
+    region width) or far from the barrier belongs to some other
+    structure, and a contour through it is unreliable; by then the
+    barrier correction is dead anyway, so callers fall back to the plain
+    rule.
+    """
+    count = np.bincount(tp.row, minlength=len(energies))
+    one = count == 1
+    if not one.any():
+        return np.full(len(energies), np.nan + 0j)
+    k = np.minimum(np.searchsorted(tp.row, np.arange(len(energies))), len(tp.row) - 1)
+    p_left, p_right = tp.left[k], tp.right[k]
+    z = tp.roots
+    tol_im = ROOT_IMAG_TOL * (1.0 + np.abs(energies))
+    inside = (one[:, None] & (z.imag > tol_im[:, None]) & (-0.5 < z.real) & (z.real < 0.5)
+              & (p_left[:, None] < z.real) & (z.real < p_right[:, None]))
+    key = z.imag if barrier_p is None else np.abs(z.real - barrier_p)
+    z = z[np.arange(len(energies)), np.argmin(np.where(inside, key, np.inf), axis=1)]
+    width = p_right - p_left
+    usable = inside.any(axis=1) & (z.imag <= 0.5 * width)
+    if barrier_p is not None:
+        usable &= np.abs(z.real - barrier_p) <= 0.3 * width + 2.0 * z.imag
+    return np.where(usable, z, np.nan)
+
+
+def _area_terms(spec: ModelSpec, energies, shift=None, barrier: bool = False,
+                barrier_p=None, order: int = ACTION_ORDER) -> _AreaTerms:
+    """Areas at an array of energies: the plain sum, and the barrier terms if asked.
+
+    The plain area S sums the region areas (_region_areas) in p order,
+    less 2*pi for each gap above U+ between two regions: the regions on
+    either side of such a gap both measure their area across it from
+    their far pole (_area_from_cases), so each already contains the whole
+    gap.  With `barrier`, an energy with two regions also gets S_l and
+    S_r from its regions and the signed barrier parameter from the real
+    gap between them (_gap_barrier); an energy with one region and a
+    usable continued pair (_continued_pairs) gets both partial areas
+    continued through the same upper-half complex turning point, so
+    their sum stays exactly the single-region area, and the parameter
+    from the contour between the pair (_continued_barrier).  `shift`
+    holds s per energy (see _region_areas).
+    """
+    energies = np.asarray(energies, dtype=float)
+    size = len(energies)
+    tp = _turning(spec, energies)
+    count = np.bincount(tp.row, minlength=size)
+    area = _region_areas(spec, energies, tp, shift, order)
+    last = np.append(tp.row[1:] != tp.row[:-1], True)
+    total = (np.bincount(tp.row, weights=area, minlength=size)
+             - TWO_PI * np.bincount(tp.row[tp.upper_right & ~last], minlength=size))
+    status = np.where(count == 0, _OUT_OF_BAND, _SUMMED)
+    total[count == 0] = np.nan
+    left, right, s_eps = np.full((3, size), np.nan)
+    if barrier:
+        two = np.nonzero(count == 2)[0]
+        k = np.searchsorted(tp.row, two)
+        left[two], right[two] = area[k], area[k + 1]
+        total[two] = left[two] + right[two] - TWO_PI * tp.upper_right[k]
+        s_eps[two] = _gap_barrier(spec, energies[two], tp.right[k], tp.left[k + 1])
+        status[two] = _TWO_REGIONS
+        z = _continued_pairs(energies, tp, barrier_p)
+        one = np.nonzero(~np.isnan(z))[0]
+        if len(one):
+            k, z, e = np.searchsorted(tp.row, one), z[one], energies[one]
+            s = None if shift is None else np.tile(shift[one], 2)
+            s_tilde = _contour_actions(spec, np.tile(e, 2), np.concatenate((tp.left[k] + 0j, z)),
+                                       np.concatenate((z, tp.right[k] + 0j)), s).real
+            left[one] = _area_from_cases(tp.left[k], z.real, tp.upper_left[k], False,
+                                         s_tilde[:len(one)])
+            right[one] = _area_from_cases(z.real, tp.right[k], False, tp.upper_right[k],
+                                          s_tilde[len(one):])
+            total[one] = left[one] + right[one]
+            s_eps[one] = _continued_barrier(spec, e, z)
+            status[one] = _CONTINUED
+    return _AreaTerms(status, count, total, left, right, s_eps)
+
+
+def _matching_areas(spec: ModelSpec, terms: _AreaTerms) -> np.ndarray:
+    """Area form of the matching condition where a barrier applies, S elsewhere.
+
+    The residual cos(A - phi) + a*cos(B), with A, B = (S_l +- S_r)/(2*eta),
+    phi = s_phi and a = 1/sqrt(1 + kappa^2) < 1, factors exactly
+    as |1 + a*exp(-i*x)| * cos(Phi), where x = S_r/eta - phi and
+    Phi = A - phi - atan2(a*sin(x), 1 + a*cos(x)).  The modulus never
+    vanishes, so the levels solve 2*eta*Phi = 2*pi*eta*(nu + 1/2), the
+    plain-well target, and 2*eta*Phi is the area returned: a tunnelling
+    doublet is two neighbouring targets.  As the barrier correction dies
+    out (a, phi -> 0) it passes into S(E), which is returned where no
+    barrier continuation is usable (see _continued_pairs).
+    """
+    area = terms.total.copy()
+    k = np.nonzero(terms.status >= _TWO_REGIONS)[0]
+    s_eps = terms.s_eps[k]
+    s_phi = phase_correction(s_eps)
+    with np.errstate(over="ignore"):
+        kappa = np.where(pi * s_eps > -700, np.exp(-pi * s_eps), np.inf)
+    amp = 1.0 / np.hypot(1.0, kappa)
+    x = terms.right[k] / spec.eta - s_phi
+    area[k] = terms.total[k] - 2.0 * spec.eta * (
+        s_phi + np.arctan2(amp * np.sin(x), 1.0 + amp * np.cos(x)))
+    return area
+
+
+def _terms_at(spec: ModelSpec, energy: float, shift, barrier=False, barrier_p=None):
+    """_area_terms at one energy; OutOfBandError outside the band."""
+    terms = _area_terms(spec, np.array([float(energy)]),
+                        None if shift is None else np.array([float(shift)]), barrier, barrier_p)
+    if terms.status[0] == _OUT_OF_BAND:
+        raise OutOfBandError(f"E = {energy} is outside the classical band")
+    return terms
+
+
+def _total_action(spec: ModelSpec, energy: float, shift=None) -> float:
+    """Phase-space area below E over all allowed regions (shift: _region_areas)."""
+    return float(_terms_at(spec, energy, shift).total[0])
+
+
+def _matching_area(spec: ModelSpec, energy: float, barrier_p, shift) -> float:
+    """Area form of the matching condition at one energy (_matching_areas)."""
+    return float(_matching_areas(spec, _terms_at(spec, energy, shift, True, barrier_p))[0])
+
+
+def barrier_actions(spec: ModelSpec, energy: float, barrier_p=None, shift=None) -> ActionSet:
+    """Left/right areas plus tunneling quantities at a barrier energy.
+
+    Below the top (two allowed regions) the areas are real orbit areas
+    and the gap integral is taken along the real axis; above the top
+    both partial actions are continued through the same upper-half
+    complex turning point, so their sum stays exactly the single-region
+    area and the matching condition passes smoothly into plain
+    quantization as the barrier influence dies out (_area_terms).
+    `barrier_p` disambiguates which barrier is continued when several
+    complex pairs exist, and a numeric `shift` gives the quantization
+    areas (see _region_areas).
+    """
+    shift = None if shift is None else np.array([float(shift)])
+    terms = _area_terms(spec, np.array([float(energy)]), shift, True, barrier_p)
+    if terms.status[0] == _SUMMED and terms.count[0] == 1:
+        raise ValueError(f"no barrier continuation available at E = {energy}")
+    if terms.status[0] < _TWO_REGIONS:
+        raise ValueError(f"expected one or two allowed regions at E = {energy}")
+    s_eps = float(terms.s_eps[0])
+    kappa = exp(-pi * s_eps) if pi * s_eps > -700 else float("inf")
+    return ActionSet(float(terms.total[0]), float(terms.left[0]), float(terms.right[0]),
+                     s_eps, phase_correction(s_eps), kappa)
+
+
+# ---------------------------------------------------------------------
 # quantization
 
 
 SINGLE_WELL = "single_well"
 DOUBLE_WELL = "double_well_below"
 ABOVE_BARRIER = "above_barrier"
+
+_XTOL, _RTOL = 1e-14, 8.9e-16  # a level is solved to _XTOL + _RTOL*|E|
 
 
 @dataclass(frozen=True)
@@ -555,142 +801,42 @@ class SemiclassicalSpectrum:
         return np.array([lv.energy for lv in self.levels])
 
 
-def _total_action(spec: ModelSpec, energy: float, shift=None) -> float:
-    """Phase-space area below E over all allowed regions (shift: _region_area)."""
-    tps = turning_points(spec, energy)
-    if tps.out_of_band:
-        raise OutOfBandError(f"E = {energy} is outside the classical band")
-    return _sum_areas(spec, tps, shift)
-
-
-def _upper_gaps(tps: TurningPointSet) -> int:
-    """Number of gaps above U+ between two allowed regions.
-
-    The regions on either side of such a gap both measure their area
-    across it from their far pole (_area_from_cases), so each already
-    contains the whole gap and a sum of areas counts the circle once too
-    often per gap.
-    """
-    return sum(region[3] == UPPER for region in tps.regions[:-1])
-
-
-def _sum_areas(spec: ModelSpec, tps: TurningPointSet, shift=None) -> float:
-    """Sum of the region areas, less 2*pi for each gap above U+ (_upper_gaps)."""
-    return sum(_region_area(spec, tps, k, shift)
-               for k in range(len(tps.regions))) - TWO_PI * _upper_gaps(tps)
-
-
 @dataclass(frozen=True)
-class ActionSet:
-    """Orbit areas and barrier quantities entering the matching condition."""
+class _IntervalArea:
+    """The area one interval quantizes, as a function of an array of energies.
 
-    total: float  # S, summed over allowed regions
-    left: float  # S_l
-    right: float  # S_r
-    s_eps: float  # signed barrier parameter (negative above the top)
-    s_phi: float  # barrier phase correction
-    kappa: float  # exp(-pi * s_eps)
-
-
-def _continued_pair(tps: TurningPointSet, barrier_p):
-    """Upper-half root continuing the barrier's turning points, if usable.
-
-    Near the barrier top the pair sits close to the real axis at the
-    barrier location.  A pair far from the axis (relative to the region
-    width) or far from the barrier belongs to some other structure, and
-    a contour through it is unreliable; by then the barrier correction
-    is dead anyway, so callers fall back to the plain rule.
+    `table` holds the structure boundaries and s at each (see
+    semiclassical_spectrum), so s(E) interpolates it and the band runs
+    from its first energy to its last.  With `barrier` the area is the
+    matching form across the barrier at `barrier_p` (_matching_areas),
+    otherwise the plain sum S(E).
     """
-    if len(tps.regions) != 1:
-        return None
-    pl, pr, _, _ = tps.regions[0]
-    inside = [z for z in tps.complex_pairs if pl < z.real < pr]
-    if not inside:
-        return None
-    if barrier_p is None:
-        z = min(inside, key=lambda w: w.imag)
-    else:
-        z = min(inside, key=lambda w: abs(w.real - barrier_p))
-    width = pr - pl
-    if z.imag > 0.5 * width:
-        return None
-    if barrier_p is not None and abs(z.real - barrier_p) > 0.3 * width + 2.0 * z.imag:
-        return None
-    return z
+
+    spec: ModelSpec
+    table: tuple
+    barrier: bool = False
+    barrier_p: object = None
+
+    @property
+    def band(self):
+        return self.table[0][0], self.table[0][-1]
+
+    def __call__(self, energies):
+        """The areas and their statuses (_area_terms); NaN out of band."""
+        energies = np.asarray(energies, dtype=float)
+        terms = _area_terms(self.spec, energies, np.interp(energies, *self.table),
+                            self.barrier, self.barrier_p)
+        return (_matching_areas(self.spec, terms) if self.barrier else terms.total), terms.status
 
 
-def barrier_actions(spec: ModelSpec, energy: float, barrier_p=None,
-                    tps: TurningPointSet = None, shift=None) -> ActionSet:
-    """Left/right areas plus tunneling quantities at a barrier energy.
-
-    Below the top (two allowed regions) the areas are real orbit areas
-    and the gap integral is taken along the real axis; above the top
-    both partial actions are continued through the same upper-half
-    complex turning point, so their sum stays exactly the single-region
-    area and the matching condition passes smoothly into plain
-    quantization as the barrier influence dies out.  `barrier_p`
-    disambiguates which barrier is continued when several complex pairs
-    exist.  `tps` reuses turning points already found at `energy`, and a
-    numeric `shift` gives the quantization areas (see _region_area).
-    """
-    if tps is None:
-        tps = turning_points(spec, energy)
-    roots = tps.roots
-    overlap = 0.0  # as in _sum_areas
-    if len(tps.regions) == 2:
-        s_left, s_right = (_region_area(spec, tps, k, shift) for k in (0, 1))
-        overlap = TWO_PI * _upper_gaps(tps)
-        s_eps = _tunneling_signed(
-            spec, energy, (tps.regions[0][1], tps.regions[1][0])
-        )
-    elif len(tps.regions) == 1:
-        pl, pr, bl, br = tps.regions[0]
-        z = _continued_pair(tps, barrier_p)
-        if z is None:
-            raise ValueError(f"no barrier continuation available at E = {energy}")
-        s_left = _area_from_cases(pl, z, bl, LOWER, _action_integral(
-            spec, energy, pl, z, shift=shift, roots=roots)).real
-        s_right = _area_from_cases(z, pr, LOWER, br, _action_integral(
-            spec, energy, z, pr, shift=shift, roots=roots)).real
-        s_eps = _tunneling_signed(spec, energy, z)
-    else:
-        raise ValueError(f"expected one or two allowed regions at E = {energy}")
-    kappa = exp(-pi * s_eps) if pi * s_eps > -700 else float("inf")
-    return ActionSet(s_left + s_right - overlap, s_left, s_right, s_eps,
-                     phase_correction(s_eps), kappa)
-
-
-def _matching_area(spec: ModelSpec, energy: float, barrier_p, shift) -> float:
-    """Area form of the matching condition across a barrier.
-
-    The residual cos(A - phi) + a*cos(B), with A, B = (S_l +- S_r)/(2*eta),
-    phi = s_phi and a = 1/sqrt(1 + kappa^2) < 1, factors exactly
-    as |1 + a*exp(-i*x)| * cos(Phi), where x = S_r/eta - phi and
-    Phi = A - phi - atan2(a*sin(x), 1 + a*cos(x)).  The modulus never
-    vanishes, so the levels solve 2*eta*Phi = 2*pi*eta*(nu + 1/2), the
-    plain-well target, and 2*eta*Phi is the area returned: a tunnelling
-    doublet is two neighbouring targets.  As the barrier correction dies
-    out (a, phi -> 0) it passes into S(E), which is returned where no
-    barrier continuation is usable (see _continued_pair).
-    """
-    tps = turning_points(spec, energy)
-    if tps.out_of_band:
-        raise OutOfBandError(f"E = {energy} is outside the classical band")
-    if len(tps.regions) != 2 and _continued_pair(tps, barrier_p) is None:
-        return _sum_areas(spec, tps, shift)
-    actions = barrier_actions(spec, energy, barrier_p, tps=tps, shift=shift)
-    amp = 1.0 / hypot(1.0, actions.kappa)
-    x = actions.right / spec.eta - actions.s_phi
-    return actions.total - 2.0 * spec.eta * (
-        actions.s_phi + atan2(amp * sin(x), 1.0 + amp * cos(x)))
-
-
-def _edge_action(spec: ModelSpec, bound: float, side: int, span: float, area):
-    """(E, S(E)) just inside a structure boundary, S = area(E).
+def _edge_actions(lo: float, hi: float, area: _IntervalArea):
+    """(E, A(E)) just inside both ends of the interval (lo, hi), A = area(E).
 
     Close root pairs at a pole or a saddle leave the turning points
     unresolvable a hair away from the boundary, so the offset grows
-    geometrically until they resolve.  A well born at a pinched pole
+    geometrically until they resolve; the ladder of offsets on both
+    sides of both ends is one area call, and each end takes the first
+    offset that resolves.  A well born at a pinched pole
     (r ~ (1/2+p)^(m/2), m >= 3) may never resolve, but S is continuous
     across every boundary: S is then taken just outside, and at a band
     end, which has no outside, it is 0 at the bottom and 2*pi at the
@@ -702,62 +848,130 @@ def _edge_action(spec: ModelSpec, bound: float, side: int, span: float, area):
     saddle on a conical pole (mode index 2) the first-order term is no
     longer small and can push it past the whole band's area.
     """
+    span = hi - lo
     first = max(1e-12, 1e-7 * span)
-    for probe_side in (side, -side):
-        margin = first
-        while margin <= 1.5e-3 * span:
-            e = bound + probe_side * margin
-            try:
-                s = area(e)
-                return (e if probe_side == side else bound + side * first,
-                        min(max(s, 0.0), TWO_PI))
-            except OutOfBandError:
-                margin *= 10.0
-    _, bounds, _ = _structure_boundaries(spec)
-    reach = max(first, 1e-7 * (bounds[-1] - bounds[0]))
-    for band_end, s_end in ((bounds[0], 0.0), (bounds[-1], TWO_PI)):
-        if abs(bound - band_end) <= reach:
-            return bound + side * first, s_end
-    raise OutOfBandError(f"band structure unresolvable near E = {bound}")
+    margins = []
+    margin = first
+    while margin <= 1.5e-3 * span:
+        margins.append(margin)
+        margin *= 10.0
+    margins = np.array(margins)
+    probes = np.stack((lo + margins, lo - margins, hi - margins, hi + margins))
+    values, status = area(probes.ravel()) if len(margins) else (probes, probes)
+    values = np.clip(values, 0.0, TWO_PI).reshape(probes.shape)
+    resolved = (status != _OUT_OF_BAND).reshape(probes.shape)
+    band_lo, band_hi = area.band
+    reach = max(first, 1e-7 * (band_hi - band_lo))
+    edges = []
+    for bound, side, inward in ((lo, 1, 0), (hi, -1, 2)):
+        for ladder in (inward, inward + 1):
+            hit = np.nonzero(resolved[ladder])[0]
+            if len(hit):
+                e = probes[ladder, hit[0]] if ladder == inward else bound + side * first
+                edges.append((float(e), float(values[ladder, hit[0]])))
+                break
+        else:
+            ends = [s_end for band_end, s_end in ((band_lo, 0.0), (band_hi, TWO_PI))
+                    if abs(bound - band_end) <= reach]
+            if not ends:
+                raise OutOfBandError(f"band structure unresolvable near E = {bound}")
+            edges.append((bound + side * first, ends[0]))
+    return tuple(edges)
 
 
-def _area_levels(spec: ModelSpec, lo: float, hi: float, area):
+def _lockstep_roots(area, targets, x0, x1, s0, s1):
+    """Energies where area(E) = target for every target together.
+
+    Each target's root lies in its bracket (x0, x1): s0 = area(x0) and
+    s1 = area(x1) lie on either side of the target, or at it.  Every
+    target runs the steps of brentq, whose tolerance _XTOL + _RTOL*|E|
+    it keeps: secant or inverse quadratic steps inside the bracket,
+    bisection where they would not shrink it fast enough.  The targets
+    move in lockstep, so each sweep is one call of `area` on an array of
+    energies, one per unresolved target.
+    """
+    x_pre, x_cur = np.array(x0, dtype=float), np.array(x1, dtype=float)
+    f_pre, f_cur = np.asarray(s0) - targets, np.asarray(s1) - targets
+    if np.any(f_pre * f_cur > 0.0):
+        raise ValueError("an area bracket does not straddle its target")
+    roots = np.where(f_pre == 0.0, x_pre, x_cur)
+    act = np.nonzero((f_pre != 0.0) & (f_cur != 0.0))[0]
+    x_pre, x_cur, f_pre, f_cur = x_pre[act], x_cur[act], f_pre[act], f_cur[act]
+    x_blk, f_blk, s_pre, s_cur = (np.zeros(len(act)) for _ in range(4))
+    while len(act):
+        flip = f_pre * f_cur < 0.0
+        x_blk, f_blk = np.where(flip, x_pre, x_blk), np.where(flip, f_pre, f_blk)
+        s_pre = np.where(flip, x_cur - x_pre, s_pre)
+        s_cur = np.where(flip, x_cur - x_pre, s_cur)
+        swap = np.abs(f_blk) < np.abs(f_cur)
+        x_pre, x_cur, x_blk = (np.where(swap, x_cur, x_pre), np.where(swap, x_blk, x_cur),
+                               np.where(swap, x_cur, x_blk))
+        f_pre, f_cur, f_blk = (np.where(swap, f_cur, f_pre), np.where(swap, f_blk, f_cur),
+                               np.where(swap, f_cur, f_blk))
+        delta = 0.5 * (_XTOL + _RTOL * np.abs(x_cur))
+        s_bis = 0.5 * (x_blk - x_cur)
+        done = (f_cur == 0.0) | (np.abs(s_bis) < delta)
+        roots[act[done]] = x_cur[done]
+        go = ~done
+        act, x_pre, x_cur, x_blk, f_pre, f_cur, f_blk, s_pre, s_cur, delta, s_bis = (
+            a[go] for a in (act, x_pre, x_cur, x_blk, f_pre, f_cur, f_blk, s_pre, s_cur,
+                            delta, s_bis))
+        if not len(act):
+            break
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d_pre = (f_pre - f_cur) / (x_pre - x_cur)
+            d_blk = (f_blk - f_cur) / (x_blk - x_cur)
+            s_try = np.where(x_pre == x_blk, -f_cur * (x_cur - x_pre) / (f_cur - f_pre),
+                             -f_cur * (f_blk * d_blk - f_pre * d_pre)
+                             / (d_blk * d_pre * (f_blk - f_pre)))
+        good = ((np.abs(s_pre) > delta) & (np.abs(f_cur) < np.abs(f_pre))
+                & (2.0 * np.abs(s_try) < np.minimum(np.abs(s_pre), 3.0 * np.abs(s_bis) - delta)))
+        s_pre, s_cur = np.where(good, s_cur, s_bis), np.where(good, s_try, s_bis)
+        x_pre, f_pre = x_cur, f_cur
+        x_cur = x_cur + np.where(np.abs(s_cur) > delta, s_cur, np.where(s_bis > 0.0, delta, -delta))
+        f_cur = area(x_cur) - targets[act]
+    return roots
+
+
+def _area_levels(spec: ModelSpec, lo: float, hi: float, area: _IntervalArea):
     """Roots {nu: E} of a monotone area in (lo, hi), and its two edge points.
 
     The targets are 2*pi*eta*(nu + 1/2) between the areas at the two
-    edges, which are returned as ((E, A(E)), (E, A(E))); an interval too
-    narrow to probe has no edges.  Every area evaluated is kept, and each
-    level is bracketed by the closest kept energies on either side of its
-    target.
+    edges (_edge_actions), which are returned as ((E, A(E)), (E, A(E)));
+    an interval too narrow to probe has no edges.  One area call on a
+    grid of as many energies as targets, plus two, brackets each target
+    by the closest grid energies on either side of it, or by the edges
+    where the area is not monotone there; one solve then finds every
+    level together (_lockstep_roots).  An energy where the area is
+    unresolved (a newborn well) takes the area of the nearer edge.
     """
     eta = spec.eta
     if hi - lo <= 2e-12:
         return {}, ()
-    a, s_a = _edge_action(spec, lo, +1, hi - lo, area)
-    b, s_b = _edge_action(spec, hi, -1, hi - lo, area)
+    edges = _edge_actions(lo, hi, area)
+    (a, s_a), (b, s_b) = edges
     if b <= a:
         return {}, ()
-    known = {a: s_a, b: s_b}
+    nus = np.arange(max(ceil(s_a / (TWO_PI * eta) - 0.5), 0),
+                    floor(s_b / (TWO_PI * eta) - 0.5) + 1)
+    if not len(nus):
+        return {}, edges
+    targets = TWO_PI * eta * (nus + 0.5)
 
     def kept(e):
-        if e not in known:
-            try:
-                known[e] = area(e)
-            except OutOfBandError:  # unresolved newborn well: its edge value
-                known[e] = s_a if e - a < b - e else s_b
-        return known[e]
+        s, status = area(e)
+        return np.where(status == _OUT_OF_BAND, np.where(e - a < b - e, s_a, s_b), s)
 
-    nu_lo = ceil(s_a / (TWO_PI * eta) - 0.5)
-    nu_hi = floor(s_b / (TWO_PI * eta) - 0.5)
-    roots = {}
-    for nu in range(max(nu_lo, 0), nu_hi + 1):
-        target = TWO_PI * eta * (nu + 0.5)
-        left = max((e for e, s in known.items() if s < target), default=a)
-        right = min((e for e, s in known.items() if s > target), default=b)
-        if not left < right:  # the area is not monotone here
-            left, right = a, b
-        roots[nu] = brentq(lambda e: kept(e) - target, left, right, xtol=1e-14, rtol=8.9e-16)
-    return roots, ((a, s_a), (b, s_b))
+    grid = np.linspace(a, b, len(nus) + 4)
+    s_grid = np.concatenate(([s_a], kept(grid[1:-1]), [s_b]))
+    # the last grid energy below each target and the first above it
+    below = np.searchsorted(np.minimum.accumulate(s_grid[::-1])[::-1], targets) - 1
+    above = np.searchsorted(np.maximum.accumulate(s_grid), targets, side="right")
+    left, right = np.maximum(below, 0), np.minimum(above, len(grid) - 1)
+    monotone = grid[left] < grid[right]
+    left, right = np.where(monotone, left, 0), np.where(monotone, right, len(grid) - 1)
+    roots = _lockstep_roots(kept, targets, grid[left], grid[right], s_grid[left], s_grid[right])
+    return dict(zip(nus.tolist(), roots.tolist())), edges
 
 
 def _fixed_point_shift(spec: ModelSpec, fp) -> float:
@@ -796,19 +1010,19 @@ def _boundary_saddle(fps, energy: float, q_value: float):
     return None
 
 
-def _interval_mode(spec: ModelSpec, fps, lo: float, hi: float):
+def _interval_mode(spec: ModelSpec, fps, lo: float, hi: float, p_left, p_right):
     """Mode of one energy interval and the `barrier_p` of _interval_pieces.
 
-    barrier_p is the location of the continued barrier, (lower, upper)
-    for "froman_both", and None where nothing is continued.
+    `p_left` and `p_right` are the allowed regions at the interval's
+    midpoint.  barrier_p is the location of the continued barrier,
+    (lower, upper) for "froman_both", and None where nothing is
+    continued.
     """
     mid = 0.5 * (lo + hi)
-    tps = turning_points(spec, mid)
-    regions = tps.regions
-    if len(regions) > 2:
-        raise QuantizationError(f"unexpected {len(regions)} allowed regions at E = {mid}")
-    if len(regions) == 2:
-        gap_mid = 0.5 * (regions[0][1] + regions[1][0])
+    if len(p_left) > 2:
+        raise QuantizationError(f"unexpected {len(p_left)} allowed regions at E = {mid}")
+    if len(p_left) == 2:
+        gap_mid = 0.5 * (p_right[0] + p_left[1])
         u_lo, u_hi = meanfield.potentials(spec, gap_mid)
         mode = "matching_lower" if mid < u_lo else "matching_upper"
         return mode, None
@@ -823,19 +1037,21 @@ def _interval_mode(spec: ModelSpec, fps, lo: float, hi: float):
     return "plain", None
 
 
-def _step_past_continuation(spec: ModelSpec, lo: float, hi: float, barrier_p, area,
-                            roots: dict, edges) -> None:
+def _step_past_continuation(spec: ModelSpec, lo: float, hi: float, barrier_p,
+                            area: _IntervalArea, roots: dict, edges) -> None:
     """Move the roots taken before the step where a barrier continuation ends.
 
-    Where _continued_pair gives up, the matching area steps from its
+    Where _continued_pairs gives up, the matching area steps from its
     continued form to S(E).  Within a few eta of a pinched pole the
     first-order term can make that a step down past a target, which then
     has three roots: the one before the step comes from the term alone,
     and the level is the root beyond it, bracketed by the step and the
-    upper edge.
+    upper edge.  The step is found by bisection, which only a few
+    intervals of a spectrum need.
     """
     def usable(e):
-        return _continued_pair(turning_points(spec, e), barrier_p) is not None
+        e = np.array([e])
+        return not np.isnan(_continued_pairs(e, _turning(spec, e), barrier_p)[0])
 
     if not roots or usable(hi):
         return
@@ -845,21 +1061,25 @@ def _step_past_continuation(spec: ModelSpec, lo: float, hi: float, barrier_p, ar
         a, b = (mid, b) if usable(mid) else (a, mid)
     if a == lo:
         return
-    s_end = area(b)
-    edge = edges[1][0]
+
+    def raw(x):
+        return _matching_area(spec, x, barrier_p, float(np.interp(x, *area.table)))
+
+    s_end, edge = raw(b), edges[1][0]
     for nu, e in roots.items():
         target = TWO_PI * spec.eta * (nu + 0.5)
         if e < a and target > s_end:
-            roots[nu] = brentq(lambda x: area(x) - target, b, edge, xtol=1e-14, rtol=8.9e-16)
+            roots[nu] = brentq(lambda x: raw(x) - target, b, edge, xtol=_XTOL, rtol=_RTOL)
 
 
-def _interval_pieces(spec: ModelSpec, lo: float, hi: float, mode: str, shift,
+def _interval_pieces(spec: ModelSpec, lo: float, hi: float, mode: str, table,
                      barrier_p=None) -> list:
     """Pieces (roots {nu: E}, edges, regime) solved inside one structure interval.
 
     Roots and edges (E, A(E)) are those of _area_levels in this spec's
     orientation: a mirrored piece maps E -> -E, A -> 2*pi - A and
-    nu -> dim - 1 - nu.  `shift` is s(E) (see semiclassical_spectrum).
+    nu -> dim - 1 - nu.  `table` holds the boundaries and s at each (see
+    semiclassical_spectrum); mirrored, both are negated.
     """
     if hi - lo <= 1e-12 * (1.0 + abs(lo) + abs(hi)):
         return []
@@ -867,7 +1087,7 @@ def _interval_pieces(spec: ModelSpec, lo: float, hi: float, mode: str, shift,
         mirror_p = None if barrier_p is None else -barrier_p
         top = spec.dim - 1
         sub = _interval_pieces(spec.mirrored(), -hi, -lo, mode.replace("upper", "lower"),
-                               lambda e: -shift(-e), mirror_p)
+                               (-table[0][::-1], -table[1][::-1]), mirror_p)
         return [({top - nu: -e for nu, e in roots.items()},
                  tuple((-e, TWO_PI - a) for e, a in reversed(edges)), tag + "_mirrored")
                 for roots, edges, tag in sub]
@@ -878,13 +1098,13 @@ def _interval_pieces(spec: ModelSpec, lo: float, hi: float, mode: str, shift,
         # fraction avoids pinning it onto a symmetric model's central level
         p_low, p_high = barrier_p
         seam = lo + 0.6180339887 * (hi - lo)
-        return (_interval_pieces(spec, lo, seam, "froman_lower", shift, p_low)
-                + _interval_pieces(spec, seam, hi, "froman_upper", shift, p_high))
+        return (_interval_pieces(spec, lo, seam, "froman_lower", table, p_low)
+                + _interval_pieces(spec, seam, hi, "froman_upper", table, p_high))
     if mode == "plain":
-        area = lambda e: _total_action(spec, e, shift(e))
+        area = _IntervalArea(spec, table)
         tag = SINGLE_WELL
     elif mode in ("matching_lower", "froman_lower"):
-        area = lambda e: _matching_area(spec, e, barrier_p, shift(e))
+        area = _IntervalArea(spec, table, True, barrier_p)
         tag = DOUBLE_WELL if mode == "matching_lower" else ABOVE_BARRIER
     else:
         raise ValueError(f"unknown interval mode {mode!r}")
@@ -939,26 +1159,30 @@ def semiclassical_spectrum(spec: ModelSpec) -> SemiclassicalSpectrum:
     has a fixed structure (plain well, double well below a barrier, or
     barrier-top continuation, possibly mirrored for structures of the
     upper potential curve).  Every interval finds its levels the same
-    way, by bisection of a monotone area against the targets
-    2*pi*eta*(nu + 1/2): the orbit area S(E) in a plain well, the area
-    form of the matching condition across a barrier (_matching_area).
-    Levels are assembled by their index nu (_assemble), and each sits at
-    E + s(E): s runs linearly between the values of dH at the structure
-    boundaries, shared by the two intervals that meet there, so the area
-    stays continuous across every boundary.  A window holding two levels,
-    or levels that do not increase strictly, raise QuantizationError.
+    way, as the roots of a monotone area at the targets
+    2*pi*eta*(nu + 1/2), all solved together (_area_levels): the orbit
+    area S(E) in a plain well, the area form of the matching condition
+    across a barrier (_matching_areas).  Levels are assembled by their
+    index nu (_assemble), and each sits at E + s(E): s runs linearly
+    between the values of dH at the structure boundaries, shared by the
+    two intervals that meet there, so the area stays continuous across
+    every boundary.  A window holding two levels, or levels that do not
+    increase strictly, raise QuantizationError.
     """
     fps, bounds, shifts = _structure_boundaries(spec)
     if len(bounds) < 2:
         raise QuantizationError("classical band is degenerate")
     table = np.array(bounds), np.array(shifts)
-    shift = lambda e: float(np.interp(e, *table))
+    mids = _turning(spec, 0.5 * (table[0][:-1] + table[0][1:]))
     pieces = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        mode, barrier_p = _interval_mode(spec, fps, lo, hi)
-        pieces += _interval_pieces(spec, lo, hi, mode, shift, barrier_p)
-    levels = [(e + shift(e), tag) for e, tag in _assemble(spec, (bounds[0], bounds[-1]), pieces)]
-    if any(b[0] <= a[0] for a, b in zip(levels, levels[1:])):
+    for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        here = mids.row == k
+        mode, barrier_p = _interval_mode(spec, fps, lo, hi, mids.left[here], mids.right[here])
+        pieces += _interval_pieces(spec, lo, hi, mode, table, barrier_p)
+    energies, tags = zip(*_assemble(spec, (bounds[0], bounds[-1]), pieces))
+    energies = np.array(energies)
+    levels = energies + np.interp(energies, *table)
+    if np.any(np.diff(levels) <= 0.0):
         raise QuantizationError(f"levels of {spec} do not increase strictly")
     return SemiclassicalSpectrum(spec, tuple(
-        SemiclassicalLevel(nu, e, tag) for nu, (e, tag) in enumerate(levels)))
+        SemiclassicalLevel(nu, float(e), tag) for nu, (e, tag) in enumerate(zip(levels, tags))))

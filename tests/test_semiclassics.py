@@ -1,6 +1,10 @@
+import json
+from itertools import groupby
+from math import pi, sqrt, cosh, exp
+from pathlib import Path
+
 import numpy as np
 import pytest
-from math import pi, sqrt, cosh, exp
 
 from scipy.integrate import quad, simpson
 from scipy.optimize import brentq
@@ -653,6 +657,190 @@ class TestBatchedPeriods:
             orbit_period(spec, energy)
         # the saddle margin masks it in the curve
         assert np.isnan(semiclassics.dos_semiclassical(spec, np.array([energy]))[0])
+
+
+class TestAreaKernel:
+    """The batched area kernel against the scalar areas it replaced."""
+
+    DATA = json.loads((Path(__file__).parent / "data" / "scalar_areas.json").read_text())
+    FORMS = {"oob": semiclassics._OUT_OF_BAND, "sum": semiclassics._SUMMED,
+             "two": semiclassics._TWO_REGIONS, "pair": semiclassics._CONTINUED}
+
+    @pytest.mark.parametrize("m", range(1, 5))
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_matches_scalar_areas(self, m, n):
+        # a band grid 0.02 beyond both ends, every fixed point +-1e-9, each
+        # saddle at six offsets up to 1e-2, and for (1,3, eps=0.08) the
+        # narrow region 1e-15 below the band top
+        shift = self.DATA["shift"]
+        for case in (c for c in self.DATA["specs"] if (c["m"], c["n"]) == (m, n)):
+            spec = ModelSpec(m, n, 40 * m * n, eps=case["eps"])
+            rows = case["rows"]
+            energies = np.array([row[0] for row in rows])
+            shifts = np.full(len(energies), shift)
+            tp = semiclassics._turning(spec, energies)
+            plain = semiclassics._area_terms(spec, energies)
+            summed = semiclassics._area_terms(spec, energies, shifts)
+            free = semiclassics._area_terms(spec, energies, shifts, True, None)
+            held = semiclassics._area_terms(spec, energies, shifts, True, case["barrier_p"])
+            matching = semiclassics._matching_areas(spec, free)
+            matching_p = semiclassics._matching_areas(spec, held)
+            for k, (energy, labels, form, *areas) in enumerate(rows):
+                here = tp.row == k
+                got = "".join("UL"[not a] + "UL"[not b] for a, b in
+                              zip(tp.upper_left[here], tp.upper_right[here]))
+                assert got == labels, (spec, energy)
+                assert free.status[k] == self.FORMS[form], (spec, energy)
+                if form == "oob":
+                    assert np.isnan(matching[k]) and plain.status[k] == semiclassics._OUT_OF_BAND
+                    continue
+                want = np.array(areas)
+                have = [plain.total[k], summed.total[k], matching[k], matching_p[k]]
+                if form != "sum":
+                    have += [free.left[k], free.right[k], free.s_eps[k]]
+                assert np.allclose(have, want, rtol=0.0, atol=1e-13), (spec, energy)
+
+    def test_public_functions_are_the_kernel_at_one_energy(self):
+        spec = ModelSpec(4, 1, 160, eps=0.5)
+        saddle = [f for f in meanfield.find_fixed_points(spec) if f.stability == "saddle"][0]
+        energies = np.array([saddle.energy - 5e-3, saddle.energy + 1e-2, 0.1])
+        terms = semiclassics._area_terms(spec, energies, np.full(3, 0.002), True, saddle.p)
+        areas = semiclassics._matching_areas(spec, terms)
+        plain = semiclassics._area_terms(spec, energies, np.full(3, 0.002)).total
+        assert terms.status.tolist() == [semiclassics._TWO_REGIONS, semiclassics._CONTINUED,
+                                         semiclassics._SUMMED]
+        # the same arithmetic, up to the rounding of the vector loops
+        for k, e in enumerate(energies):
+            assert semiclassics._matching_area(spec, e, saddle.p, 0.002) == pytest.approx(
+                areas[k], abs=1e-13)
+            assert semiclassics._total_action(spec, e, 0.002) == pytest.approx(
+                plain[k], abs=1e-13)
+        acts = semiclassics.barrier_actions(spec, energies[1], saddle.p, shift=0.002)
+        assert np.allclose([acts.left, acts.right, acts.s_eps],
+                           [terms.left[1], terms.right[1], terms.s_eps[1]], rtol=0, atol=1e-13)
+
+    def test_lockstep_roots_as_brentq(self):
+        # one brentq per target, run together: the same roots to its tolerance
+        targets = np.array([-0.9, -0.3, 0.0, 0.2, 0.7, 0.95])
+        area = lambda e: np.tanh(3.0 * e) + 0.05 * np.sin(40.0 * e)
+        left, right = np.full(6, -2.0), np.full(6, 2.0)
+        roots = semiclassics._lockstep_roots(area, targets, left, right, area(left),
+                                             area(right))
+        for t, root in zip(targets, roots):
+            want = brentq(lambda e: area(e) - t, -2.0, 2.0, xtol=1e-14, rtol=8.9e-16)
+            assert abs(root - want) <= 1e-14 or abs(area(root) - t) <= 1e-15
+        with pytest.raises(ValueError):
+            semiclassics._lockstep_roots(area, targets, right, right, area(right), area(right))
+
+
+class TestPinnedLevels:
+    # semiclassical_spectrum before the batched area kernel: one spec per
+    # interval mode, the continuation-step spec and a small-eps spec
+    CASES = [
+        ('plain', ModelSpec(2, 1, 80, eps=1.5), [('single_well', 41)], [
+         -0.7379038339899238, -0.7218266308288322, -0.700900192892424,
+         -0.6774362306412198, -0.6517837892028442, -0.6242213386394961,
+         -0.5949575037677215, -0.5641501824017195, -0.5319231072740188,
+         -0.49837618720134663, -0.4635920685508512, -0.42764046837785685,
+         -0.390581148160603, -0.3524660240910553, -0.31334070812547704,
+         -0.27324566126411737, -0.23221707504761477, -0.19028755778104395,
+         -0.1474866773793828, -0.10384139690628676, -0.05937642843152564,
+         -0.01411452376740409, 0.03192328423754707, 0.07871747960865491,
+         0.12624989258568792, 0.1745035544164731, 0.22346257295302158,
+         0.2731120253931039, 0.3234378652630601, 0.37442684131450904,
+         0.42606642645421755, 0.4783447551754532, 0.5312505682343588,
+         0.5847731635336902, 0.6389023523515747, 0.6936284201943546,
+         0.7489420916558623, 0.8048344988526505, 0.8612971527555041,
+         0.9183219174543593, 0.9759009866307248]),
+        ('lower', ModelSpec(3, 1, 120, eps=0.3), [('single_well', 13), ('double_well_below', 2), ('above_barrier', 26)], [
+         -0.4801800900753703, -0.44266239589201845, -0.4068668134948945,
+         -0.37282385747637553, -0.3405703927702617, -0.31015152360849474,
+         -0.2816232973720641, -0.2550567290897189, -0.23054409540395215,
+         -0.20820943076420997, -0.18822759723991897, -0.17086313157438002,
+         -0.1565558881483006, -0.14719933432255136, -0.14605517650382038,
+         -0.1397219243461693, -0.13093797806499277, -0.11970166913348149,
+         -0.10623797549350456, -0.09072035747576249, -0.07326816131862336,
+         -0.05396724290793099, -0.032881495506246354, -0.010059686255228732,
+         0.014460228235269133, 0.04064824014989208, 0.0684803184586565,
+         0.0979370080333848, 0.1290024097815222, 0.16166342308749168,
+         0.19590917359156335, 0.23173057476336992, 0.2691199878924771,
+         0.3080709555557181, 0.3485779907288355, 0.3906364085166976,
+         0.434242190871765, 0.4793918770832774, 0.5260824745669338,
+         0.5743113857670771, 0.6240763479358606]),
+        ('both', ModelSpec(3, 3, 90, eps=0.1), [('double_well_below', 2), ('above_barrier', 4), ('above_barrier_mirrored', 3), ('double_well_below_mirrored', 2)], [
+         -0.04654280191254638, -0.04529681647566639, -0.03767832026421404,
+         -0.027079397366271567, -0.014140244367696328, 1.3202153998698127e-16,
+         0.0141402443676963, 0.02707939736627154, 0.037678320264213715,
+         0.04529681647566639, 0.04654280191254638]),
+        ('mirrored', ModelSpec(1, 3, 120, eps=0.3), [('above_barrier_mirrored', 26), ('double_well_below_mirrored', 2), ('single_well', 13)], [
+         -0.6240763479358606, -0.5743113857670771, -0.5260824745669338,
+         -0.4793918770832774, -0.434242190871765, -0.3906364085166976,
+         -0.3485779907288355, -0.3080709555557181, -0.2691199878924771,
+         -0.23173057476336992, -0.19590917359156335, -0.16166342308749168,
+         -0.1290024097815222, -0.0979370080333848, -0.0684803184586565,
+         -0.04064824014989208, -0.014460228235269133, 0.010059686255228732,
+         0.032881495506246354, 0.05396724290793099, 0.07326816131862335,
+         0.09072035747576249, 0.10623797549350456, 0.11970166913348149,
+         0.13093797806499277, 0.1397219243461693, 0.14605517650382038,
+         0.14719933432255136, 0.15655588814830235, 0.170863131574382,
+         0.18822759723992108, 0.20820943076421228, 0.23054409540395482,
+         0.2550567290897214, 0.2816232973720667, 0.3101515236084975,
+         0.3405703927702657, 0.3728238574763785, 0.40686681349489673,
+         0.4426623958920201, 0.480180090075369]),
+        ('step', ModelSpec(3, 1, 120, eps=0.3671), [('single_well', 12), ('double_well_below', 1), ('above_barrier', 28)], [
+         -0.4683128609744417, -0.432395669990831, -0.3982542374482895,
+         -0.36592935890401174, -0.335471177649497, -0.30694239103217497,
+         -0.28042311845620715, -0.2560187100586728, -0.2338732045085376,
+         -0.2141948306821241, -0.1973099394848923, -0.1836767988856343,
+         -0.17912878268892324, -0.17614152781235218, -0.16891971268460698,
+         -0.15953814852830592, -0.14788080662605807, -0.1341415488802882,
+         -0.11845372490606461, -0.10091124025765032, -0.08158274627142681,
+         -0.060519856884508706, -0.03776221377077319, -0.013340781495135127,
+         0.012719917172507055, 0.04040023447702616, 0.0696842705173424,
+         0.10055904503194452, 0.1330138781088888, 0.1670399202460751,
+         0.20262979121611752, 0.23977729948173931, 0.2784772220740208,
+         0.3187251304046081, 0.3605172513455952, 0.4038503556445574,
+         0.4487216677070472, 0.49512879221109385, 0.5430696540749876,
+         0.592542449087898, 0.6435456031066835]),
+        ('small', ModelSpec(2, 1, 80, eps=1e-09), [('single_well', 41)], [
+         -0.52869772204658, -0.494502883443063, -0.4609436810640819,
+         -0.42803402445050603, -0.3957889916498609, -0.3642250216601167,
+         -0.33336015496301824, -0.3032143384507581, -0.2738098181865646,
+         -0.2451716545068929, -0.21732841164646285, -0.19031310324142361,
+         -0.1641645250474424, -0.13892919540895973, -0.11466429001244156,
+         -0.09144227623719363, -0.06935854384591474, -0.048543877522696226,
+         -0.029172138261725, -0.011405211864219186, -4.4021262124618586e-10,
+         0.011405211419210257, 0.02917213795052576, 0.04854387726745948,
+         0.06935854364062571, 0.09144227607657159, 0.11466428989278325,
+         0.13892919532758835, 0.1641645250023553, 0.19031310323106762,
+         0.21732841166961142, 0.24517165456255474, 0.273809818273926,
+         0.3032143385691422, 0.33336015511185535, 0.36422502183892264,
+         0.3957889918582206, 0.42803402468806145, 0.4609436813305211,
+         0.49450288373811335, 0.5286977223700028]),
+    ]
+
+    @pytest.mark.parametrize("name,spec,regimes,want", CASES, ids=[c[0] for c in CASES])
+    def test_levels(self, name, spec, regimes, want):
+        wkb = semiclassical_spectrum(spec)
+        runs = [(k, len(list(g))) for k, g in groupby(lv.regime for lv in wkb.levels)]
+        assert runs == regimes
+        # near the m = 3 pole of the continuation-step spec the first-order
+        # term cuts rho to 0 by Re p, so the matching area moves by up to
+        # 3e-9 between energies 1e-11 apart and crosses the target of level
+        # 13 many times: that level is defined only to about 2e-11
+        tol = 1e-10 if name == "step" else 1e-12
+        assert np.max(np.abs(wkb.energies - np.array(want))) <= tol
+
+    def test_unresolved_band_end_finds_fixed_points_once(self, monkeypatch):
+        # the band bottom of (4,1,160, eps=0.9) is a pinched pole that never
+        # resolves: its edge takes the band end from the interval's table
+        spec = ModelSpec(4, 1, 160, eps=0.9)
+        calls = []
+        find = meanfield.find_fixed_points
+        monkeypatch.setattr(meanfield, "find_fixed_points",
+                            lambda s: calls.append(s) or find(s))
+        levels = semiclassical_spectrum(spec).energies
+        assert len(levels) == 41 and calls == [spec]
 
 
 class TestBarrierActions:

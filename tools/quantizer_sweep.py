@@ -8,16 +8,19 @@ For every m, n <= 4 and eps in linspace(-2, 2, eps-steps) + offset
 it runs `semiclassical_spectrum` on the spec of dimension --dim and scores
 each level by its distance from the exact level in local spacings (the
 central difference of the exact levels).  It prints the failures, the
-number of specs whose worst level lies beyond 0.3 of a spacing, and the
-largest worst level.  --out keeps every spec's levels and score as JSON;
---compare reads such a file (from another checkout, say) and reports, per
-spec, how far the worst level and every level moved.  Exits 1 if any spec
-failed.
+number of specs whose worst level lies beyond 0.3 of a spacing, the
+largest worst level and the wall time of the sweep.  --out keeps every
+spec's levels and score as JSON; --compare reads such a file (from another
+checkout, say) and reports, per spec, how far the worst level and every
+level moved: in local spacings, and as the largest absolute move in scaled
+energy with the number of specs that moved by more than 1e-12.  Exits 1 if
+any spec failed.
 """
 
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +31,7 @@ from kummer import quantum, semiclassics  # noqa: E402
 from kummer.model import ModelSpec  # noqa: E402
 
 BAD = 0.3  # worst level, in local spacings, that counts a spec as poor
+MOVED = 1e-12  # level move, in scaled energy, that counts a spec as moved
 
 
 def _key(m, n, eps):
@@ -55,7 +59,7 @@ def score(case):
 def compare(results, parent):
     """Lines reporting how far each spec moved against a saved sweep."""
     old = {_key(r["m"], r["n"], r["eps"]): r for r in parent["specs"]}
-    worse, moved, same, missing = [], [], 0, 0
+    worse, moved, same, missing, shifts = [], [], 0, 0, []
     for r in results:
         p = old.get(_key(r["m"], r["n"], r["eps"]))
         if p is None or "worst" not in p or "worst" not in r:
@@ -68,8 +72,11 @@ def compare(results, parent):
             same += 1
         elif len(a) == len(b):
             moved.append((float(np.max(np.abs(a - b) / np.array(r["spacings"]))), r))
+            shifts.append(float(np.max(np.abs(a - b))))
     lines = [f"against {parent['label']}: {same} specs bit-identical, "
-             f"{len(moved)} moved, {missing} without a pair to compare"]
+             f"{len(moved)} moved, {missing} without a pair to compare",
+             f"  largest level move {max(shifts, default=0.0):.3g} in scaled energy; "
+             f"{sum(d > MOVED for d in shifts)} specs moved by more than {MOVED:g}"]
     if moved:
         small = sum(d <= 1e-5 for d, _ in moved)
         lines.append(f"  {small} moved by at most 1e-5 of a spacing; largest moves:")
@@ -94,13 +101,16 @@ def main():
     grid = np.linspace(-2.0, 2.0, args.eps_steps) + args.offset
     cases = [(m, n, args.dim, float(eps)) for m in range(1, 5)
              for n in range(1, 5) for eps in grid]
+    start = time.perf_counter()
     results = [score(case) for case in cases]
+    wall = time.perf_counter() - start
 
     failed = [r for r in results if "error" in r]
     worst = [r["worst"] for r in results if "worst" in r]
     label = f"dim {args.dim}, offset {args.offset}, {len(cases)} specs"
     print(f"{label}: {len(failed)} failures, {sum(w > BAD for w in worst)} specs beyond "
-          f"{BAD} of a spacing, worst level {max(worst, default=float('nan')):.3f}")
+          f"{BAD} of a spacing, worst level {max(worst, default=float('nan')):.3f}, "
+          f"{wall:.1f} s")
     for r in failed:
         print(f"  FAIL ({r['m']},{r['n']},{r['N']}, eps={r['eps']:.4f}): {r['error']}")
     for r in sorted((r for r in results if r.get("worst", 0) > BAD), key=lambda r: -r["worst"]):
