@@ -34,7 +34,11 @@ from functools import lru_cache
 from math import acosh, ceil, exp, floor, pi
 
 import numpy as np
-from scipy.optimize import brentq
+# nothing here calls scipy.optimize any more, but perfbench/run.py reads
+# its import time from the breakdown of `import kummer` and fails on a
+# module that is not loaded; the import goes once the benchmark reads a
+# missing module as 0
+import scipy.optimize  # noqa: F401
 from scipy.special import loggamma
 
 from . import meanfield
@@ -405,22 +409,22 @@ def action_area(spec: ModelSpec, energy: float, region=None,
     only one).  S grows monotonically from 0 at a region bottom; the
     area of the full band reaches 2*pi at the top.
     """
-    tps = turning_points(spec, energy)
-    if tps.out_of_band:
+    return _region_area(spec, energy, region, order=order)
+
+
+def _region_area(spec: ModelSpec, energy: float, region=None, shift=None,
+                 order: int = ACTION_ORDER) -> float:
+    """Area of allowed region `region` at one energy (_region_areas; action_area)."""
+    energies = np.array([float(energy)])
+    tp = _turning(spec, energies)
+    if not len(tp.row):
         raise OutOfBandError(f"E = {energy} is outside the classical band")
     if region is None:
-        if len(tps.regions) != 1:
+        if len(tp.row) != 1:
             raise ValueError("multiple allowed regions; pass region index")
         region = 0
-    return _region_area(spec, tps, region, order=order)
-
-
-def _region_area(spec: ModelSpec, tps: TurningPointSet, region: int, shift=None,
-                 order: int = ACTION_ORDER) -> float:
-    """Area of allowed region `region` at the energy of `tps` (_region_areas)."""
-    energies = np.array([float(tps.energy)])
     shift = None if shift is None else np.array([float(shift)])
-    return float(_region_areas(spec, energies, _turning(spec, energies), shift, order)[region])
+    return float(_region_areas(spec, energies, tp, shift, order)[region])
 
 
 # ---------------------------------------------------------------------
@@ -652,7 +656,7 @@ def _continued_pairs(energies, tp: _Turning, barrier_p):
 
 
 def _area_terms(spec: ModelSpec, energies, shift=None, barrier: bool = False,
-                barrier_p=None, order: int = ACTION_ORDER) -> _AreaTerms:
+                barrier_p=None) -> _AreaTerms:
     """Areas at an array of energies: the plain sum, and the barrier terms if asked.
 
     The plain area S sums the region areas (_region_areas) in p order,
@@ -672,7 +676,7 @@ def _area_terms(spec: ModelSpec, energies, shift=None, barrier: bool = False,
     size = len(energies)
     tp = _turning(spec, energies)
     count = np.bincount(tp.row, minlength=size)
-    area = _region_areas(spec, energies, tp, shift, order)
+    area = _region_areas(spec, energies, tp, shift)
     last = np.append(tp.row[1:] != tp.row[:-1], True)
     total = (np.bincount(tp.row, weights=area, minlength=size)
              - TWO_PI * np.bincount(tp.row[tp.upper_right & ~last], minlength=size))
@@ -933,6 +937,18 @@ def _lockstep_roots(area, targets, x0, x1, s0, s1):
     return roots
 
 
+def _kept_area(area: _IntervalArea, edges):
+    """The areas of `area` alone; an energy it leaves unresolved (a newborn
+    well) takes the area of the nearer of the two `edges` (_edge_actions)."""
+    (a, s_a), (b, s_b) = edges
+
+    def kept(e):
+        s, status = area(e)
+        return np.where(status == _OUT_OF_BAND, np.where(e - a < b - e, s_a, s_b), s)
+
+    return kept
+
+
 def _area_levels(spec: ModelSpec, lo: float, hi: float, area: _IntervalArea):
     """Roots {nu: E} of a monotone area in (lo, hi), and its two edge points.
 
@@ -957,11 +973,7 @@ def _area_levels(spec: ModelSpec, lo: float, hi: float, area: _IntervalArea):
     if not len(nus):
         return {}, edges
     targets = TWO_PI * eta * (nus + 0.5)
-
-    def kept(e):
-        s, status = area(e)
-        return np.where(status == _OUT_OF_BAND, np.where(e - a < b - e, s_a, s_b), s)
-
+    kept = _kept_area(area, edges)
     grid = np.linspace(a, b, len(nus) + 4)
     s_grid = np.concatenate(([s_a], kept(grid[1:-1]), [s_b]))
     # the last grid energy below each target and the first above it
@@ -1037,8 +1049,11 @@ def _interval_mode(spec: ModelSpec, fps, lo: float, hi: float, p_left, p_right):
     return "plain", None
 
 
-def _step_past_continuation(spec: ModelSpec, lo: float, hi: float, barrier_p,
-                            area: _IntervalArea, roots: dict, edges) -> None:
+_STEP_PROBES = 32  # energies per round of _step_past_continuation's search
+
+
+def _step_past_continuation(spec: ModelSpec, lo: float, hi: float, area: _IntervalArea,
+                            roots: dict, edges) -> None:
     """Move the roots taken before the step where a barrier continuation ends.
 
     Where _continued_pairs gives up, the matching area steps from its
@@ -1046,30 +1061,36 @@ def _step_past_continuation(spec: ModelSpec, lo: float, hi: float, barrier_p,
     first-order term can make that a step down past a target, which then
     has three roots: the one before the step comes from the term alone,
     and the level is the root beyond it, bracketed by the step and the
-    upper edge.  The step is found by bisection, which only a few
-    intervals of a spectrum need.
+    upper edge.  Each round of the search for the step splits its
+    bracket at _STEP_PROBES energies, tested in one array, and keeps the
+    span before the first where no pair is usable; the moved roots are
+    then solved together (_lockstep_roots).
     """
     def usable(e):
-        e = np.array([e])
-        return not np.isnan(_continued_pairs(e, _turning(spec, e), barrier_p)[0])
+        return ~np.isnan(_continued_pairs(e, _turning(spec, e), area.barrier_p))
 
-    if not roots or usable(hi):
+    if not roots or usable(np.array([hi]))[0]:
         return
     a, b = lo, hi
     while b - a > 1e-12 * (1.0 + abs(a) + abs(b)):
-        mid = 0.5 * (a + b)
-        a, b = (mid, b) if usable(mid) else (a, mid)
+        probes = np.linspace(a, b, _STEP_PROBES + 2)[1:-1]
+        off = np.flatnonzero(~usable(probes))
+        if len(off):
+            a, b = (probes[off[0] - 1] if off[0] else a), probes[off[0]]
+        else:
+            a = probes[-1]
     if a == lo:
         return
-
-    def raw(x):
-        return _matching_area(spec, x, barrier_p, float(np.interp(x, *area.table)))
-
-    s_end, edge = raw(b), edges[1][0]
-    for nu, e in roots.items():
-        target = TWO_PI * spec.eta * (nu + 0.5)
-        if e < a and target > s_end:
-            roots[nu] = brentq(lambda x: raw(x) - target, b, edge, xtol=_XTOL, rtol=_RTOL)
+    kept = _kept_area(area, edges)
+    edge = edges[1][0]
+    s_end, s_edge = kept(np.array([b, edge]))
+    moved = [nu for nu, e in roots.items() if e < a and TWO_PI * spec.eta * (nu + 0.5) > s_end]
+    if moved:
+        count = len(moved)
+        targets = TWO_PI * spec.eta * (np.array(moved) + 0.5)
+        found = _lockstep_roots(kept, targets, np.full(count, b), np.full(count, edge),
+                                np.full(count, s_end), np.full(count, s_edge))
+        roots.update(zip(moved, found.tolist()))
 
 
 def _interval_pieces(spec: ModelSpec, lo: float, hi: float, mode: str, table,
@@ -1110,7 +1131,7 @@ def _interval_pieces(spec: ModelSpec, lo: float, hi: float, mode: str, table,
         raise ValueError(f"unknown interval mode {mode!r}")
     roots, edges = _area_levels(spec, lo, hi, area)
     if mode == "froman_lower":
-        _step_past_continuation(spec, lo, hi, barrier_p, area, roots, edges)
+        _step_past_continuation(spec, lo, hi, area, roots, edges)
     return [(roots, edges, tag)]
 
 

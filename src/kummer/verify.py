@@ -243,13 +243,7 @@ def check_action_monotonic(spec: ModelSpec):
     emin = min(fp.energy for fp in fps)
     emax = max(fp.energy for fp in fps)
     grid = emin + (emax - emin) * np.linspace(1e-4, 1.0 - 1e-4, 41)
-    vals = []
-    for e in grid:
-        try:
-            vals.append(semiclassics._total_action(spec, float(e)))
-        except ValueError:
-            vals.append(np.nan)
-    vals = np.array(vals)
+    vals = semiclassics._area_terms(spec, grid).total  # NaN out of band
     good = ~np.isnan(vals)
     diffs = np.diff(vals[good])
     ok = np.all(diffs > -1e-9) and vals[good][0] < vals[good][-1]

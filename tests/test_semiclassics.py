@@ -26,6 +26,11 @@ from kummer.semiclassics import (
 )
 
 
+# areas, regions and labels of the scalar per-energy code, before the
+# batched area kernel replaced it
+SCALAR_AREAS = json.loads((Path(__file__).parent / "data" / "scalar_areas.json").read_text())
+
+
 def area_below_oracle(spec, energy, n=400001):
     """Phase-space area of {H <= E} by direct angular-measure quadrature."""
     p = np.linspace(-0.5, 0.5, n)
@@ -253,8 +258,7 @@ class TestTunneling:
         deep_top = window_lo + (self.saddle_energy - window_lo) / 3.0
 
         def area(e, idx):
-            tps = turning_points(self.spec, e)
-            return semiclassics._region_area(self.spec, tps, idx, shift=0.0)
+            return semiclassics._region_area(self.spec, e, idx, shift=0.0)
 
         def region_levels(idx):
             lo = window_lo + 1e-9
@@ -552,13 +556,29 @@ class TestBatchedPeriods:
                 [fp.energy + d for fp in fps
                  for d in (0.0, -1e-15, 1e-15, -1e-13, 1e-13, -1e-9, 1e-9)],
             ])
-            roots = semiclassics._stacked_roots(semiclassics._band_poly_coeffs(spec, grid))
-            row, p_left, p_right = semiclassics._allowed_regions(spec, grid, roots)
-            for k, e in enumerate(grid):
-                tps = turning_points(spec, float(e))
-                assert roots[k].tobytes() == tps.roots.astype(complex).tobytes()
-                want = [(pl, pr) for pl, pr, _, _ in tps.regions]
-                assert list(zip(p_left[row == k], p_right[row == k])) == want, (spec, e)
+            coeffs = semiclassics._band_poly_coeffs(spec, grid)
+            roots = semiclassics._stacked_roots(coeffs)
+            for k in range(len(grid)):
+                want = np.polynomial.polynomial.polyroots(coeffs[k]).astype(complex)
+                assert roots[k].tobytes() == want.tobytes(), (spec, grid[k])
+        # the regions and branch labels that turning_points gave one energy
+        # at a time, at each fixed point and 1e-15, 1e-13 and 1e-9 either
+        # side, where the region can be narrower than 1e-8
+        for case in (c for c in SCALAR_AREAS["regions"] if (c["m"], c["n"]) == (m, n)):
+            spec = ModelSpec(m, n, 40 * m * n, eps=case["eps"])
+            energies = np.array([row[0] for row in case["rows"]])
+            roots = semiclassics._stacked_roots(semiclassics._band_poly_coeffs(spec, energies))
+            row, p_left, p_right = semiclassics._allowed_regions(spec, energies, roots)
+            tp = semiclassics._turning(spec, energies)
+            for k, (energy, labels, ends) in enumerate(case["rows"]):
+                here = row == k
+                got = [x for pl, pr in zip(p_left[here], p_right[here]) for x in (pl, pr)]
+                assert got == ends, (spec, energy)
+                assert tp.left[tp.row == k].tolist() == ends[0::2], (spec, energy)
+                assert tp.right[tp.row == k].tolist() == ends[1::2], (spec, energy)
+                got = "".join("UL"[not a] + "UL"[not b] for a, b in
+                              zip(tp.upper_left[tp.row == k], tp.upper_right[tp.row == k]))
+                assert got == labels, (spec, energy)
 
     # dos_semiclassical before the batched kernel, to the last digit
     @pytest.mark.parametrize("spec,energies,want,two_regions", [
@@ -662,7 +682,7 @@ class TestBatchedPeriods:
 class TestAreaKernel:
     """The batched area kernel against the scalar areas it replaced."""
 
-    DATA = json.loads((Path(__file__).parent / "data" / "scalar_areas.json").read_text())
+    DATA = SCALAR_AREAS
     FORMS = {"oob": semiclassics._OUT_OF_BAND, "sum": semiclassics._SUMMED,
              "two": semiclassics._TWO_REGIONS, "pair": semiclassics._CONTINUED}
 
@@ -735,7 +755,9 @@ class TestAreaKernel:
 
 class TestPinnedLevels:
     # semiclassical_spectrum before the batched area kernel: one spec per
-    # interval mode, the continuation-step spec and a small-eps spec
+    # interval mode, the continuation-step spec, a small-eps spec, and a
+    # spec whose root before a continuation's end is re-solved.  Each
+    # level is pinned to 1e-12, except those of LOOSE
     CASES = [
         ('plain', ModelSpec(2, 1, 80, eps=1.5), [('single_well', 41)], [
          -0.7379038339899238, -0.7218266308288322, -0.700900192892424,
@@ -817,19 +839,73 @@ class TestPinnedLevels:
          0.3032143385691422, 0.33336015511185535, 0.36422502183892264,
          0.3957889918582206, 0.42803402468806145, 0.4609436813305211,
          0.49450288373811335, 0.5286977223700028]),
+        ('matching_pole', ModelSpec(4, 1, 160, eps=0.5), [('single_well', 6), ('double_well_below', 5), ('above_barrier', 30)], [
+         -0.4240054536907747, -0.38387586450011507, -0.3470982144918436,
+         -0.3137565074759993, -0.28397939761939534, -0.2579714245595315,
+         -0.2438756411608994, -0.23608419421719998, -0.23183076463405602,
+         -0.22066445272729557, -0.21903652042651764, -0.21251803495516483,
+         -0.20814270552362393, -0.20125040336766548, -0.19285402503743412,
+         -0.18294134596037248, -0.171457009361068, -0.158356960655994,
+         -0.1435568917219147, -0.12706604538188757, -0.10879480743000096,
+         -0.08868783786333767, -0.06669041819598286, -0.04274862882128241,
+         -0.016809409982200263, 0.011179431531511916, 0.04126923942550117,
+         0.07351053390651173, 0.10795303980603678, 0.1446457139275412,
+         0.1836367706303901, 0.22497370552690615, 0.2687033175103006,
+         0.31487172942274694, 0.3635244076565598, 0.4147061809224744,
+         0.46846125835860075, 0.5248332470956896, 0.5838651693515885,
+         0.6455994790955001, 0.7100780783009156]),
+        ('both_pole', ModelSpec(3, 3, 180, eps=0.08), [('single_well', 1), ('double_well_below', 2), ('above_barrier', 9), ('above_barrier_mirrored', 6), ('double_well_below_mirrored', 2), ('single_well', 1)], [
+         -0.04490213513580709, -0.039828395428335196, -0.0382527641040908,
+         -0.03684145495603511, -0.0335606840891801, -0.029428595901241514,
+         -0.0244908889526057, -0.01891764162074849, -0.012872468747579663,
+         -0.006514292527146463, 1.1735888742660103e-16, 0.006514292527146758,
+         0.012872468747579677, 0.018917641620748476, 0.024490888952605695,
+         0.029428595901241524, 0.03356068408918032, 0.03684145495669029,
+         0.0382527641040908, 0.039828395428335196, 0.044902135135807174]),
+        ('resolve', ModelSpec(1, 4, 40, eps=-0.9877), [('single_well', 1), ('double_well_below', 1), ('above_barrier', 9)], [
+         -0.44834432443283817, -0.35924901883424093, -0.33158552848969897,
+         -0.29249168265212855, -0.2249793007335711, -0.1339471880364914,
+         -0.014836380409465715, 0.13533370834743508, 0.3195009676754804,
+         0.5404815688820527, 0.80095358485496]),
     ]
+    # Beside a pinched pole (mode index 3 or 4) the first-order term cuts
+    # rho to 0 by Re p (_radius_excess), so the matching area is not smooth.
+    # Within 1e-10 of these levels the area before the batched kernel strays
+    # up to 2e-8 from the target and crosses it 3 to 87 times, all within
+    # the given distance of its root.  A level there is defined only to
+    # that distance, and a solve that takes other steps lands elsewhere in it
+    LOOSE = {"step": {13: 1e-10},
+             "matching_pole": {11: 1e-11, 12: 1e-11, 13: 1e-11, 14: 1e-11},
+             "both_pole": {3: 1e-11, 17: 1e-11}}
 
     @pytest.mark.parametrize("name,spec,regimes,want", CASES, ids=[c[0] for c in CASES])
     def test_levels(self, name, spec, regimes, want):
         wkb = semiclassical_spectrum(spec)
         runs = [(k, len(list(g))) for k, g in groupby(lv.regime for lv in wkb.levels)]
         assert runs == regimes
-        # near the m = 3 pole of the continuation-step spec the first-order
-        # term cuts rho to 0 by Re p, so the matching area moves by up to
-        # 3e-9 between energies 1e-11 apart and crosses the target of level
-        # 13 many times: that level is defined only to about 2e-11
-        tol = 1e-10 if name == "step" else 1e-12
-        assert np.max(np.abs(wkb.energies - np.array(want))) <= tol
+        tol = np.full(len(want), 1e-12)
+        for nu, loose in self.LOOSE.get(name, {}).items():
+            tol[nu] = loose
+        assert np.all(np.abs(wkb.energies - np.array(want)) <= tol)
+
+    def test_root_before_continuation_end_is_resolved(self, monkeypatch):
+        # the barrier continuation of (1,4,40, eps=-0.9877) ends below its
+        # upper edge, where the area steps down past the target of level 4:
+        # the grid solve takes the root before the step, and the level is
+        # the root beyond it (test_levels pins it)
+        moved = []
+        step = semiclassics._step_past_continuation
+
+        def spy(spec, lo, hi, area, roots, edges):
+            before = dict(roots)
+            step(spec, lo, hi, area, roots, edges)
+            moved.extend((nu, before[nu], e) for nu, e in roots.items() if e != before[nu])
+
+        monkeypatch.setattr(semiclassics, "_step_past_continuation", spy)
+        semiclassical_spectrum(ModelSpec(1, 4, 40, eps=-0.9877))
+        assert len(moved) == 1
+        nu, before, after = moved[0]
+        assert nu == 4 and after - before > 1e-4
 
     def test_unresolved_band_end_finds_fixed_points_once(self, monkeypatch):
         # the band bottom of (4,1,160, eps=0.9) is a pinched pole that never
