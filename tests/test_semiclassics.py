@@ -547,37 +547,29 @@ class TestBatchedPeriods:
     @pytest.mark.parametrize("m", range(1, 5))
     @pytest.mark.parametrize("n", range(1, 5))
     def test_roots_and_regions_match_turning_points(self, m, n):
-        for eps in (-1.1, 0.08, 0.5):
-            spec = ModelSpec(m, n, 40 * m * n, eps=eps)
-            fps = meanfield.find_fixed_points(spec)
-            lo, hi = band_range(spec)
-            grid = np.concatenate([
-                np.linspace(lo - 0.02, hi + 0.02, 41),
-                [fp.energy + d for fp in fps
-                 for d in (0.0, -1e-15, 1e-15, -1e-13, 1e-13, -1e-9, 1e-9)],
-            ])
-            coeffs = semiclassics._band_poly_coeffs(spec, grid)
-            roots = semiclassics._stacked_roots(coeffs)
-            for k in range(len(grid)):
-                want = np.polynomial.polynomial.polyroots(coeffs[k]).astype(complex)
-                assert roots[k].tobytes() == want.tobytes(), (spec, grid[k])
-        # the regions and branch labels that turning_points gave one energy
-        # at a time, at each fixed point and 1e-15, 1e-13 and 1e-9 either
-        # side, where the region can be narrower than 1e-8
+        # the roots bit for bit as polyroots gives them, and the regions and
+        # branch labels that turning_points gave one energy at a time before
+        # the batched kernels: on a band grid 0.02 beyond both ends and at
+        # each fixed point and 1e-15, 1e-13 and 1e-9 either side, where a
+        # region can be narrower than 1e-8
         for case in (c for c in SCALAR_AREAS["regions"] if (c["m"], c["n"]) == (m, n)):
             spec = ModelSpec(m, n, 40 * m * n, eps=case["eps"])
             energies = np.array([row[0] for row in case["rows"]])
-            roots = semiclassics._stacked_roots(semiclassics._band_poly_coeffs(spec, energies))
+            coeffs = semiclassics._band_poly_coeffs(spec, energies)
+            roots = semiclassics._stacked_roots(coeffs)
             row, p_left, p_right = semiclassics._allowed_regions(spec, energies, roots)
             tp = semiclassics._turning(spec, energies)
             for k, (energy, labels, ends) in enumerate(case["rows"]):
+                want = np.polynomial.polynomial.polyroots(coeffs[k]).astype(complex)
+                assert roots[k].tobytes() == want.tobytes(), (spec, energy)
                 here = row == k
                 got = [x for pl, pr in zip(p_left[here], p_right[here]) for x in (pl, pr)]
                 assert got == ends, (spec, energy)
-                assert tp.left[tp.row == k].tolist() == ends[0::2], (spec, energy)
-                assert tp.right[tp.row == k].tolist() == ends[1::2], (spec, energy)
-                got = "".join("UL"[not a] + "UL"[not b] for a, b in
-                              zip(tp.upper_left[tp.row == k], tp.upper_right[tp.row == k]))
+                here = tp.row == k
+                assert tp.left[here].tolist() == ends[0::2], (spec, energy)
+                assert tp.right[here].tolist() == ends[1::2], (spec, energy)
+                got = "".join("UL"[not a] + "UL"[not b]
+                              for a, b in zip(tp.upper_left[here], tp.upper_right[here]))
                 assert got == labels, (spec, energy)
 
     # dos_semiclassical before the batched kernel, to the last digit
