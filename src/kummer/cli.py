@@ -108,6 +108,14 @@ def _read_config_file(path):
     return values
 
 
+def _worker_count(jobs: int) -> int:
+    """Sweep workers from --jobs, or from KUMMER_JOBS where --jobs is 0; 0 runs serially."""
+    name, raw = ("--jobs", jobs) if jobs else ("KUMMER_JOBS", os.environ.get("KUMMER_JOBS", "1"))
+    if not str(raw).strip().isdecimal():
+        raise UsageError(f"{name} must be a non-negative integer, got {raw!r}")
+    return max(int(raw), 1)
+
+
 def parse_config(argv) -> RunConfig:
     """Merge command line over an optional config file into a RunConfig."""
     args = _build_parser().parse_args(argv)
@@ -145,6 +153,8 @@ def parse_config(argv) -> RunConfig:
     for dest in extra_required:
         if merged[dest] is None:
             raise UsageError(f"--{dest.replace('_', '-')} is required for {args.command}")
+    if args.command == "sweep":
+        merged["jobs"] = _worker_count(merged["jobs"])
 
     try:
         spec = ModelSpec(merged["m"], merged["n"], merged["N"], merged["eps"], merged["v"])
@@ -180,9 +190,8 @@ def _cmd_bifurcations(cfg: RunConfig):
 
 def _cmd_sweep(cfg: RunConfig):
     opts = cfg.options
-    jobs = opts["jobs"] or int(os.environ.get("KUMMER_JOBS", "1"))
     grid = np.linspace(opts["eps_min"], opts["eps_max"], opts["eps_steps"])
-    table = quantum.sweep_epsilon(cfg.spec, grid, jobs=max(jobs, 1))
+    table = quantum.sweep_epsilon(cfg.spec, grid, jobs=opts["jobs"])
     stem = os.path.join(cfg.out, "sweep")
     serialize.write_sweep(table, stem)
     if cfg.plot:

@@ -20,10 +20,6 @@ from .model import ModelSpec
 DEGENERATE_TOL = 1e-10  # |eps^2 + v^2 f'| below this is a bifurcation point
 
 
-def _shape_prefactor(spec: ModelSpec) -> float:
-    return structure_polynomials(spec.m, spec.n).r0sq
-
-
 def radius_coefficient(spec: ModelSpec) -> float:
     """r0 = 1/sqrt(m^(n-2) n^(m-2)), the scale of the surface radius."""
     return 1.0 / sqrt(float(spec.m) ** (spec.n - 2) * float(spec.n) ** (spec.m - 2))
@@ -56,7 +52,7 @@ def classical_commutator(spec: ModelSpec, p):
     m, n = spec.m, spec.n
     x = 0.5 + p
     y = 0.5 - p
-    out = 0.5 * _shape_prefactor(spec) * (
+    out = 0.5 * structure_polynomials(m, n).r0sq * (
         n * x**m * y ** (n - 1) - m * x ** (m - 1) * y**n
     )
     return float(out) if out.ndim == 0 else out
@@ -65,7 +61,7 @@ def classical_commutator(spec: ModelSpec, p):
 def classical_casimir(spec: ModelSpec, p):
     """Structure function g with C = sx^2 + sy^2 + g(sz); equals -r^2 on domain."""
     p = np.asarray(p, dtype=float)
-    out = -_shape_prefactor(spec) * (0.5 + p) ** spec.m * (0.5 - p) ** spec.n
+    out = -structure_polynomials(spec.m, spec.n).r0sq * (0.5 + p) ** spec.m * (0.5 - p) ** spec.n
     return float(out) if out.ndim == 0 else out
 
 
@@ -80,7 +76,7 @@ def classical_commutator_deriv(spec: ModelSpec, p):
         out = out - n * (n - 1) * x**m * y ** (n - 2)
     if m >= 2:
         out = out - m * (m - 1) * x ** (m - 2) * y**n
-    out = 0.5 * _shape_prefactor(spec) * out
+    out = 0.5 * structure_polynomials(m, n).r0sq * out
     return float(out) if out.ndim == 0 else out
 
 

@@ -22,9 +22,10 @@ bound each structure interval: to first order that is the same rule,
 and it stays finite at a saddle, where T(E) diverges.
 
 Turning points, areas and periods are computed for arrays of energies
-at once: one stacked companion eigensolve gives the roots, and blocked
-quadratures give the areas (_area_terms) and periods (_periods).  The
-public functions of one energy are these kernels at that energy.
+at once: one path gives the roots, regions and branch labels (_turning),
+and blocked quadratures over the regions give the areas (_area_terms)
+and periods (_periods).  The public functions of one energy are these
+kernels at that energy.
 """
 
 from __future__ import annotations
@@ -70,18 +71,14 @@ ROOT_IMAG_TOL = 1e-9  # a root is real when |Im z| <= ROOT_IMAG_TOL * (1 + |E|)
 POLE_SLACK = 1e-12  # and Re z lies within [-1/2, 1/2] widened by this
 
 
-def _band_poly_coeffs(spec: ModelSpec, energy) -> np.ndarray:
-    """Ascending coefficients of v^2 r^2(p) - (E - eps*p)^2; a row per E of an array."""
+def _band_poly_coeffs(spec: ModelSpec, energies: np.ndarray) -> np.ndarray:
+    """Ascending coefficients of v^2 r^2(p) - (E - eps*p)^2, a row per energy."""
     core = meanfield.structure_polynomials(spec.m, spec.n)
-    out = (spec.v**2 * core.r0sq) * core.pole
+    out = np.repeat(((spec.v**2 * core.r0sq) * core.pole)[None], len(energies), axis=0)
     eps = spec.eps
-    if isinstance(energy, np.ndarray):
-        out = np.repeat(out[None], len(energy), axis=0)
-        out[:, 0] -= energy * energy
-        out[:, 1] -= -2.0 * energy * eps
-        out[:, 2] -= eps * eps
-        return out
-    out[:3] -= (energy * energy, -2.0 * energy * eps, eps * eps)
+    out[:, 0] -= energies * energies
+    out[:, 1] -= -2.0 * energies * eps
+    out[:, 2] -= eps * eps
     return out
 
 
@@ -145,12 +142,6 @@ def _regions(spec: ModelSpec, energies: np.ndarray, roots: np.ndarray):
         value[k] = band_polynomial(spec, float(e[k]), float(mid[k]))
     inside = value > 0.0
     return points, row[inside], i[inside]
-
-
-def _allowed_regions(spec: ModelSpec, energies: np.ndarray, roots: np.ndarray):
-    """Allowed regions of every energy as flat arrays (row, p_left, p_right) (_regions)."""
-    points, row, i = _regions(spec, energies, roots)
-    return row, points[row, i], points[row, i + 1]
 
 
 def _branch_labels(spec: ModelSpec, energies, points, row, i):
@@ -307,11 +298,11 @@ def _radius_excess(spec: ModelSpec, p):
     return np.sqrt(np.where(inside, ratio, 0.0)) - 1.0
 
 
-def _deflated_roots(roots, p_left, p_right):
-    """The roots of each row less the two that bound its region.
+def _deflated_quotient(roots, lead, p_left, p_right, p_nodes):
+    """-lead * prod (p - z) at `p_nodes`, complex, and the roots z it takes.
 
-    Those are the root nearest p_left and, of the others, the one
-    nearest p_right; the rest keep their order.
+    z runs over the roots of each row less the two that bound its region:
+    the root nearest p_left and, of the others, the one nearest p_right.
     """
     count, d = roots.shape
     rows = np.arange(count)
@@ -321,7 +312,11 @@ def _deflated_roots(roots, p_left, p_right):
     right = np.argmin(to_right, axis=1)
     keep = np.ones(roots.shape, dtype=bool)
     keep[rows, left] = keep[rows, right] = False
-    return roots[keep].reshape(count, d - 2)
+    rest = roots[keep].reshape(count, d - 2)
+    quotient = np.full(p_nodes.shape, -lead + 0j)
+    for z in rest.T:
+        quotient *= p_nodes - z[:, None]
+    return quotient, rest
 
 
 def _area_from_cases(p_left, p_right, upper_left, upper_right, s_tilde):
@@ -352,7 +347,7 @@ def _region_areas(spec: ModelSpec, energies, tp: _Turning, shift=None,
     the area finite where T(E) diverges.  With shift None it is the
     mean-field S(E).  dt = dp / sqrt(B), B = (v r sin q)^2 the band
     polynomial, divided by the two roots bounding the region
-    (_deflated_roots), so (p - p_left)(p_right - p) = (half*cos(theta))^2
+    (_deflated_quotient), so (p - p_left)(p_right - p) = (half*cos(theta))^2
     cancels against the Jacobian exactly and a region narrower than the
     roots' accuracy stays smooth.
     """
@@ -367,9 +362,7 @@ def _region_areas(spec: ModelSpec, energies, tp: _Turning, shift=None,
         w = gap / (spec.v * _radius_any(spec, p_nodes))
         s_tilde = half * (np.arccos(np.clip(w, -1.0, 1.0)) @ jacobian)
         if shift is not None:
-            quotient = np.full(p_nodes.shape, -tp.lead + 0j)
-            for z in _deflated_roots(tp.roots[row], p_left, p_right).T:
-                quotient *= p_nodes - z[:, None]
+            quotient, _ = _deflated_quotient(tp.roots[row], tp.lead, p_left, p_right, p_nodes)
             dh = _radius_excess(spec, p_nodes) * gap - shift[row][:, None]
             # positive inside the region; a root pair at an end can tip
             # its rounding below zero
@@ -407,24 +400,20 @@ def action_area(spec: ModelSpec, energy: float, region=None,
 
     `region` selects among several allowed regions (index, default the
     only one).  S grows monotonically from 0 at a region bottom; the
-    area of the full band reaches 2*pi at the top.
+    area of the full band reaches 2*pi at the top (_region_areas).
     """
-    return _region_area(spec, energy, region, order=order)
-
-
-def _region_area(spec: ModelSpec, energy: float, region=None, shift=None,
-                 order: int = ACTION_ORDER) -> float:
-    """Area of allowed region `region` at one energy (_region_areas; action_area)."""
     energies = np.array([float(energy)])
     tp = _turning(spec, energies)
-    if not len(tp.row):
+    count = len(tp.row)
+    if not count:
         raise OutOfBandError(f"E = {energy} is outside the classical band")
     if region is None:
-        if len(tp.row) != 1:
+        if count != 1:
             raise ValueError("multiple allowed regions; pass region index")
         region = 0
-    shift = None if shift is None else np.array([float(shift)])
-    return float(_region_areas(spec, energies, tp, shift, order)[region])
+    elif not 0 <= region < count:
+        raise ValueError(f"region {region} does not exist: {count} allowed regions at E = {energy}")
+    return float(_region_areas(spec, energies, tp, order=order)[region])
 
 
 # ---------------------------------------------------------------------
@@ -455,23 +444,21 @@ def _continued_barrier(spec: ModelSpec, energies, z):
     return -np.abs((1j * s).real / (pi * spec.eta))
 
 
-def _tunneling_signed(spec: ModelSpec, energy: float, gap) -> float:
-    """Barrier parameter: positive below the barrier, negative above.
+def tunneling_integral(spec: ModelSpec, energy: float, gap) -> float:
+    """Magnitude of the barrier parameter S_eps.
 
-    Below: (1/(pi*eta)) * integral of |q| over the real gap (p1, p2),
-    where q = arccos(w) has the imaginary part +-arccosh|w|, |w| > 1
-    (_gap_barrier).  Above: the same integral continued along the
-    straight contour between the complex pair (_continued_barrier).
+    Below the barrier: (1/(pi*eta)) * integral of |q| over the real gap
+    `gap` = (p1, p2), where q = arccos(w) has the imaginary part
+    +-arccosh|w|, |w| > 1 (_gap_barrier).  Above: the same integral
+    continued along the straight contour between the complex pair of
+    the upper-half turning point `gap` (_continued_barrier).
     """
     energies = np.array([float(energy)])
     if isinstance(gap, tuple):
-        return float(_gap_barrier(spec, energies, np.array([gap[0]]), np.array([gap[1]]))[0])
-    return float(_continued_barrier(spec, energies, np.array([complex(gap)]))[0])
-
-
-def tunneling_integral(spec: ModelSpec, energy: float, gap) -> float:
-    """Magnitude of the barrier parameter S_eps (see _tunneling_signed)."""
-    return abs(_tunneling_signed(spec, energy, gap))
+        s_eps = _gap_barrier(spec, energies, np.array([gap[0]]), np.array([gap[1]]))
+    else:
+        s_eps = _continued_barrier(spec, energies, np.array([complex(gap)]))
+    return abs(float(s_eps[0]))
 
 
 def phase_correction(s_eps):
@@ -502,20 +489,17 @@ def _region_periods(roots, lead, p_left, p_right, cos_theta):
     """Twice the time across each region, and why a region has none.
 
     Each region's band polynomial is deflated by its two bounding roots
-    (_deflated_roots), and the quotient is integrated with
+    (_deflated_quotient), and the quotient is integrated with
     Gauss-Chebyshev nodes, which absorb the inverse-square-root
     endpoints exactly.  A region holding a leftover real root (a saddle
     turning point) or with a quotient not positive is flagged
     _SADDLE_ROOT or _NOT_POSITIVE.
     """
-    rest = _deflated_roots(roots, p_left, p_right)
     span = np.maximum(p_right - p_left, 1e-300)[:, None]
     half = (0.5 * (p_right - p_left))[:, None]
-    # complex once here, not once per factor below
+    # complex once here, not once per factor
     p_nodes = (0.5 * (p_left + p_right)[:, None] + half * cos_theta).astype(complex)
-    quotient = np.full(p_nodes.shape, -lead + 0j)
-    for k in range(rest.shape[1]):
-        quotient *= p_nodes - rest[:, k:k + 1]
+    quotient, rest = _deflated_quotient(roots, lead, p_left, p_right, p_nodes)
     quotient = quotient.real
     saddle = np.any((np.abs(rest.imag) < 1e-9)
                     & (rest.real >= p_left[:, None] - 1e-10 * span)
@@ -530,31 +514,25 @@ def _region_periods(roots, lead, p_left, p_right, cos_theta):
 def _periods(spec: ModelSpec, energies):
     """Mean-field period T(E) at an array of energies, and a status each.
 
-    T(E) sums the regions of an energy in p order (_region_periods).
-    The status is 0 where T is finite; otherwise T is NaN and the status
-    is _OUT_OF_BAND, or the fault of the first faulty region in p order.
+    T(E) sums the regions of an energy (_turning) in p order
+    (_region_periods).  The status is 0 where T is finite; otherwise T
+    is NaN and the status is _OUT_OF_BAND, or the fault of the first
+    faulty region in p order.
     """
     energies = np.asarray(energies, dtype=float)
     total = np.zeros(len(energies))
     status = np.full(len(energies), _OUT_OF_BAND)
-    coeffs = _band_poly_coeffs(spec, energies)
-    # the leading coefficient does not depend on E; it vanishes only at
-    # v = 0, where -(E - eps*p)^2 allows no region
-    lead = coeffs[0, -1] if len(energies) else 0.0
-    if lead == 0.0:
-        return np.full(len(energies), np.nan), status
-    roots = _stacked_roots(coeffs)
-    row, p_left, p_right = _allowed_regions(spec, energies, roots)
-    status[row] = 0
+    tp = _turning(spec, energies)
+    status[tp.row] = 0
     cos_theta = np.cos(pi * (np.arange(PERIOD_NODES) + 0.5) / PERIOD_NODES)
-    fault = np.zeros(len(row), dtype=int)
-    for b in range(0, len(row), _PERIOD_BLOCK):
+    fault = np.zeros(len(tp.row), dtype=int)
+    for b in range(0, len(tp.row), _PERIOD_BLOCK):
         blk = slice(b, b + _PERIOD_BLOCK)
-        period, fault[blk] = _region_periods(roots[row[blk]], lead, p_left[blk],
-                                             p_right[blk], cos_theta)
-        np.add.at(total, row[blk], period)
+        period, fault[blk] = _region_periods(tp.roots[tp.row[blk]], tp.lead, tp.left[blk],
+                                             tp.right[blk], cos_theta)
+        np.add.at(total, tp.row[blk], period)
     faulty = np.nonzero(fault)[0]
-    first_rows, first = np.unique(row[faulty], return_index=True)
+    first_rows, first = np.unique(tp.row[faulty], return_index=True)
     status[first_rows] = fault[faulty[first]]
     total[status != 0] = np.nan
     return total, status
@@ -731,25 +709,6 @@ def _matching_areas(spec: ModelSpec, terms: _AreaTerms) -> np.ndarray:
     area[k] = terms.total[k] - 2.0 * spec.eta * (
         s_phi + np.arctan2(amp * np.sin(x), 1.0 + amp * np.cos(x)))
     return area
-
-
-def _terms_at(spec: ModelSpec, energy: float, shift, barrier=False, barrier_p=None):
-    """_area_terms at one energy; OutOfBandError outside the band."""
-    terms = _area_terms(spec, np.array([float(energy)]),
-                        None if shift is None else np.array([float(shift)]), barrier, barrier_p)
-    if terms.status[0] == _OUT_OF_BAND:
-        raise OutOfBandError(f"E = {energy} is outside the classical band")
-    return terms
-
-
-def _total_action(spec: ModelSpec, energy: float, shift=None) -> float:
-    """Phase-space area below E over all allowed regions (shift: _region_areas)."""
-    return float(_terms_at(spec, energy, shift).total[0])
-
-
-def _matching_area(spec: ModelSpec, energy: float, barrier_p, shift) -> float:
-    """Area form of the matching condition at one energy (_matching_areas)."""
-    return float(_matching_areas(spec, _terms_at(spec, energy, shift, True, barrier_p))[0])
 
 
 def barrier_actions(spec: ModelSpec, energy: float, barrier_p=None, shift=None) -> ActionSet:

@@ -61,7 +61,7 @@ def test_criterion_03_classical_identities():
         h_g = meanfield.classical_commutator_deriv(spec, ps)  # f'
         # independent check of dg/dp via the closed-form product rule on g
         x, y = 0.5 + ps, 0.5 - ps
-        pref = meanfield._shape_prefactor(spec)
+        pref = meanfield.structure_polynomials(m, n).r0sq
         dgdp = -pref * (m * x ** (m - 1) * y**n - n * x**m * y ** (n - 1))
         worst = max(worst, float(np.max(np.abs(dgdp - 2 * dg)) / max(np.max(np.abs(dg)), 1e-300)))
     spec21 = ModelSpec(2, 1, 8)

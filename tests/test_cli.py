@@ -213,6 +213,19 @@ def test_jobs_env_fallback(tmp_path, monkeypatch):
     assert (tmp_path / "sweep_levels.csv").exists()
 
 
+@pytest.mark.parametrize("jobs,env,name", [("-2", None, "--jobs"), ("0", "abc", "KUMMER_JOBS")])
+def test_bad_worker_count_is_usage_error(tmp_path, monkeypatch, capsys, jobs, env, name):
+    # no workers are started: the count is checked while parsing
+    if env is None:
+        monkeypatch.delenv("KUMMER_JOBS", raising=False)
+    else:
+        monkeypatch.setenv("KUMMER_JOBS", env)
+    argv = f"sweep --m 2 --n 1 --N 20 --eps-min 0 --eps-max 1 --eps-steps 3 --jobs {jobs}"
+    assert main(argv.split() + ["--out", str(tmp_path)]) == 2
+    assert f"{name} must be a non-negative integer" in capsys.readouterr().err
+    assert not (tmp_path / "sweep_levels.csv").exists()
+
+
 def test_dos_reports_saddle_energies(tmp_path):
     argv = f"dos --m 2 --n 1 --N 360 --eps 0.5 --bins 30 --out {tmp_path}"
     assert main(argv.split()) == 0

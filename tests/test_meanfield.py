@@ -367,7 +367,6 @@ def _reference_product(m, n):
 class TestStructurePolynomials:
     @pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 7) for n in range(1, 7)])
     def test_bit_identical_to_direct_builds(self, m, n):
-        spec = ModelSpec(m, n, m * n)
         core = meanfield.structure_polynomials(m, n)
         pref = float(m) ** (2 - n) * float(n) ** (2 - m)
         term = n * _reference_product(m, n - 1)
@@ -379,7 +378,6 @@ class TestStructurePolynomials:
         assert np.array_equal(core.g, -pref * _reference_product(m, n))
         # r^2 part of the band polynomial v^2 r^2 - (E - eps*p)^2 at v = 1
         assert np.array_equal(core.r0sq * core.pole, pref * _reference_product(m, n))
-        assert core.r0sq == meanfield._shape_prefactor(spec)
         assert meanfield.structure_polynomials(m, n) is core
         assert not core.f.flags.writeable
 

@@ -15,7 +15,6 @@ from kummer.semiclassics import (
     OutOfBandError,
     PeriodDivergenceError,
     TWO_PI,
-    _tunneling_signed,
     action_area,
     orbit_angle,
     orbit_period,
@@ -29,6 +28,12 @@ from kummer.semiclassics import (
 # areas, regions and labels of the scalar per-energy code, before the
 # batched area kernel replaced it
 SCALAR_AREAS = json.loads((Path(__file__).parent / "data" / "scalar_areas.json").read_text())
+
+
+def gap_barrier(spec, energy, gap):
+    """Signed barrier parameter across the real gap (p1, p2) at one energy."""
+    return semiclassics._gap_barrier(spec, np.array([energy]), np.array([gap[0]]),
+                                     np.array([gap[1]]))[0]
 
 
 def area_below_oracle(spec, energy, n=400001):
@@ -151,7 +156,7 @@ class TestActionArea:
         ],
     )
     def test_against_area_oracle(self, spec, energy):
-        total = semiclassics._total_action(spec, energy)
+        total = semiclassics._area_terms(spec, np.array([energy])).total[0]
         assert total == pytest.approx(area_below_oracle(spec, energy), abs=2e-7)
 
     def test_node_doubling_convergence(self):
@@ -169,6 +174,9 @@ class TestActionArea:
         saddle = [f for f in meanfield.find_fixed_points(dw) if f.stability == "saddle"][0]
         with pytest.raises(ValueError):
             action_area(dw, saddle.energy - 0.01)  # two regions, index required
+        for region in (-1, 2):  # regions 0 and 1 exist
+            with pytest.raises(ValueError, match="2 allowed regions"):
+                action_area(dw, saddle.energy - 0.01, region)
 
 
 class TestPhaseCorrection:
@@ -203,14 +211,12 @@ class TestTunneling:
     def _signed(self, energy):
         tps = turning_points(self.spec, energy)
         if len(tps.regions) == 2:
-            return _tunneling_signed(
-                self.spec, energy, (tps.regions[0][1], tps.regions[1][0])
-            )
+            return gap_barrier(self.spec, energy, (tps.regions[0][1], tps.regions[1][0]))
         pl, pr, _, _ = tps.regions[0]
         z = min(
             (z for z in tps.complex_pairs if pl < z.real < pr), key=lambda w: w.imag
         )
-        return _tunneling_signed(self.spec, energy, z)
+        return semiclassics._continued_barrier(self.spec, np.array([energy]), np.array([z]))[0]
 
     def test_vanishes_at_barrier_top(self):
         for de in (1e-6, 1e-8):
@@ -238,7 +244,7 @@ class TestTunneling:
             return np.arccosh(max(abs(w), 1.0))
 
         want, _ = quad(depth, *gap, epsabs=0.0, epsrel=1e-13, limit=200)
-        got = _tunneling_signed(spec, energy, gap)
+        got = gap_barrier(spec, energy, gap)
         assert got == pytest.approx(want / (pi * spec.eta), rel=1e-10)
 
     def test_magnitude_exposed(self):
@@ -250,7 +256,7 @@ class TestTunneling:
 
     def test_deep_barrier_decouples_into_single_wells(self):
         # each well on its own, under the same first-order rule: the area
-        # with the term - oint dH dt (shift 0, see _region_area)
+        # with the term - oint dH dt (shift 0, see _region_areas)
         eta = self.spec.eta
         wkb = semiclassical_spectrum(self.spec)
         dw = [lv.energy for lv in wkb.levels if lv.regime == "double_well_below"]
@@ -258,7 +264,9 @@ class TestTunneling:
         deep_top = window_lo + (self.saddle_energy - window_lo) / 3.0
 
         def area(e, idx):
-            return semiclassics._region_area(self.spec, e, idx, shift=0.0)
+            energies = np.array([e])
+            tp = semiclassics._turning(self.spec, energies)
+            return semiclassics._region_areas(self.spec, energies, tp, np.zeros(1))[idx]
 
         def region_levels(idx):
             lo = window_lo + 1e-9
@@ -556,15 +564,10 @@ class TestBatchedPeriods:
             spec = ModelSpec(m, n, 40 * m * n, eps=case["eps"])
             energies = np.array([row[0] for row in case["rows"]])
             coeffs = semiclassics._band_poly_coeffs(spec, energies)
-            roots = semiclassics._stacked_roots(coeffs)
-            row, p_left, p_right = semiclassics._allowed_regions(spec, energies, roots)
             tp = semiclassics._turning(spec, energies)
             for k, (energy, labels, ends) in enumerate(case["rows"]):
                 want = np.polynomial.polynomial.polyroots(coeffs[k]).astype(complex)
-                assert roots[k].tobytes() == want.tobytes(), (spec, energy)
-                here = row == k
-                got = [x for pl, pr in zip(p_left[here], p_right[here]) for x in (pl, pr)]
-                assert got == ends, (spec, energy)
+                assert tp.roots[k].tobytes() == want.tobytes(), (spec, energy)
                 here = tp.row == k
                 assert tp.left[here].tolist() == ends[0::2], (spec, energy)
                 assert tp.right[here].tolist() == ends[1::2], (spec, energy)
@@ -721,12 +724,29 @@ class TestAreaKernel:
         plain = semiclassics._area_terms(spec, energies, np.full(3, 0.002)).total
         assert terms.status.tolist() == [semiclassics._TWO_REGIONS, semiclassics._CONTINUED,
                                          semiclassics._SUMMED]
+        tp = semiclassics._turning(spec, energies)
+        regions = semiclassics._region_areas(spec, energies, tp)
+        pairs = semiclassics._continued_pairs(energies, tp, saddle.p)
+        periods, _ = semiclassics._periods(spec, energies)
         # the same arithmetic, up to the rounding of the vector loops
         for k, e in enumerate(energies):
-            assert semiclassics._matching_area(spec, e, saddle.p, 0.002) == pytest.approx(
-                areas[k], abs=1e-13)
-            assert semiclassics._total_action(spec, e, 0.002) == pytest.approx(
-                plain[k], abs=1e-13)
+            one = semiclassics._area_terms(spec, np.array([e]), np.array([0.002]), True, saddle.p)
+            assert semiclassics._matching_areas(spec, one)[0] == pytest.approx(areas[k], abs=1e-13)
+            one = semiclassics._area_terms(spec, np.array([e]), np.array([0.002]))
+            assert one.total[0] == pytest.approx(plain[k], abs=1e-13)
+            here = tp.row == k
+            got = turning_points(spec, e).regions
+            assert [r[:2] for r in got] == list(zip(tp.left[here], tp.right[here]))
+            assert [(r[2] == "upper", r[3] == "upper") for r in got] == list(
+                zip(tp.upper_left[here], tp.upper_right[here]))
+            assert [action_area(spec, e, i) for i in range(len(got))] == pytest.approx(
+                regions[here], abs=1e-13)
+            assert orbit_period(spec, e) == pytest.approx(periods[k], rel=1e-13)
+        gap = (tp.right[0], tp.left[1])
+        assert tunneling_integral(spec, energies[0], gap) == pytest.approx(
+            terms.s_eps[0], abs=1e-13)
+        assert tunneling_integral(spec, energies[1], pairs[1]) == pytest.approx(
+            -terms.s_eps[1], abs=1e-13)
         acts = semiclassics.barrier_actions(spec, energies[1], saddle.p, shift=0.002)
         assert np.allclose([acts.left, acts.right, acts.s_eps],
                            [terms.left[1], terms.right[1], terms.s_eps[1]], rtol=0, atol=1e-13)
@@ -940,7 +960,8 @@ class TestBarrierActions:
         energy = 0.04956
         acts = semiclassics.barrier_actions(spec, energy)
         assert acts.total == pytest.approx(acts.left + acts.right - 2 * pi, abs=1e-12)
-        assert acts.total == pytest.approx(semiclassics._total_action(spec, energy), abs=1e-12)
+        total = semiclassics._area_terms(spec, np.array([energy])).total[0]
+        assert acts.total == pytest.approx(total, abs=1e-12)
         assert acts.total == pytest.approx(6.0704, abs=1e-4)
 
     def test_area_form_zeroes_matching_residual(self):
@@ -952,7 +973,11 @@ class TestBarrierActions:
         # the second well is born at the m = 4 pole, E = -eps/2
         saddle = [f for f in meanfield.find_fixed_points(spec) if f.stability == "saddle"][0]
         grid = np.linspace(-0.25 + 1e-4, saddle.energy - 1e-4, 161)
-        area = lambda e: semiclassics._matching_area(spec, e, None, None)
+
+        def area(e):
+            terms = semiclassics._area_terms(spec, np.array([e]), None, True, None)
+            return semiclassics._matching_areas(spec, terms)[0]
+
         values = np.array([area(e) for e in grid])
         assert np.all(np.diff(values) > 0)
 
@@ -1010,7 +1035,7 @@ def test_band_coefficients_bit_identical_to_direct_build(m, n):
         quad = npoly.polymul([energy, -spec.eps], [energy, -spec.eps])
         want = (spec.v**2 * pref) * product
         want[:3] -= quad
-        got = semiclassics._band_poly_coeffs(spec, energy)
+        got = semiclassics._band_poly_coeffs(spec, np.array([energy]))[0]
         assert got.tobytes() == want.tobytes()
 
 
