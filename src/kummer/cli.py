@@ -234,9 +234,9 @@ def _cmd_quantize(cfg: RunConfig):
 def _cmd_dos(cfg: RunConfig):
     hist = quantum.dos_histogram(cfg.spec, cfg.options["bins"])
     centers = 0.5 * (hist.bin_edges[:-1] + hist.bin_edges[1:])
-    curve = semiclassics.dos_semiclassical(cfg.spec, centers)
     saddles = [fp.energy for fp in meanfield.find_fixed_points(cfg.spec)
                if fp.stability == "saddle"]
+    curve = semiclassics.dos_semiclassical(cfg.spec, centers, saddle_energies=saddles)
     stem = os.path.join(cfg.out, "dos")
     serialize.write_dos(cfg.spec, hist, centers, curve, stem, saddle_energies=saddles)
     if cfg.plot:

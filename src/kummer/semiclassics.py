@@ -559,11 +559,17 @@ def orbit_period(spec: ModelSpec, energy: float) -> float:
 SADDLE_MARGIN = 1e-6  # dos_semiclassical masks energies this close to a saddle
 
 
-def dos_semiclassical(spec: ModelSpec, energies):
-    """T(E)/(2*pi) on a grid; NaN within SADDLE_MARGIN of saddle energies."""
+def dos_semiclassical(spec: ModelSpec, energies, saddle_energies=None):
+    """T(E)/(2*pi) on a grid; NaN within SADDLE_MARGIN of saddle energies.
+
+    The saddle energies are those of meanfield.find_fixed_points, found
+    here unless the caller passes them.
+    """
     energies = np.asarray(energies, dtype=float)
-    saddles = np.array([fp.energy for fp in meanfield.find_fixed_points(spec)
-                        if fp.stability == "saddle"])
+    if saddle_energies is None:
+        saddle_energies = [fp.energy for fp in meanfield.find_fixed_points(spec)
+                           if fp.stability == "saddle"]
+    saddles = np.array(saddle_energies, dtype=float)
     clear = ~np.any(np.abs(energies[:, None] - saddles) < SADDLE_MARGIN, axis=1)
     out = np.full(len(energies), np.nan)
     out[clear] = _periods(spec, energies[clear])[0] / TWO_PI

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import asdict, astuple, fields
+from itertools import chain
 
 import numpy as np
 
@@ -23,13 +24,28 @@ def _fmt(x) -> str:
 
 
 def write_csv(path, header_fields, rows, comments=()):
+    """Header, then every row written as `",".join(_fmt(x) for x in row)` would.
+
+    The rows (an iterable of equal-length tuples) are formatted in bulk
+    from one row template.  A column of floats gets %.17g, _fmt's float
+    rule.  Any other column gets %s, which writes str(x) just as _fmt does
+    for a non-float; a column that mixes floats with other values goes
+    through _fmt first.
+    """
+    columns = list(zip(*rows, strict=True))
+    fmts, cells = [], []
+    for col in columns:
+        floats = [issubclass(t, float) for t in set(map(type, col))]
+        fmts.append("%.17g" if all(floats) else "%s")
+        cells.append(map(_fmt, col) if any(floats) and not all(floats) else col)
     with open(path, "w") as fh:
         fh.write("# schema=1\n")
         for line in comments:
             fh.write(f"# {line}\n")
         fh.write(",".join(header_fields) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+        if columns:
+            template = (",".join(fmts) + "\n") * len(columns[0])
+            fh.write(template % tuple(chain.from_iterable(zip(*cells))))
 
 
 def read_csv(path):
@@ -55,15 +71,11 @@ def write_json(path, payload):
 
 
 def write_spectrum(result, stem):
+    raw = result.raw_eigenvalues
     write_csv(
         stem + ".csv",
         ("index", "raw", "scaled"),
-        [
-            (i, raw, sc)
-            for i, (raw, sc) in enumerate(
-                zip(result.raw_eigenvalues, result.scaled_eigenvalues)
-            )
-        ],
+        zip(range(len(raw)), raw.tolist(), result.scaled_eigenvalues.tolist()),
     )
     write_json(
         stem + ".json",
@@ -91,18 +103,22 @@ def write_bifurcations(spec, events, stem):
 
 
 def write_sweep(table, stem):
-    rows = []
-    for eps, levels in zip(table.eps_values, table.scaled_levels):
-        for i, e in enumerate(levels):
-            rows.append((eps, i, e))
-    write_csv(stem + "_levels.csv", ("eps", "index", "scaled_energy"), rows)
-    rows = []
-    for eps, energies, kinds in zip(
-        table.eps_values, table.fixed_point_energies, table.fixed_point_kinds
-    ):
-        for e, k in zip(energies, kinds):
-            rows.append((eps, e, k))
-    write_csv(stem + "_fixed_points.csv", ("eps", "energy", "stability"), rows)
+    counts = [len(v) for v in table.scaled_levels]
+    write_csv(
+        stem + "_levels.csv",
+        ("eps", "index", "scaled_energy"),
+        zip(np.repeat(table.eps_values, counts).tolist(),
+            chain.from_iterable(map(range, counts)),
+            np.concatenate(table.scaled_levels).tolist()),
+    )
+    counts = [len(v) for v in table.fixed_point_kinds]
+    write_csv(
+        stem + "_fixed_points.csv",
+        ("eps", "energy", "stability"),
+        zip(np.repeat(table.eps_values, counts).tolist(),
+            np.concatenate(table.fixed_point_energies).tolist(),
+            chain.from_iterable(table.fixed_point_kinds)),
+    )
     write_json(
         stem + ".json",
         {
@@ -119,7 +135,7 @@ def write_trajectory(spec, record, stem):
     write_csv(
         stem + ".csv",
         ("t", "sx", "sy", "sz"),
-        [(t, s[0], s[1], s[2]) for t, s in zip(record.times, record.states)],
+        np.column_stack((record.times, record.states)).tolist(),
         comments=(f"drift_H={record.drift_h!r}", f"drift_C={record.drift_c!r}"),
     )
     write_json(
@@ -136,14 +152,10 @@ def write_trajectory(spec, record, stem):
 
 def write_mesh(spec, mesh, stem):
     n_p, n_theta, _ = mesh.shape
-    rows = []
-    for i in range(n_p):
-        for j in range(n_theta):
-            rows.append(tuple(mesh[i, j]))
     write_csv(
         stem + ".csv",
         ("sx", "sy", "sz"),
-        rows,
+        mesh.reshape(-1, 3).tolist(),
         comments=(
             f"grid: {n_p} heights (south to north pole), {n_theta} azimuths per height",
             "row order: height-major, azimuth fastest",
@@ -169,10 +181,8 @@ def write_dos(spec, hist, curve_energies, curve_values, stem, saddle_energies=()
     write_csv(
         stem + "_histogram.csv",
         ("bin_left", "bin_right", "bin_center", "density"),
-        [
-            (hist.bin_edges[i], hist.bin_edges[i + 1], centers[i], hist.density[i])
-            for i in range(len(hist.density))
-        ],
+        np.column_stack((hist.bin_edges[:-1], hist.bin_edges[1:], centers,
+                         hist.density)).tolist(),
     )
     comments = ()
     if len(saddle_energies):
@@ -182,7 +192,7 @@ def write_dos(spec, hist, curve_energies, curve_values, stem, saddle_energies=()
     write_csv(
         stem + "_curve.csv",
         ("scaled_energy", "period_over_2pi"),
-        list(zip(curve_energies, curve_values)),
+        zip(curve_energies, curve_values),
         comments=comments,
     )
 

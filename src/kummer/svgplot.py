@@ -7,6 +7,8 @@ from __future__ import annotations
 
 from math import floor, log10
 
+import numpy as np
+
 WIDTH = 640
 HEIGHT = 480
 MARGIN_L = 64
@@ -57,13 +59,15 @@ class SvgCanvas:
         self._frame(title, xlabel, ylabel)
 
     def _x(self, x):
+        """Pixel column of data x, a number or an array (the middle on a degenerate axis)."""
         x0, x1 = self.xlim
-        frac = (x - x0) / (x1 - x0) if x1 > x0 else 0.5
+        frac = (x - x0) / (x1 - x0) if x1 > x0 else np.full(np.shape(x), 0.5)
         return MARGIN_L + frac * (WIDTH - MARGIN_L - MARGIN_R)
 
     def _y(self, y):
+        """Pixel row of data y, a number or an array (the middle on a degenerate axis)."""
         y0, y1 = self.ylim
-        frac = (y - y0) / (y1 - y0) if y1 > y0 else 0.5
+        frac = (y - y0) / (y1 - y0) if y1 > y0 else np.full(np.shape(y), 0.5)
         return HEIGHT - MARGIN_B - frac * (HEIGHT - MARGIN_T - MARGIN_B)
 
     def _frame(self, title, xlabel, ylabel):
@@ -73,8 +77,8 @@ class SvgCanvas:
             f'<rect x="{x0}" y="{y1}" width="{x1 - x0}" height="{y0 - y1}" '
             'fill="none" stroke="black" stroke-width="1"/>'
         )
-        for t in _ticks(*self.xlim):
-            px = self._x(t)
+        ticks = _ticks(*self.xlim)
+        for t, px in zip(ticks, self._x(np.array(ticks)).tolist()):
             self.parts.append(
                 f'<line x1="{px:.2f}" y1="{y0}" x2="{px:.2f}" y2="{y0 + 5}" stroke="black"/>'
             )
@@ -82,8 +86,8 @@ class SvgCanvas:
                 f'<text x="{px:.2f}" y="{y0 + 18}" font-size="11" '
                 f'text-anchor="middle">{_fmt_tick(t)}</text>'
             )
-        for t in _ticks(*self.ylim):
-            py = self._y(t)
+        ticks = _ticks(*self.ylim)
+        for t, py in zip(ticks, self._y(np.array(ticks)).tolist()):
             self.parts.append(
                 f'<line x1="{x0 - 5}" y1="{py:.2f}" x2="{x0}" y2="{py:.2f}" stroke="black"/>'
             )
@@ -107,41 +111,38 @@ class SvgCanvas:
                 f'transform="rotate(-90 14 {(y0 + y1) / 2})">{ylabel}</text>'
             )
 
-    def polyline(self, xs, ys, color="steelblue", width=1.2):
-        pts = []
-        for x, y in zip(xs, ys):
-            if x != x or y != y:  # NaN breaks the line
-                if len(pts) > 1:
-                    self._emit_line(pts, color, width)
-                pts = []
-                continue
-            pts.append(f"{self._x(x):.2f},{self._y(y):.2f}")
-        if len(pts) > 1:
-            self._emit_line(pts, color, width)
+    def _emit(self, template, columns):
+        """One part of `template` per row of the columns, %-formatted in one go."""
+        table = np.column_stack(columns)
+        if len(table):
+            self.parts.append("\n".join([template] * len(table)) % tuple(table.ravel().tolist()))
 
-    def _emit_line(self, pts, color, width):
-        self.parts.append(
-            f'<polyline points="{" ".join(pts)}" fill="none" '
-            f'stroke="{color}" stroke-width="{width}"/>'
-        )
+    def polyline(self, xs, ys, color="steelblue", width=1.2):
+        """Lines through the points; NaN in x or y breaks the line, and a lone point draws nothing."""
+        xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+        pts = np.column_stack((self._x(xs), self._y(ys)))
+        edge = np.diff(np.concatenate(([0], ~(np.isnan(xs) | np.isnan(ys)), [0])))
+        for a, b in zip(np.flatnonzero(edge == 1), np.flatnonzero(edge == -1)):
+            if b - a > 1:
+                points = " ".join(["%.2f,%.2f"] * (b - a)) % tuple(pts[a:b].ravel().tolist())
+                self.parts.append(
+                    f'<polyline points="{points}" fill="none" '
+                    f'stroke="{color}" stroke-width="{width}"/>'
+                )
 
     def scatter(self, xs, ys, color="steelblue", radius=1.2):
-        for x, y in zip(xs, ys):
-            self.parts.append(
-                f'<circle cx="{self._x(x):.2f}" cy="{self._y(y):.2f}" '
-                f'r="{radius}" fill="{color}"/>'
-            )
+        style = f'r="{radius}" fill="{color}"'.replace("%", "%%")
+        self._emit(f'<circle cx="%.2f" cy="%.2f" {style}/>',
+                   (self._x(np.asarray(xs, dtype=float)), self._y(np.asarray(ys, dtype=float))))
 
     def bars(self, edges, heights, color="lightsteelblue"):
+        heights = np.asarray(heights, dtype=float)
+        px = self._x(np.asarray(edges, dtype=float)[:len(heights) + 1])
+        y = self._y(heights)
         base = self._y(max(self.ylim[0], 0.0))
-        for i, h in enumerate(heights):
-            x0 = self._x(edges[i])
-            x1 = self._x(edges[i + 1])
-            y = self._y(h)
-            self.parts.append(
-                f'<rect x="{x0:.2f}" y="{min(y, base):.2f}" width="{x1 - x0:.2f}" '
-                f'height="{abs(base - y):.2f}" fill="{color}" stroke="none"/>'
-            )
+        style = f'fill="{color}" stroke="none"'.replace("%", "%%")
+        self._emit(f'<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f" {style}/>',
+                   (px[:-1], np.minimum(y, base), px[1:] - px[:-1], np.abs(base - y)))
 
     def save(self, path):
         with open(path, "w") as fh:
@@ -160,19 +161,17 @@ def _finite_limits(values, pad=0.05):
 
 def plot_sweep(table, path):
     """Eigenvalue fan over eps with fixed-point energies overlaid."""
-    all_vals = [v for row in table.scaled_levels for v in row]
-    xs = table.eps_values
+    eps = table.eps_values
+    levels = np.concatenate(table.scaled_levels)
     canvas = SvgCanvas(
-        _finite_limits(xs), _finite_limits(all_vals),
+        _finite_limits(eps), _finite_limits(levels.tolist()),
         title=f"(m,n)=({table.spec.m},{table.spec.n})  N={table.spec.N}",
         xlabel="eps", ylabel="scaled energy",
     )
-    for i, eps in enumerate(xs):
-        canvas.scatter([eps] * len(table.scaled_levels[i]), table.scaled_levels[i],
-                       color="steelblue", radius=0.9)
-    for i, eps in enumerate(xs):
-        canvas.scatter([eps] * len(table.fixed_point_energies[i]),
-                       table.fixed_point_energies[i], color="crimson", radius=1.6)
+    canvas.scatter(np.repeat(eps, [len(v) for v in table.scaled_levels]), levels,
+                   color="steelblue", radius=0.9)
+    canvas.scatter(np.repeat(eps, [len(v) for v in table.fixed_point_energies]),
+                   np.concatenate(table.fixed_point_energies), color="crimson", radius=1.6)
     canvas.save(path)
 
 

@@ -2,6 +2,7 @@ import json
 from dataclasses import fields
 
 import numpy as np
+import pytest
 
 from kummer import meanfield, quantum, semiclassics, serialize
 from kummer.cli import main
@@ -24,6 +25,61 @@ def test_csv_has_schema_header(tmp_path):
     assert lines[0] == "# schema=1"
     assert lines[1] == "# note"
     assert lines[2] == "a"
+
+
+def _per_value_csv(header_fields, rows, comments=()):
+    """write_csv's bytes as one _fmt call per value would give them."""
+    lines = ["# schema=1", *(f"# {line}" for line in comments), ",".join(header_fields)]
+    lines += [",".join(serialize._fmt(x) for x in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+AWKWARD_FLOATS = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, -5e-324,
+                  1e300, -1e300, 0.1, 1 / 3, 2.0**53, 1e17, 123.0, -7.123456789012345e-5]
+AWKWARD_COLUMNS = {
+    "float": AWKWARD_FLOATS,
+    "np_float64": [np.float64(x) for x in AWKWARD_FLOATS],
+    "float_and_np_float64": [np.float64(x) if i % 2 else x for i, x in enumerate(AWKWARD_FLOATS)],
+    "np_float32": [np.float32(x) for x in (0.1, -0.0, 1 / 3, 3e38, float("nan"))] * 3,
+    "int": [10**17, -(10**17), 2**63, 10**30, 0, -1, 7, 1, 2, 3, 4, 5, 6, 8, 9],
+    "np_int64": [np.int64(v) for v in (2**62, -(2**63), 10**17, 0, -1)] * 3,
+    "bool": [True, False, True] * 5,
+    "np_bool": [np.bool_(True), np.bool_(False), np.True_] * 5,
+    "str": ["pole", "%s", "%.17g", "100%", "a b"] * 3,
+    "location": [0.25, "north", -0.0, "south", np.float64(1 / 3)] * 3,  # BifurcationEvent
+    "int_and_float": [1, 1.0, 10**17, 1e17, np.int64(3)] * 3,
+}
+
+
+class TestBulkCsv:
+    """write_csv formats in bulk; the bytes are those of one _fmt call per value."""
+
+    HEADER = tuple(AWKWARD_COLUMNS)
+    ROWS = list(zip(*AWKWARD_COLUMNS.values()))
+
+    @pytest.mark.parametrize("name", HEADER)
+    def test_each_column_alone(self, tmp_path, name):
+        rows = [(x,) for x in AWKWARD_COLUMNS[name]]
+        serialize.write_csv(tmp_path / "c.csv", (name,), rows)
+        assert (tmp_path / "c.csv").read_text() == _per_value_csv((name,), rows)
+
+    def test_all_columns_together(self, tmp_path):
+        comments = ("drift_H=0.0", "100% of rows")
+        serialize.write_csv(tmp_path / "t.csv", self.HEADER, self.ROWS, comments=comments)
+        assert (tmp_path / "t.csv").read_text() == _per_value_csv(self.HEADER, self.ROWS, comments)
+
+    def test_rows_as_generator(self, tmp_path):
+        serialize.write_csv(tmp_path / "g.csv", self.HEADER, (row for row in self.ROWS))
+        assert (tmp_path / "g.csv").read_text() == _per_value_csv(self.HEADER, self.ROWS)
+
+    def test_no_rows_is_header_only(self, tmp_path):
+        for rows in ([], iter(())):
+            serialize.write_csv(tmp_path / "e.csv", ("a", "b"), rows)
+            assert (tmp_path / "e.csv").read_text() == "# schema=1\na,b\n"
+
+    def test_ragged_rows_are_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            serialize.write_csv(tmp_path / "r.csv", ("a", "b"), [(1.0, 2.0), (3.0,)])
 
 
 def test_spectrum_files(tmp_path):
