@@ -7,6 +7,7 @@ key = value config file can seed any option; explicit flags win.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -155,6 +156,9 @@ def parse_config(argv) -> RunConfig:
             raise UsageError(f"--{dest.replace('_', '-')} is required for {args.command}")
     if args.command == "sweep":
         merged["jobs"] = _worker_count(merged["jobs"])
+        for key in ("eps_min", "eps_max"):
+            if not math.isfinite(merged[key]):
+                raise UsageError(f"--{key.replace('_', '-')} must be finite, got {merged[key]!r}")
 
     try:
         spec = ModelSpec(merged["m"], merged["n"], merged["N"], merged["eps"], merged["v"])

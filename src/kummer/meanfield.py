@@ -285,33 +285,23 @@ class BifurcationEvent:
 
 
 def inflection_points(spec: ModelSpec) -> list:
-    """Interior inflection points of r(p), from the closed-form quadratic.
+    """Interior inflection points of r(p), the simple roots of a quadratic.
 
-    r'' = 0 reduces to m(m-2)(1/2-p)^2 - 2mn(1/4-p^2) + n(n-2)(1/2+p)^2 = 0.
-    Each candidate is confirmed by a sign change of r'' measured with
-    second differences.
+    4x^2y^2 r''/r with x = 1/2+p, y = 1/2-p is
+    Q(p) = m(m-2)(1/2-p)^2 - 2mn(1/4-p^2) + n(n-2)(1/2+p)^2,
+    so r'' changes sign exactly where Q has a simple root in (-1/2, 1/2):
+    where disc > 0.  The leading coefficient vanishes only at m = n = 1,
+    where b does too and Q = -1.
     """
     m, n = spec.m, spec.n
     a = (m + n) * (m + n - 2)
     b = (n - m) * (m + n - 2)
     c = ((m - n) ** 2 - 2 * (m + n)) / 4.0
-    if a == 0:
-        cands = [-c / b] if b != 0 else []
-    else:
-        disc = b * b - 4 * a * c
-        if disc < 0:
-            cands = []
-        else:
-            cands = [(-b - sqrt(disc)) / (2 * a), (-b + sqrt(disc)) / (2 * a)]
-    out = []
-    h = 1e-5
-    for p in sorted(cands):
-        if not -0.5 + h < p < 0.5 - h:
-            continue
-        dd = lambda t: radius(spec, t - h) - 2 * radius(spec, t) + radius(spec, t + h)
-        if dd(p - 2 * h) * dd(p + 2 * h) < 0:
-            out.append(float(p))
-    return out
+    disc = b * b - 4 * a * c
+    if not disc > 0:
+        return []
+    roots = ((-b - sqrt(disc)) / (2 * a), (-b + sqrt(disc)) / (2 * a))
+    return [p for p in roots if -0.5 < p < 0.5]
 
 
 def pole_slopes(spec: ModelSpec):
@@ -363,7 +353,7 @@ def classify_bifurcations(spec: ModelSpec) -> list:
 class TrajectoryRecord:
     times: np.ndarray
     states: np.ndarray  # (samples, 3) rows of (sx, sy, sz)
-    drift_h: float  # max |H(t) - H(0)| over every step taken
+    drift_h: float  # max |H(t) - H(0)| over every step taken; NaN if the flow diverged
     drift_c: float  # max |C(t) - C(0)|
 
 
@@ -428,13 +418,13 @@ def integrate_trajectory(spec: ModelSpec, initial, t_end: float, dt: float,
         sy += dt * (ay1 + 2 * ay2 + 2 * ay3 + ay4) / 6.0
         sz += dt * (az1 + 2 * az2 + 2 * az3 + az4) / 6.0
         d = abs(v * sx + eps * sz - h0)
-        if d > drift_h:
+        if not d <= drift_h:  # unlike d > drift_h, true for a NaN d
             drift_h = d
         gz = 0.0
         for c in gc:
             gz = gz * sz + c
         d = abs(sx * sx + sy * sy + gz - c0)
-        if d > drift_c:
+        if not d <= drift_c:
             drift_c = d
         if k % stride == 0 or k == steps:
             times.append(k * dt)

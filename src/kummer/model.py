@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from math import isfinite
 
 
 @dataclass(frozen=True)
@@ -31,8 +32,11 @@ class ModelSpec:
             raise ValueError("N must be an integer with N >= m*n")
         if self.N % (self.m * self.n) != 0:
             raise ValueError("N must be a multiple of m*n")
-        object.__setattr__(self, "eps", float(self.eps))
-        object.__setattr__(self, "v", float(self.v))
+        for name in ("eps", "v"):
+            value = float(getattr(self, name))
+            if not isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:

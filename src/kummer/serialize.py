@@ -1,7 +1,9 @@
 """Deterministic CSV/JSON writers for every result type.
 
-CSV files carry a `# schema=1` header comment; floats are written with
-17 significant digits so doubles round-trip bit exactly.
+Each number is written once.  The CSVs hold the data: they carry a
+`# schema=1` header comment, and floats are written with 17 significant
+digits so doubles round-trip bit exactly.  A JSON sidecar holds only the
+spec that its CSVs lack, as `{"spec": {...}}`.
 """
 
 from __future__ import annotations
@@ -66,8 +68,13 @@ def read_csv(path):
 
 def write_json(path, payload):
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)
+        json.dump(payload, fh, indent=1, allow_nan=False)
         fh.write("\n")
+
+
+def _spec_json(stem, spec, drop=()):
+    """The sidecar: the spec's fields, less those in `drop`."""
+    write_json(stem + ".json", {"spec": {k: v for k, v in asdict(spec).items() if k not in drop}})
 
 
 def write_spectrum(result, stem):
@@ -77,29 +84,21 @@ def write_spectrum(result, stem):
         ("index", "raw", "scaled"),
         zip(range(len(raw)), raw.tolist(), result.scaled_eigenvalues.tolist()),
     )
-    write_json(
-        stem + ".json",
-        {
-            "spec": asdict(result.spec),
-            "raw_eigenvalues": list(result.raw_eigenvalues),
-            "scaled_eigenvalues": list(result.scaled_eigenvalues),
-        },
-    )
+    _spec_json(stem, result.spec)
 
 
-def _write_records(stem, spec_dict, key, cls, records):
-    """CSV and JSON of dataclass records, one column and one key per field."""
+def _write_records(stem, spec, cls, records, drop=()):
+    """CSV of dataclass records, one column per field, and the spec sidecar."""
     write_csv(stem + ".csv", [f.name for f in fields(cls)], [astuple(r) for r in records])
-    write_json(stem + ".json", {"spec": spec_dict, key: [asdict(r) for r in records]})
+    _spec_json(stem, spec, drop)
 
 
 def write_fixed_points(spec, fps, stem):
-    _write_records(stem, asdict(spec), "fixed_points", FixedPoint, fps)
+    _write_records(stem, spec, FixedPoint, fps)
 
 
 def write_bifurcations(spec, events, stem):
-    spec_dict = {k: v for k, v in asdict(spec).items() if k != "eps"}
-    _write_records(stem, spec_dict, "events", BifurcationEvent, events)
+    _write_records(stem, spec, BifurcationEvent, events, drop=("eps",))
 
 
 def write_sweep(table, stem):
@@ -119,16 +118,7 @@ def write_sweep(table, stem):
             np.concatenate(table.fixed_point_energies).tolist(),
             chain.from_iterable(table.fixed_point_kinds)),
     )
-    write_json(
-        stem + ".json",
-        {
-            "spec": {k: v for k, v in asdict(table.spec).items() if k != "eps"},
-            "eps": list(table.eps_values),
-            "scaled_levels": [list(v) for v in table.scaled_levels],
-            "fixed_point_energies": [list(v) for v in table.fixed_point_energies],
-            "fixed_point_kinds": list(table.fixed_point_kinds),
-        },
-    )
+    _spec_json(stem, table.spec, drop=("eps",))
 
 
 def write_trajectory(spec, record, stem):
@@ -138,16 +128,7 @@ def write_trajectory(spec, record, stem):
         np.column_stack((record.times, record.states)).tolist(),
         comments=(f"drift_H={record.drift_h!r}", f"drift_C={record.drift_c!r}"),
     )
-    write_json(
-        stem + ".json",
-        {
-            "spec": asdict(spec),
-            "times": list(record.times),
-            "states": [list(s) for s in record.states],
-            "drift_H": record.drift_h,
-            "drift_C": record.drift_c,
-        },
-    )
+    _spec_json(stem, spec)
 
 
 def write_mesh(spec, mesh, stem):
@@ -170,10 +151,7 @@ def write_semiclassical(result, stem, exact):
         [(lv.nu, lv.energy, ex, abs(lv.energy - ex), lv.regime)
          for lv, ex in zip(result.levels, exact)],
     )
-    write_json(
-        stem + ".json",
-        {"spec": asdict(result.spec), "levels": [asdict(lv) for lv in result.levels]},
-    )
+    _spec_json(stem, result.spec)
 
 
 def write_dos(spec, hist, curve_energies, curve_values, stem, saddle_energies=()):

@@ -1,10 +1,10 @@
-import json
 from math import sqrt
 
 import pytest
 
-from kummer import cli, serialize
+from kummer import cli, meanfield, serialize
 from kummer.cli import UsageError, main, parse_config
+from kummer.model import ModelSpec
 
 
 class TestParseConfig:
@@ -103,8 +103,10 @@ class TestMain:
         out = str(tmp_path)
         assert main(f"fixed-points --m 2 --n 2 --N 160 --eps 0.6 --out {out}".split()) == 0
         assert main(f"bifurcations --m 3 --n 3 --out {out}".split()) == 0
-        payload = json.loads((tmp_path / "fixed_points.json").read_text())
-        assert len(payload["fixed_points"]) == 4
+        _, rows = serialize.read_csv(tmp_path / "fixed_points.csv")
+        assert len(rows) == 4
+        _, rows = serialize.read_csv(tmp_path / "bifurcations.csv")
+        assert len(rows) == 4
 
     def test_sweep_deterministic(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -147,15 +149,16 @@ class TestMain:
         )
         assert main(argv.split()) == 0
         assert "drift_H" in capsys.readouterr().out
-        # the header comments hold plain floats, equal to the JSON sidecar's
-        sidecar = json.loads((tmp_path / "trajectory.json").read_text())
+        # the header comments hold plain floats, equal to the record's
+        record = meanfield.integrate_trajectory(
+            ModelSpec(2, 1, 80, eps=0.5), (0.5, 0.0, 0.0), 2.0, 1e-3, stride=100)
         comments = dict(
             line[2:].split("=", 1)
             for line in (tmp_path / "trajectory.csv").read_text().splitlines()
             if line.startswith("# drift_")
         )
-        assert float(comments["drift_H"]) == sidecar["drift_H"]
-        assert float(comments["drift_C"]) == sidecar["drift_C"]
+        assert float(comments["drift_H"]) == record.drift_h
+        assert float(comments["drift_C"]) == record.drift_c
 
     @pytest.mark.parametrize("flags,name", [
         ("--stride 0", "stride"),
@@ -170,6 +173,22 @@ class TestMain:
         )
         assert main(argv.split()) == 1
         assert f"ValueError: {name} " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command,flag", [
+        ("trajectory --sx 0 --sy 0 --sz 0.5 --t-end 1", "eps"),
+        ("fixed-points", "eps"),
+        ("spectrum", "eps"),
+        ("quantize", "v"),
+        ("bifurcations", "v"),
+        ("sweep --eps-max 1 --eps-steps 3", "eps-min"),
+    ])
+    def test_non_finite_parameter_is_usage_error(self, tmp_path, capsys, command, flag, value):
+        name, *rest = command.split()
+        argv = [name, "--m", "2", "--n", "1", *rest, f"--{flag}={value}", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert f"{flag} must be finite" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_quantize_compare_columns(self, tmp_path, capsys):
         argv = f"quantize --m 4 --n 1 --N 160 --eps 0.5 --out {tmp_path}"

@@ -230,6 +230,31 @@ class TestBifurcations:
         kinds = {ev.kind for ev in events}
         assert kinds == {"saddle_node", "transcritical"}
 
+    @staticmethod
+    def _check_inflections(spec, p):
+        """inflection_points against its oracle: where, on the grid p, the
+        second differences of r change sign."""
+        r = meanfield.radius(spec, p)
+        sign = np.sign(r[:-2] - 2 * r[1:-1] + r[2:])
+        assert np.all(sign != 0)
+        change = np.nonzero(sign[:-1] != sign[1:])[0]
+        got = meanfield.inflection_points(spec)
+        assert len(got) == len(change), (spec.m, spec.n)
+        for root, i in zip(got, change):  # between p[i+1] and p[i+2], up to rounding
+            assert p[i] < root < p[i + 3], (spec.m, spec.n)
+
+    def test_inflection_points_match_second_difference_signs(self):
+        p = np.linspace(-0.5, 0.5, 10001)[1:-1]
+        for m in range(1, 13):
+            for n in range(1, 13):
+                self._check_inflections(ModelSpec(m, n, m * n), p)
+
+    @pytest.mark.parametrize("m,n", [(40, 118), (118, 40), (46, 106)])
+    def test_inflection_points_where_r_is_tiny(self, m, n):
+        # r'' ~ 1e-163 here: a product of two second differences underflows to 0.
+        # r underflows near the poles, so the grid stops short of them.
+        self._check_inflections(ModelSpec(m, n, m * n), np.linspace(-0.45, 0.45, 9001))
+
 
 class TestPoleSlopes:
     @pytest.mark.parametrize(
@@ -282,6 +307,13 @@ class TestTrajectory:
         for start in ((0.4, 0.0, 0.0), (float("nan"), 0.0, 0.0)):
             with pytest.raises(ValueError, match="surface"):
                 meanfield.integrate_trajectory(spec, start, 1.0, 1e-3)
+
+    def test_diverging_flow_reports_nan_drift(self):
+        # dt = 5 is far beyond RK4's stability limit: the state overflows to NaN
+        rec = meanfield.integrate_trajectory(
+            ModelSpec(2, 1, 80, eps=0.5, v=1.0), (0.0, 0.0, 0.5), 20000.0, 5.0)
+        assert np.isnan(rec.states[-1]).all()
+        assert np.isnan(rec.drift_h) and np.isnan(rec.drift_c)
 
     def test_conservation_medium_run(self):
         spec = ModelSpec(3, 3, 90, eps=0.1, v=1.0)

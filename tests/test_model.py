@@ -21,6 +21,13 @@ def test_invalid_specs_rejected(m, n, N):
         ModelSpec(m, n, N)
 
 
+@pytest.mark.parametrize("field", ["eps", "v"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_parameter_rejected(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        ModelSpec(2, 1, 8, **{field: value})
+
+
 def test_eta_exact_form():
     spec = ModelSpec(3, 3, 360)
     assert spec.eta == 1.0 / (360 / 9 + 1)

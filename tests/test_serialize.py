@@ -89,9 +89,10 @@ def test_spectrum_files(tmp_path):
     header, rows = serialize.read_csv(stem + ".csv")
     assert header == ["index", "raw", "scaled"]
     assert len(rows) == 5
+    assert [float(raw) for _, raw, _ in rows] == list(res.raw_eigenvalues)  # bit exact
+    assert [float(s) for _, _, s in rows] == list(res.scaled_eigenvalues)
     payload = json.loads(open(stem + ".json").read())
-    assert payload["spec"]["m"] == 2
-    assert payload["raw_eigenvalues"] == list(res.raw_eigenvalues)  # bit exact
+    assert payload == {"spec": {"m": 2, "n": 1, "N": 8, "eps": 0.5, "v": 1.0}}
 
 
 def test_fixed_point_and_bifurcation_files(tmp_path):
@@ -104,8 +105,8 @@ def test_fixed_point_and_bifurcation_files(tmp_path):
     )
     _, fp_rows = serialize.read_csv(tmp_path / "fp.csv")
     assert len(fp_rows) == 4
-    payload = json.loads(open(tmp_path / "bif.json").read())
-    assert len(payload["events"]) == 4
+    _, bif_rows = serialize.read_csv(tmp_path / "bif.csv")
+    assert len(bif_rows) == 4
 
 
 def test_mesh_documents_grid_order(tmp_path):
@@ -138,11 +139,11 @@ def test_identical_inputs_identical_bytes(tmp_path):
 
 
 def test_record_schemas(tmp_path):
-    """One CSV column and one JSON key per record field, in field order."""
+    """One CSV column per record field, in field order; the sidecar holds only the spec."""
     schemas = {
-        "fixed_points": ("fixed_points", meanfield.FixedPoint,
+        "fixed_points": (meanfield.FixedPoint,
                          ["p", "q", "sx", "energy", "stability", "rate", "location"]),
-        "bifurcations": ("events", meanfield.BifurcationEvent,
+        "bifurcations": (meanfield.BifurcationEvent,
                          ["eps_critical", "kind", "location", "energy"]),
     }
     for m, n in ((2, 2), (1, 1)):  # (1, 1) has no bifurcation events
@@ -150,20 +151,46 @@ def test_record_schemas(tmp_path):
         for command in ("fixed-points", "bifurcations"):
             assert main([command, "--m", str(m), "--n", str(n), "--eps", "0.6",
                          "--out", str(out)]) == 0
-        for stem, (key, cls, names) in schemas.items():
+        for stem, (cls, names) in schemas.items():
             assert [f.name for f in fields(cls)] == names
             header, rows = serialize.read_csv(out / f"{stem}.csv")
-            records = json.loads((out / f"{stem}.json").read_text())[key]
             assert header == names
-            assert len(records) == len(rows)
-            assert all(list(rec) == names for rec in records)
+            assert json.loads((out / f"{stem}.json").read_text()).keys() == {"spec"}
         if (m, n) == (1, 1):
-            assert serialize.read_csv(out / "bifurcations.csv") == (schemas["bifurcations"][2], [])
-            assert json.loads((out / "bifurcations.json").read_text())["events"] == []
+            assert serialize.read_csv(out / "bifurcations.csv") == (schemas["bifurcations"][1], [])
 
     out = tmp_path / "q"
     assert main(["quantize", "--m", "1", "--n", "1", "--N", "6", "--eps", "0.3",
                  "--out", str(out)]) == 0
-    levels = json.loads((out / "quantize.json").read_text())["levels"]
-    assert len(levels) == 7
-    assert all(list(lv) == ["nu", "energy", "regime"] for lv in levels)
+    _, rows = serialize.read_csv(out / "quantize.csv")
+    assert [int(nu) for nu, *_ in rows] == list(range(7))
+    assert json.loads((out / "quantize.json").read_text()).keys() == {"spec"}
+
+
+def _strict(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+# each command's argv, its sidecar and the spec it holds; the fixed-points
+# spec has a pole, whose q is NaN in the CSV
+SIDECARS = {
+    "spectrum": ("spectrum --m 3 --n 2 --N 60 --eps 0.4", "spectrum.json",
+                 {"m": 3, "n": 2, "N": 60, "eps": 0.4, "v": 1.0}),
+    "fixed-points": ("fixed-points --m 2 --n 1 --N 80 --eps 0.5 --v 1.3", "fixed_points.json",
+                     {"m": 2, "n": 1, "N": 80, "eps": 0.5, "v": 1.3}),
+    "bifurcations": ("bifurcations --m 3 --n 2 --N 60 --eps 0.4", "bifurcations.json",
+                     {"m": 3, "n": 2, "N": 60, "v": 1.0}),
+    "sweep": ("sweep --m 2 --n 1 --N 40 --eps-min -1 --eps-max 1 --eps-steps 5", "sweep.json",
+              {"m": 2, "n": 1, "N": 40, "v": 1.0}),
+    "trajectory": ("trajectory --m 2 --n 1 --N 80 --eps 0.5 --sx 0.5 --sy 0 --sz 0 --t-end 1",
+                   "trajectory.json", {"m": 2, "n": 1, "N": 80, "eps": 0.5, "v": 1.0}),
+    "quantize": ("quantize --m 2 --n 1 --N 80 --eps -0.5", "quantize.json",
+                 {"m": 2, "n": 1, "N": 80, "eps": -0.5, "v": 1.0}),
+}
+
+
+@pytest.mark.parametrize("command", SIDECARS)
+def test_sidecar_is_the_spec_only(tmp_path, command):
+    argv, name, spec = SIDECARS[command]
+    assert main(argv.split() + ["--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / name).read_text(), parse_constant=_strict) == {"spec": spec}

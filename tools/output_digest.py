@@ -6,16 +6,19 @@
 
 Every op is a `kummer` command line, run in this process through
 `kummer.cli.main` with an output directory of its own.  Its digest is
-the sha256 of its stdout, its exit code and every file it wrote, name
-and bytes.  The ops are the README recipes, one `spectrum` and one
+its exit code, the sha256 of its stdout and the sha256 of every file it
+wrote, by name.  Every `*.json` file an op writes must be strict JSON:
+it must parse without NaN, Infinity or -Infinity.  The ops are the README recipes, one `spectrum` and one
 `trajectory` op, `fixed-points` and `bifurcations` for every m, n <= 4
 at eps in {-1.3, 0, 0.5} and v in {1, 1.3}, and the seed-1 op lists of
 the four benchmark workloads, perfbench/workloads.generate(name, 1, 12);
 an op listed twice runs once (446 ops).  --tiny takes
 generate(name, 1, 12, tiny=True) and m, n <= 2 at eps in {-1.3, 0.5}
 and v = 1 instead.  --out writes the digests as JSON; --compare reads
-such a file, prints every op whose digest differs or that only one side
-ran, and exits 1 if there is any.
+such a file, prints every op whose digest differs, with the files (or
+stdout, or exit code) that differ, and every op that only one side ran.
+The tool exits 1 if any op differs or ran on one side only, or if any
+op wrote a JSON file that is not strict JSON.
 """
 
 import os
@@ -81,8 +84,23 @@ def op_set(tiny=False):
     return list(dict.fromkeys(" ".join(op.split()) for op in ops))
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def _strict_json(data):
+    try:
+        json.loads(data, parse_constant=_reject_constant)
+    except ValueError:  # json.JSONDecodeError is a ValueError
+        return False
+    return True
+
+
 def digest(argv, out):
-    """sha256 of the stdout, the exit code and the files of one op."""
+    """The exit code, and the sha256 of the stdout and of each file, of one op.
+
+    Also returns the names of the JSON files it wrote that are not strict JSON.
+    """
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         try:
@@ -94,11 +112,22 @@ def digest(argv, out):
             code = 1
     if code not in (0, 1) or "Traceback" in stderr.getvalue():  # not a kummer error
         print(f"exit {code}: {' '.join(argv)}\n{stderr.getvalue()}", file=sys.stderr)
-    hasher = hashlib.sha256(stdout.getvalue().encode() + f"\0exit {code}\0".encode())
-    if out.is_dir():
-        for path in sorted(out.iterdir()):
-            hasher.update(path.name.encode() + b"\0" + path.read_bytes())
-    return hasher.hexdigest()
+    files, not_strict = {}, []
+    for path in sorted(out.iterdir()) if out.is_dir() else ():
+        data = path.read_bytes()
+        files[path.name] = hashlib.sha256(data).hexdigest()
+        if path.suffix == ".json" and not _strict_json(data):
+            not_strict.append(path.name)
+    result = {"exit": code, "stdout": hashlib.sha256(stdout.getvalue().encode()).hexdigest(),
+              "files": files}
+    return result, not_strict
+
+
+def _differences(ours, theirs):
+    """What differs between two digests of one op: exit, stdout, file names."""
+    names = [key for key in ("exit", "stdout") if ours[key] != theirs[key]]
+    return names + [name for name in sorted(ours["files"].keys() | theirs["files"].keys())
+                    if ours["files"].get(name) != theirs["files"].get(name)]
 
 
 def main():
@@ -110,28 +139,37 @@ def main():
 
     ops = op_set(args.tiny)
     start = time.perf_counter()
-    digests = {}
+    digests, not_strict = {}, {}
     with tempfile.TemporaryDirectory(prefix="kummer-digest-") as scratch:
         for i, op in enumerate(ops):
             out = Path(scratch) / f"op{i:03d}"
-            digests[op] = digest(op.split(), out)
+            digests[op], bad = digest(op.split(), out)
+            if bad:
+                not_strict[op] = bad
             shutil.rmtree(out, ignore_errors=True)
     label = f"{len(ops)} ops{' (tiny)' if args.tiny else ''}"
     print(f"{label}, {time.perf_counter() - start:.1f} s")
     if args.out:
         Path(args.out).write_text(json.dumps({"label": label, "ops": digests}, indent=1) + "\n")
-    if not args.compare:
-        return
-    other = json.loads(Path(args.compare).read_text())
-    differ = [op for op in digests if op in other["ops"] and other["ops"][op] != digests[op]]
-    here = [op for op in digests if op not in other["ops"]]
-    there = [op for op in other["ops"] if op not in digests]
-    for tag, group in (("differs", differ), ("only here", here), ("only there", there)):
-        for op in group:
-            print(f"  {tag}: {op}")
-    print(f"against {other['label']}: {len(differ)} ops differ, {len(here)} only here, "
-          f"{len(there)} only there")
-    sys.exit(1 if differ or here or there else 0)
+    for op, names in not_strict.items():
+        print(f"  not strict JSON: {op}: {', '.join(names)}")
+    print(f"{len(not_strict)} ops wrote JSON that is not strict")
+    failed = bool(not_strict)
+    if args.compare:
+        other = json.loads(Path(args.compare).read_text())
+        differ = {op: _differences(digests[op], other["ops"][op])
+                  for op in digests if op in other["ops"] and other["ops"][op] != digests[op]}
+        here = [op for op in digests if op not in other["ops"]]
+        there = [op for op in other["ops"] if op not in digests]
+        for op, names in differ.items():
+            print(f"  differs: {op}: {', '.join(names)}")
+        for tag, group in (("only here", here), ("only there", there)):
+            for op in group:
+                print(f"  {tag}: {op}")
+        print(f"against {other['label']}: {len(differ)} ops differ, {len(here)} only here, "
+              f"{len(there)} only there")
+        failed = failed or bool(differ or here or there)
+    sys.exit(1 if failed else 0)
 
 
 if __name__ == "__main__":
