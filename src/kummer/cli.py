@@ -208,6 +208,10 @@ def _cmd_trajectory(cfg: RunConfig):
         cfg.spec, (opts["sx"], opts["sy"], opts["sz"]),
         opts["t_end"], opts["dt"], stride=opts["stride"],
     )
+    diverged = np.flatnonzero(~np.isfinite(record.states).all(axis=1))
+    if len(diverged) or not (math.isfinite(record.drift_h) and math.isfinite(record.drift_c)):
+        t = float(record.times[diverged[0] if len(diverged) else -1])
+        raise ArithmeticError(f"the flow diverged by t = {t!r}: --dt {opts['dt']!r} is too large")
     stem = os.path.join(cfg.out, "trajectory")
     serialize.write_trajectory(cfg.spec, record, stem)
     print(f"drift_H = {record.drift_h:.3e}, drift_C = {record.drift_c:.3e}")

@@ -22,6 +22,7 @@ DEGENERATE_TOL = 1e-10  # |eps^2 + v^2 f'| below this is a bifurcation point
 
 def radius_coefficient(spec: ModelSpec) -> float:
     """r0 = 1/sqrt(m^(n-2) n^(m-2)), the scale of the surface radius."""
+    structure_polynomials(spec.m, spec.n)  # rejects an (m, n) without a normal r0^2
     return 1.0 / sqrt(float(spec.m) ** (spec.n - 2) * float(spec.n) ** (spec.m - 2))
 
 
@@ -121,8 +122,12 @@ def _power_product(m: int, n: int) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def structure_polynomials(m: int, n: int) -> StructurePolynomials:
-    """The cached structure-polynomial core of the (m, n) Kummer shape."""
+    """The cached structure-polynomial core of the (m, n) Kummer shape;
+    ValueError where r0^2 = m^(2-n) n^(2-m) is not a normal double."""
     r0sq = float(m) ** (2 - n) * float(n) ** (2 - m)
+    if not r0sq >= np.finfo(float).tiny:  # m = n = 83 and up: r0 loses its precision
+        raise ValueError(f"r0^2 = m^(2-n) n^(2-m) = {r0sq!r} is not a normal double "
+                         f"at m = {m}, n = {n}")
     pole = _power_product(m, n)
     f = 0.5 * r0sq * (n * _power_product(m, n - 1) - m * _power_product(m - 1, n))
     lin = np.array([0.5 * (n - m), float(m + n)])  # n*(1/2+p) - m*(1/2-p)

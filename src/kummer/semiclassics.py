@@ -803,19 +803,17 @@ def _edge_actions(lo: float, hi: float, area: _IntervalArea):
 
     Close root pairs at a pole or a saddle leave the turning points
     unresolvable a hair away from the boundary, so the offset grows
-    geometrically until they resolve; the ladder of offsets on both
-    sides of both ends is one area call, and each end takes the first
-    offset that resolves.  A well born at a pinched pole
-    (r ~ (1/2+p)^(m/2), m >= 3) may never resolve, but S is continuous
-    across every boundary: S is then taken just outside, and at a band
-    end, which has no outside, it is 0 at the bottom and 2*pi at the
-    top.  A boundary counts as a band end when it lies within the
-    probe's reach of one, the first offset or 1e-7 of the band if that
-    is wider: a well born a hair away from a pole saddle can put the
-    band bottom there.  Any other boundary that resolves on neither
-    side raises OutOfBandError.  S is clamped to [0, 2*pi]: next to a
-    saddle on a conical pole (mode index 2) the first-order term is no
-    longer small and can push it past the whole band's area.
+    geometrically inward until they resolve; the ladder of offsets from
+    both ends is one area call, and each end takes the first offset that
+    resolves.  An end that none resolves (a well born at a pinched pole,
+    r ~ (1/2+p)^(m/2) with m >= 3, or an interval narrower than the
+    first offset) has a known area only at a band end, the first or last
+    boundary of `area.band`: 0 at the bottom and 2*pi at the top.  At any
+    other such end the interval has no edges, returned as (), and gives
+    no levels; _assemble places its targets from their window.  S is
+    clamped to [0, 2*pi]: next to a saddle on a conical pole (mode index
+    2) the first-order term is no longer small and can push it past the
+    whole band's area.
     """
     span = hi - lo
     first = max(1e-12, 1e-7 * span)
@@ -825,26 +823,19 @@ def _edge_actions(lo: float, hi: float, area: _IntervalArea):
         margins.append(margin)
         margin *= 10.0
     margins = np.array(margins)
-    probes = np.stack((lo + margins, lo - margins, hi - margins, hi + margins))
-    values, status = area(probes.ravel()) if len(margins) else (probes, probes)
+    probes = np.stack((lo + margins, hi - margins))
+    values, status = area(probes.ravel())
     values = np.clip(values, 0.0, TWO_PI).reshape(probes.shape)
     resolved = (status != _OUT_OF_BAND).reshape(probes.shape)
-    band_lo, band_hi = area.band
-    reach = max(first, 1e-7 * (band_hi - band_lo))
     edges = []
-    for bound, side, inward in ((lo, 1, 0), (hi, -1, 2)):
-        for ladder in (inward, inward + 1):
-            hit = np.nonzero(resolved[ladder])[0]
-            if len(hit):
-                e = probes[ladder, hit[0]] if ladder == inward else bound + side * first
-                edges.append((float(e), float(values[ladder, hit[0]])))
-                break
+    for row, (bound, side, s_end) in enumerate(((lo, 1, 0.0), (hi, -1, TWO_PI))):
+        hit = np.flatnonzero(resolved[row])
+        if len(hit):
+            edges.append((float(probes[row, hit[0]]), float(values[row, hit[0]])))
+        elif bound == area.band[row]:
+            edges.append((bound + side * first, s_end))
         else:
-            ends = [s_end for band_end, s_end in ((band_lo, 0.0), (band_hi, TWO_PI))
-                    if abs(bound - band_end) <= reach]
-            if not ends:
-                raise OutOfBandError(f"band structure unresolvable near E = {bound}")
-            edges.append((bound + side * first, ends[0]))
+            return ()
     return tuple(edges)
 
 
@@ -919,20 +910,19 @@ def _area_levels(spec: ModelSpec, lo: float, hi: float, area: _IntervalArea):
 
     The targets are 2*pi*eta*(nu + 1/2) between the areas at the two
     edges (_edge_actions), which are returned as ((E, A(E)), (E, A(E)));
-    an interval too narrow to probe has no edges.  One area call on a
-    grid of as many energies as targets, plus two, brackets each target
-    by the closest grid energies on either side of it, or by the edges
-    where the area is not monotone there; one solve then finds every
-    level together (_lockstep_roots).  An energy where the area is
-    unresolved (a newborn well) takes the area of the nearer edge.
+    without edges, or with edges that bound no span, there are no levels.
+    One area call on a grid of as many energies as targets, plus two,
+    brackets each target by the closest grid energies on either side of
+    it, or by the edges where the area is not monotone there; one solve
+    then finds every level together (_lockstep_roots).  An energy where
+    the area is unresolved (a newborn well) takes the area of the nearer
+    edge.
     """
     eta = spec.eta
-    if hi - lo <= 2e-12:
-        return {}, ()
     edges = _edge_actions(lo, hi, area)
-    (a, s_a), (b, s_b) = edges
-    if b <= a:
+    if not edges or edges[1][0] <= edges[0][0]:
         return {}, ()
+    (a, s_a), (b, s_b) = edges
     nus = np.arange(max(ceil(s_a / (TWO_PI * eta) - 0.5), 0),
                     floor(s_b / (TWO_PI * eta) - 0.5) + 1)
     if not len(nus):
@@ -1067,8 +1057,6 @@ def _interval_pieces(spec: ModelSpec, lo: float, hi: float, mode: str, table,
     nu -> dim - 1 - nu.  `table` holds the boundaries and s at each (see
     semiclassical_spectrum); mirrored, both are negated.
     """
-    if hi - lo <= 1e-12 * (1.0 + abs(lo) + abs(hi)):
-        return []
     if mode in ("matching_upper", "froman_upper"):
         mirror_p = None if barrier_p is None else -barrier_p
         top = spec.dim - 1
@@ -1109,8 +1097,8 @@ def _assemble(spec: ModelSpec, band, pieces) -> list:
     leaves that choice unchanged.  Any other target lies in a window
     between two consecutive edges, the band ends counting as edges at
     (E_min, 0) and (E_max, 2*pi), and its level is interpolated linearly
-    in the area there; a window left between pieces is a small probe
-    margin, so one that would hold two levels is a fault.
+    in the area there; a window spans a probe margin or an interval with
+    no edges, and one that would hold two levels raises QuantizationError.
     """
     best = {}
     for roots, ((_, a_lo), (_, a_hi)), tag in (p for p in pieces if p[0]):

@@ -160,6 +160,17 @@ class TestMain:
         assert float(comments["drift_H"]) == record.drift_h
         assert float(comments["drift_C"]) == record.drift_c
 
+    def test_diverged_trajectory_is_an_error(self, tmp_path, capsys):
+        # RK4 at dt = 5 blows up within a few steps: no NaN rows are written
+        argv = (
+            f"trajectory --m 2 --n 1 --eps 0.5 --sx 0 --sy 0 --sz 0.5 "
+            f"--t-end 20000 --dt 5 --stride 1 --out {tmp_path}"
+        )
+        assert main(argv.split()) == 1
+        err = capsys.readouterr().err
+        assert "ArithmeticError: the flow diverged by t = " in err and "--dt 5.0" in err
+        assert not (tmp_path / "trajectory.csv").exists()
+
     @pytest.mark.parametrize("flags,name", [
         ("--stride 0", "stride"),
         ("--dt nan", "dt"),
@@ -196,6 +207,28 @@ class TestMain:
         header = (tmp_path / "quantize.csv").read_text().splitlines()[1]
         assert header == "nu,scaled_energy,exact,abs_deviation,regime"
         assert "max |semiclassical - exact|" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("m,n", [(150, 150), (83, 83)])
+    @pytest.mark.parametrize("command", ["bifurcations", "fixed-points", "quantize", "spectrum"])
+    def test_shape_without_normal_radius_scale(self, tmp_path, capsys, command, m, n):
+        # r0^2 = m^(2-n) n^(2-m) is 0.0 at (150,150) and subnormal at (83,83):
+        # the classical commands name m and n; the eigensolve needs no r0
+        argv = f"{command} --m {m} --n {n} --out {tmp_path}"
+        if command == "spectrum":
+            assert main(argv.split()) == 0
+            return
+        assert main(argv.split()) == 1
+        err = capsys.readouterr().err
+        assert "ValueError: r0^2 = m^(2-n) n^(2-m) = " in err
+        assert f"at m = {m}, n = {n}" in err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_quantize_well_born_at_pinched_pole(self, tmp_path):
+        # at eps = 0.00137 a saddle sits 1.3e-10 below the n = 3 pole centre
+        argv = f"quantize --m 1 --n 3 --eps 0.00137 --out {tmp_path}"
+        assert main(argv.split()) == 0
+        rows = (tmp_path / "quantize.csv").read_text().splitlines()
+        assert len([r for r in rows if not r.startswith("#")]) == 1 + 41
 
     def test_dos_outputs(self, tmp_path):
         argv = f"dos --m 2 --n 1 --N 900 --eps 1.5 --bins 40 --out {tmp_path} --plot"

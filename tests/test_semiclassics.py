@@ -1021,6 +1021,27 @@ class TestNearCriticalQuantization:
         spec = ModelSpec(4, 3, 480, eps=eps, v=1.0)
         assert len(semiclassical_spectrum(spec).levels) == spec.dim
 
+    def test_every_spec_quantizes_at_small_eps(self):
+        # for |eps| = 1.37e-2 down to 1.37e-9, wells are born at the pinched
+        # poles (m or n >= 3) and sit beside saddles closer than any probe
+        # resolves: an interval edge there gives no levels, and its targets
+        # fill their windows; every spec still has every level in place
+        failures, worst = [], 0.0
+        for k in range(2, 10):
+            for eps in (1.37 * 10.0**-k, -1.37 * 10.0**-k):
+                for m in range(1, 5):
+                    for n in range(1, 5):
+                        spec = ModelSpec(m, n, 40 * m * n, eps=eps)
+                        try:
+                            levels = semiclassical_spectrum(spec).energies
+                        except (ValueError, RuntimeError) as exc:
+                            failures.append(f"{spec}: {type(exc).__name__}: {exc}")
+                            continue
+                        exact = quantum.eigen_spectrum(spec).scaled_eigenvalues
+                        worst = max(worst, np.max(np.abs(levels - exact) / np.gradient(exact)))
+        assert not failures
+        assert worst <= 0.2
+
 
 @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 4), (3, 3), (4, 1), (4, 3)])
 def test_band_coefficients_bit_identical_to_direct_build(m, n):
