@@ -36,18 +36,11 @@ from .quantum import (
     sweep_epsilon,
 )
 from .semiclassics import (
-    ActionSet,
     SemiclassicalSpectrum,
-    TurningPointSet,
-    action_area,
-    barrier_actions,
     dos_semiclassical,
-    orbit_angle,
     orbit_period,
     phase_correction,
     semiclassical_spectrum,
-    tunneling_integral,
-    turning_points,
 )
 
 __version__ = "0.1.0"

@@ -35,8 +35,16 @@ def ladder_product(spec: ModelSpec, z: float) -> float:
 
 
 def _prefactor(spec: ModelSpec) -> float:
-    m, n = spec.m, spec.n
-    return -(float(n) ** n * float(m) ** m) / (2.0 * float(spec.N) ** (m + n - 2))
+    """-n^n m^m / (2 N^(m+n-2)); ValueError where it is not a finite normal double."""
+    m, n, N = spec.m, spec.n, spec.N
+    try:
+        out = -(float(n) ** n * float(m) ** m) / (2.0 * float(N) ** (m + n - 2))
+    except OverflowError:  # m = n = 83: N^(m+n-2) overflows, and the quotient underflows
+        out = 0.0
+    if not np.finfo(float).tiny <= abs(out) < np.inf:
+        raise ValueError(f"the prefactor n^n m^m / (2 N^(m+n-2)) is not a finite normal "
+                         f"double at m = {m}, n = {n}, N = {N}")
+    return out
 
 
 def commutator_poly(spec: ModelSpec, z: float) -> float:

@@ -12,6 +12,7 @@ import os
 import sys
 from dataclasses import dataclass
 from functools import cache
+from pathlib import Path
 
 import numpy as np
 
@@ -95,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _read_config_file(path):
     values = {}
     try:
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}")
     for lineno, raw in enumerate(lines, 1):

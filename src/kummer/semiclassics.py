@@ -24,15 +24,15 @@ and it stays finite at a saddle, where T(E) diverges.
 Turning points, areas and periods are computed for arrays of energies
 at once: one path gives the roots, regions and branch labels (_turning),
 and blocked quadratures over the regions give the areas (_area_terms)
-and periods (_periods).  The public functions of one energy are these
-kernels at that energy.
+and periods (_periods).  The one public function of one energy,
+orbit_period, is the period kernel at that energy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import acosh, ceil, exp, floor, pi
+from math import ceil, floor, pi
 
 import numpy as np
 # nothing here calls scipy.optimize any more, but perfbench/run.py reads
@@ -46,10 +46,6 @@ from . import meanfield
 from .model import ModelSpec
 
 TWO_PI = 2.0 * pi
-
-LOWER = "lower"  # turning point on U-
-UPPER = "upper"  # turning point on U+
-
 
 class OutOfBandError(ValueError):
     """Requested energy lies outside the classical band."""
@@ -88,16 +84,6 @@ def band_polynomial(spec: ModelSpec, energy: float, p):
         p = np.asarray(p, dtype=float)
     out = (spec.v * meanfield.radius(spec, p)) ** 2 - (energy - spec.eps * p) ** 2
     return float(out) if np.ndim(out) == 0 else out
-
-
-@dataclass(frozen=True)
-class TurningPointSet:
-    energy: float
-    real_points: tuple  # ((p, branch), ...) sorted by p
-    regions: tuple  # ((p_left, p_right, branch_left, branch_right), ...)
-    complex_pairs: tuple  # upper-half roots z with conjugate partners
-    out_of_band: bool
-    roots: np.ndarray = None  # every root of the band polynomial
 
 
 def _stacked_roots(coeffs: np.ndarray) -> np.ndarray:
@@ -206,29 +192,8 @@ def _turning(spec: ModelSpec, energies: np.ndarray) -> _Turning:
                     upper_left, upper_right)
 
 
-def turning_points(spec: ModelSpec, energy: float) -> TurningPointSet:
-    """Classified real solutions of U+-(p) = E plus complex continuations.
-
-    The classification of _turning at one energy.  A root belongs to U+
-    when E >= eps*p there and to U- otherwise; the ends of allowed
-    regions are re-labeled through a probe in the neighbouring forbidden
-    zone (_branch_labels), which stays well conditioned when the region
-    hugs a pole.  Allowed regions are the intervals between consecutive
-    roots whose midpoint satisfies U- <= E <= U+.
-    """
-    tp = _turning(spec, np.array([float(energy)]))
-    real = [float(p) for p in tp.points[0] if p < np.inf]
-    labeled = tuple((p, UPPER if energy >= spec.eps * p else LOWER) for p in real)
-    branch = {True: UPPER, False: LOWER}
-    regions = tuple((float(pl), float(pr), branch[bool(bl)], branch[bool(br)])
-                    for pl, pr, bl, br in zip(tp.left, tp.right, tp.upper_left, tp.upper_right))
-    tol_im = ROOT_IMAG_TOL * (1.0 + abs(energy))
-    pairs = tuple(z for z in tp.roots[0] if z.imag > tol_im and -0.5 < z.real < 0.5)
-    return TurningPointSet(energy, labeled, regions, pairs, not regions, tp.roots[0])
-
-
 # ---------------------------------------------------------------------
-# angle variable and action integrals
+# action integrals
 
 
 def _radius_any(spec: ModelSpec, p):
@@ -238,25 +203,6 @@ def _radius_any(spec: ModelSpec, p):
         * (0.5 + p) ** (spec.m / 2.0)
         * (0.5 - p) ** (spec.n / 2.0)
     )
-
-
-def orbit_angle(spec: ModelSpec, p: float, energy: float) -> float:
-    """Angle q(p) = arccos((E - eps*p)/(v r(p))) of the orbit at height p.
-
-    In the allowed region the principal arccos in [0, pi] is returned;
-    in a forbidden region the magnitude arccosh(|argument|) of the
-    imaginary part is returned instead.  Arguments within 1e-12 of the
-    branch points count as turning points.
-    """
-    r = meanfield.radius(spec, p)
-    if r == 0.0:
-        if abs(energy - spec.eps * p) < 1e-15:
-            return 0.5 * pi
-        raise ValueError("angle undefined at a pole of the surface")
-    w = (energy - spec.eps * p) / (spec.v * r)
-    if abs(w) <= 1.0 + 1e-12:
-        return float(np.arccos(min(1.0, max(-1.0, w))))
-    return acosh(abs(w))
 
 
 @lru_cache(maxsize=8)
@@ -331,8 +277,7 @@ def _area_from_cases(p_left, p_right, upper_left, upper_right, s_tilde):
     return TWO_PI * enclosed - 2.0 * s_tilde
 
 
-def _region_areas(spec: ModelSpec, energies, tp: _Turning, shift=None,
-                  order: int = ACTION_ORDER) -> np.ndarray:
+def _region_areas(spec: ModelSpec, energies, tp: _Turning, shift=None) -> np.ndarray:
     """Area of every allowed region of `tp` (_turning), in its order.
 
     S~, the integral of q(p) dp across a region, takes the substitution
@@ -351,7 +296,7 @@ def _region_areas(spec: ModelSpec, energies, tp: _Turning, shift=None,
     cancels against the Jacobian exactly and a region narrower than the
     roots' accuracy stays smooth.
     """
-    sin_t, weights, jacobian = _sine_rule(order)
+    sin_t, weights, jacobian = _sine_rule(ACTION_ORDER)
     out = np.empty(len(tp.row))
     for b in range(0, len(tp.row), _AREA_BLOCK):
         blk = slice(b, b + _AREA_BLOCK)
@@ -394,28 +339,6 @@ def _contour_actions(spec: ModelSpec, energies, start, end, shift=None):
     return total + half * ((dh / (vr * np.sin(q))) @ jacobian)
 
 
-def action_area(spec: ModelSpec, energy: float, region=None,
-                order: int = ACTION_ORDER) -> float:
-    """Phase-space area S(E) of the orbit in one allowed region.
-
-    `region` selects among several allowed regions (index, default the
-    only one).  S grows monotonically from 0 at a region bottom; the
-    area of the full band reaches 2*pi at the top (_region_areas).
-    """
-    energies = np.array([float(energy)])
-    tp = _turning(spec, energies)
-    count = len(tp.row)
-    if not count:
-        raise OutOfBandError(f"E = {energy} is outside the classical band")
-    if region is None:
-        if count != 1:
-            raise ValueError("multiple allowed regions; pass region index")
-        region = 0
-    elif not 0 <= region < count:
-        raise ValueError(f"region {region} does not exist: {count} allowed regions at E = {energy}")
-    return float(_region_areas(spec, energies, tp, order=order)[region])
-
-
 # ---------------------------------------------------------------------
 # tunneling machinery
 
@@ -442,23 +365,6 @@ def _continued_barrier(spec: ModelSpec, energies, z):
     """
     s = _contour_actions(spec, energies, np.conj(z), z) - pi * (z - np.conj(z))
     return -np.abs((1j * s).real / (pi * spec.eta))
-
-
-def tunneling_integral(spec: ModelSpec, energy: float, gap) -> float:
-    """Magnitude of the barrier parameter S_eps.
-
-    Below the barrier: (1/(pi*eta)) * integral of |q| over the real gap
-    `gap` = (p1, p2), where q = arccos(w) has the imaginary part
-    +-arccosh|w|, |w| > 1 (_gap_barrier).  Above: the same integral
-    continued along the straight contour between the complex pair of
-    the upper-half turning point `gap` (_continued_barrier).
-    """
-    energies = np.array([float(energy)])
-    if isinstance(gap, tuple):
-        s_eps = _gap_barrier(spec, energies, np.array([gap[0]]), np.array([gap[1]]))
-    else:
-        s_eps = _continued_barrier(spec, energies, np.array([complex(gap)]))
-    return abs(float(s_eps[0]))
 
 
 def phase_correction(s_eps):
@@ -585,18 +491,6 @@ _SUMMED, _TWO_REGIONS, _CONTINUED = 0, 4, 5
 
 
 @dataclass(frozen=True)
-class ActionSet:
-    """Orbit areas and barrier quantities entering the matching condition."""
-
-    total: float  # S, summed over allowed regions
-    left: float  # S_l
-    right: float  # S_r
-    s_eps: float  # signed barrier parameter (negative above the top)
-    s_phi: float  # barrier phase correction
-    kappa: float  # exp(-pi * s_eps)
-
-
-@dataclass(frozen=True)
 class _AreaTerms:
     """The areas of an array of energies and the form each took (_area_terms)."""
 
@@ -715,31 +609,6 @@ def _matching_areas(spec: ModelSpec, terms: _AreaTerms) -> np.ndarray:
     area[k] = terms.total[k] - 2.0 * spec.eta * (
         s_phi + np.arctan2(amp * np.sin(x), 1.0 + amp * np.cos(x)))
     return area
-
-
-def barrier_actions(spec: ModelSpec, energy: float, barrier_p=None, shift=None) -> ActionSet:
-    """Left/right areas plus tunneling quantities at a barrier energy.
-
-    Below the top (two allowed regions) the areas are real orbit areas
-    and the gap integral is taken along the real axis; above the top
-    both partial actions are continued through the same upper-half
-    complex turning point, so their sum stays exactly the single-region
-    area and the matching condition passes smoothly into plain
-    quantization as the barrier influence dies out (_area_terms).
-    `barrier_p` disambiguates which barrier is continued when several
-    complex pairs exist, and a numeric `shift` gives the quantization
-    areas (see _region_areas).
-    """
-    shift = None if shift is None else np.array([float(shift)])
-    terms = _area_terms(spec, np.array([float(energy)]), shift, True, barrier_p)
-    if terms.status[0] == _SUMMED and terms.count[0] == 1:
-        raise ValueError(f"no barrier continuation available at E = {energy}")
-    if terms.status[0] < _TWO_REGIONS:
-        raise ValueError(f"expected one or two allowed regions at E = {energy}")
-    s_eps = float(terms.s_eps[0])
-    kappa = exp(-pi * s_eps) if pi * s_eps > -700 else float("inf")
-    return ActionSet(float(terms.total[0]), float(terms.left[0]), float(terms.right[0]),
-                     s_eps, phase_correction(s_eps), kappa)
 
 
 # ---------------------------------------------------------------------

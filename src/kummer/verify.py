@@ -80,7 +80,7 @@ def check_commutators(spec: ModelSpec):
 
 def check_ladder_identity(spec: ModelSpec):
     """Ladder strengths equal the weighted ladder product at shifted argument."""
-    c = (spec.n**spec.n * spec.m**spec.m) / float(spec.N) ** (spec.m + spec.n - 2)
+    c = -2.0 * algebra._prefactor(spec)
     mu = np.arange(spec.dim + 1)
     direct = quantum._ladder_weights(spec, mu)
     via_product = c * algebra.ladder_product(spec, mu - spec.z_max - 1.0)

@@ -257,6 +257,19 @@ class TestMain:
         assert "17/17 checks passed" in out
         assert "FAIL" not in out
 
+    def test_verify_names_an_unrepresentable_prefactor(self, tmp_path, capsys):
+        # at m = n = 83 the prefactor n^n m^m / (2 N^(m+n-2)) is about
+        # exp(-1321): the checks that need it fail with a ValueError naming
+        # m, n and N, not a bare OverflowError
+        assert main(f"verify --m 83 --n 83 --out {tmp_path}".split()) == 1
+        captured = capsys.readouterr()
+        text = captured.out + captured.err
+        assert "OverflowError" not in text
+        lines = [line for line in text.splitlines()
+                 if "check_structure_symmetry" in line or "check_ladder_identity" in line]
+        assert len(lines) == 2
+        assert all("ValueError" in line and "m = 83, n = 83, N = " in line for line in lines)
+
 
 def test_jobs_env_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("KUMMER_JOBS", "2")

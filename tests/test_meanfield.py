@@ -346,7 +346,7 @@ class TestTrajectory:
         spec = ModelSpec(m, n, N, eps=eps, v=1.0)
         start = meanfield.surface_point(spec, p, angle)
         energy = spec.v * start[0] + spec.eps * start[2]
-        assert len(semiclassics.turning_points(spec, energy).regions) == 1
+        assert len(semiclassics._turning(spec, np.array([energy])).row) == 1
         period = semiclassics.orbit_period(spec, energy)
         rec = meanfield.integrate_trajectory(spec, start, 3.2 * period, 1e-3, stride=1)
         sx, sy, sz = rec.states.T

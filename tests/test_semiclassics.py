@@ -1,6 +1,6 @@
 import json
 from itertools import groupby
-from math import pi, sqrt, cosh, exp
+from math import pi, sqrt, exp
 from pathlib import Path
 
 import numpy as np
@@ -15,13 +15,9 @@ from kummer.semiclassics import (
     OutOfBandError,
     PeriodDivergenceError,
     TWO_PI,
-    action_area,
-    orbit_angle,
     orbit_period,
     phase_correction,
     semiclassical_spectrum,
-    tunneling_integral,
-    turning_points,
 )
 
 
@@ -30,10 +26,14 @@ from kummer.semiclassics import (
 SCALAR_AREAS = json.loads((Path(__file__).parent / "data" / "scalar_areas.json").read_text())
 
 
-def gap_barrier(spec, energy, gap):
-    """Signed barrier parameter across the real gap (p1, p2) at one energy."""
-    return semiclassics._gap_barrier(spec, np.array([energy]), np.array([gap[0]]),
-                                     np.array([gap[1]]))[0]
+def turning(spec, energy):
+    """The turning points of one energy (semiclassics._turning)."""
+    return semiclassics._turning(spec, np.array([energy]))
+
+
+def orbit_areas(spec, energies):
+    """The orbit area S(E) at each energy (semiclassics._area_terms)."""
+    return semiclassics._area_terms(spec, np.asarray(energies, dtype=float)).total
 
 
 def area_below_oracle(spec, energy, n=400001):
@@ -57,16 +57,16 @@ def band_range(spec):
 
 class TestTurningPoints:
     def test_one_point_per_branch(self):
-        tps = turning_points(ModelSpec(2, 1, 80, eps=1.5, v=1.0), 0.0)
-        assert len(tps.real_points) == 2
-        assert {b for _, b in tps.real_points} == {"upper", "lower"}
-        assert len(tps.regions) == 1
+        tp = turning(ModelSpec(2, 1, 80, eps=1.5, v=1.0), 0.0)
+        assert np.isfinite(tp.points[0]).sum() == 2
+        assert len(tp.row) == 1
+        assert {bool(tp.upper_left[0]), bool(tp.upper_right[0])} == {True, False}
 
     def test_tangency_at_band_minimum(self):
         spec = ModelSpec(2, 1, 80, eps=0.5, v=1.0)
         emin, _ = band_range(spec)
-        tps = turning_points(spec, emin + 1e-10)
-        pl, pr, _, _ = tps.regions[0]
+        tp = turning(spec, emin + 1e-10)
+        pl, pr = tp.left[0], tp.right[0]
         assert abs(pl - 0.0) < 1e-4 and abs(pr - 0.0) < 1e-4  # center at p = 0
 
     def test_four_points_in_double_well(self):
@@ -74,63 +74,39 @@ class TestTurningPoints:
         fps = meanfield.find_fixed_points(spec)
         saddle = [fp for fp in fps if fp.stability == "saddle"][0]
         energy = saddle.energy - 0.01
-        tps = turning_points(spec, energy)
-        assert len(tps.regions) == 2
-        points = [p for p, _ in tps.real_points]
+        tp = turning(spec, energy)
+        assert len(tp.row) == 2
+        points = tp.points[0][np.isfinite(tp.points[0])].tolist()
         assert len(points) == 4
         assert points == sorted(points)
 
     def test_complex_pair_above_barrier(self):
         spec = ModelSpec(4, 1, 160, eps=0.5, v=1.0)
         saddle = [fp for fp in meanfield.find_fixed_points(spec) if fp.stability == "saddle"][0]
-        tps = turning_points(spec, saddle.energy + 0.01)
-        assert len(tps.regions) == 1
-        pl, pr, _, _ = tps.regions[0]
-        inside = [z for z in tps.complex_pairs if pl < z.real < pr]
-        assert inside and min(z.imag for z in inside) > 0
+        tp = turning(spec, saddle.energy + 0.01)
+        assert len(tp.row) == 1
+        pl, pr = tp.left[0], tp.right[0]
+        inside = [z for z in tp.roots[0] if pl < z.real < pr and z.imag > 1e-9]
+        assert inside and all(np.min(np.abs(tp.roots[0] - z.conjugate())) < 1e-12
+                              for z in inside)
 
     def test_out_of_band_flag(self):
         spec = ModelSpec(2, 1, 80, eps=0.5, v=1.0)
         _, emax = band_range(spec)
-        tps = turning_points(spec, emax + 0.5)
-        assert tps.out_of_band and not tps.regions
-
-
-class TestOrbitAngle:
-    def test_turning_point_value(self):
-        spec = ModelSpec(2, 1, 8, eps=0.3, v=1.0)
-        p = 0.1
-        e = spec.eps * p + spec.v * meanfield.radius(spec, p)
-        assert orbit_angle(spec, p, e) == pytest.approx(0.0, abs=1e-7)
-
-    def test_mid_phase(self):
-        spec = ModelSpec(3, 2, 12, eps=0.4, v=1.0)
-        p = -0.2
-        assert orbit_angle(spec, p, spec.eps * p) == pytest.approx(pi / 2, abs=1e-14)
-
-    def test_forbidden_magnitude(self):
-        spec = ModelSpec(2, 2, 8, eps=0.0, v=1.0)
-        p = 0.2
-        e = spec.v * meanfield.radius(spec, p) * cosh(1.0)
-        assert orbit_angle(spec, p, e) == pytest.approx(1.0, rel=1e-12)
-
-    def test_pole_flag(self):
-        spec = ModelSpec(2, 1, 8, eps=0.5, v=1.0)
-        with pytest.raises(ValueError):
-            orbit_angle(spec, -0.5, 0.1)
+        tp = turning(spec, emax + 0.5)
+        assert not len(tp.row) and not np.isfinite(tp.points).any()
 
 
 class TestActionArea:
     def test_su2_area_law_exact(self):
         spec = ModelSpec(1, 1, 40, eps=0.7, v=1.3)
         omega = np.hypot(0.7, 1.3)
-        for e in (-0.6, -0.2, 0.0, 0.31, 0.7):
-            assert action_area(spec, e) == pytest.approx(
-                TWO_PI * (e / omega + 0.5), abs=1e-11
-            )
+        energies = np.array([-0.6, -0.2, 0.0, 0.31, 0.7])
+        want = TWO_PI * (energies / omega + 0.5)
+        assert orbit_areas(spec, energies) == pytest.approx(want, abs=1e-11)
 
     def test_symmetric_half_area(self):
-        assert action_area(ModelSpec(1, 1, 40, eps=0.0, v=1.0), 0.0) == pytest.approx(
+        assert orbit_areas(ModelSpec(1, 1, 40, eps=0.0, v=1.0), [0.0])[0] == pytest.approx(
             pi, abs=1e-12
         )
 
@@ -138,8 +114,9 @@ class TestActionArea:
         spec = ModelSpec(2, 1, 80, eps=0.5, v=1.0)
         emin, emax = band_range(spec)
         span = emax - emin
-        assert action_area(spec, emin + 1e-9 * span) < 1e-3
-        assert action_area(spec, emax - 1e-9 * span) == pytest.approx(TWO_PI, abs=1e-3)
+        bottom, top = orbit_areas(spec, [emin + 1e-9 * span, emax - 1e-9 * span])
+        assert bottom < 1e-3
+        assert top == pytest.approx(TWO_PI, abs=1e-3)
 
     @pytest.mark.parametrize(
         "spec,energy",
@@ -159,24 +136,23 @@ class TestActionArea:
         total = semiclassics._area_terms(spec, np.array([energy])).total[0]
         assert total == pytest.approx(area_below_oracle(spec, energy), abs=2e-7)
 
-    def test_node_doubling_convergence(self):
+    def test_node_doubling_convergence(self, monkeypatch):
         spec = ModelSpec(3, 2, 120, eps=0.4, v=1.0)
-        coarse = action_area(spec, 0.05, order=96)
-        fine = action_area(spec, 0.05, order=192)
-        assert abs(coarse - fine) < 1e-9
+        assert semiclassics.ACTION_ORDER == 96
+        coarse = orbit_areas(spec, [0.05])[0]
+        monkeypatch.setattr(semiclassics, "ACTION_ORDER", 192)
+        fine = orbit_areas(spec, [0.05])[0]
+        assert coarse != fine and abs(coarse - fine) < 1e-9
 
     def test_errors(self):
+        # out of band the area kernel flags the energy, and orbit_period raises
         spec = ModelSpec(2, 1, 80, eps=0.5, v=1.0)
         _, emax = band_range(spec)
+        terms = semiclassics._area_terms(spec, np.array([0.1, emax + 1.0]))
+        assert terms.status.tolist() == [semiclassics._SUMMED, semiclassics._OUT_OF_BAND]
+        assert np.isfinite(terms.total[0]) and np.isnan(terms.total[1])
         with pytest.raises(OutOfBandError):
-            action_area(spec, emax + 1.0)
-        dw = ModelSpec(4, 1, 160, eps=0.5, v=1.0)
-        saddle = [f for f in meanfield.find_fixed_points(dw) if f.stability == "saddle"][0]
-        with pytest.raises(ValueError):
-            action_area(dw, saddle.energy - 0.01)  # two regions, index required
-        for region in (-1, 2):  # regions 0 and 1 exist
-            with pytest.raises(ValueError, match="2 allowed regions"):
-                action_area(dw, saddle.energy - 0.01, region)
+            orbit_period(spec, emax + 1.0)
 
 
 class TestPhaseCorrection:
@@ -208,25 +184,21 @@ class TestTunneling:
         fps = meanfield.find_fixed_points(self.spec)
         self.saddle_energy = [f.energy for f in fps if f.stability == "saddle"][0]
 
-    def _signed(self, energy):
-        tps = turning_points(self.spec, energy)
-        if len(tps.regions) == 2:
-            return gap_barrier(self.spec, energy, (tps.regions[0][1], tps.regions[1][0]))
-        pl, pr, _, _ = tps.regions[0]
-        z = min(
-            (z for z in tps.complex_pairs if pl < z.real < pr), key=lambda w: w.imag
-        )
-        return semiclassics._continued_barrier(self.spec, np.array([energy]), np.array([z]))[0]
+    def _signed(self, *energies):
+        # across the real gap of two regions, or through the complex pair
+        # nearest the axis inside one region
+        terms = semiclassics._area_terms(self.spec, np.array(energies), None, True)
+        assert np.isin(terms.status, [semiclassics._TWO_REGIONS, semiclassics._CONTINUED]).all()
+        return terms.s_eps
 
     def test_vanishes_at_barrier_top(self):
         for de in (1e-6, 1e-8):
-            assert abs(self._signed(self.saddle_energy - de)) < 1e-3
-            assert abs(self._signed(self.saddle_energy + de)) < 1e-3
+            below, above = self._signed(self.saddle_energy - de, self.saddle_energy + de)
+            assert abs(below) < 1e-3 and abs(above) < 1e-3
 
     def test_continuous_and_odd_through_top(self):
         for de in (1e-6, 1e-8):
-            below = self._signed(self.saddle_energy - de)
-            above = self._signed(self.saddle_energy + de)
+            below, above = self._signed(self.saddle_energy - de, self.saddle_energy + de)
             assert below > 0 > above
             assert abs(below + above) < 1e-7
 
@@ -236,23 +208,16 @@ class TestTunneling:
         # w = (E - eps*p)/(v r), over the real gap, divided by pi*eta
         spec = self.spec
         energy = self.saddle_energy - below
-        tps = turning_points(spec, energy)
-        gap = (tps.regions[0][1], tps.regions[1][0])
+        tp = turning(spec, energy)
+        assert len(tp.row) == 2
+        gap = (tp.right[0], tp.left[1])
 
         def depth(p):
             w = (energy - spec.eps * p) / (spec.v * meanfield.radius(spec, p))
             return np.arccosh(max(abs(w), 1.0))
 
         want, _ = quad(depth, *gap, epsabs=0.0, epsrel=1e-13, limit=200)
-        got = gap_barrier(spec, energy, gap)
-        assert got == pytest.approx(want / (pi * spec.eta), rel=1e-10)
-
-    def test_magnitude_exposed(self):
-        energy = self.saddle_energy + 1e-4
-        tps = turning_points(self.spec, energy)
-        pl, pr, _, _ = tps.regions[0]
-        z = min((z for z in tps.complex_pairs if pl < z.real < pr), key=lambda w: w.imag)
-        assert tunneling_integral(self.spec, energy, z) > 0
+        assert self._signed(energy)[0] == pytest.approx(want / (pi * spec.eta), rel=1e-10)
 
     def test_deep_barrier_decouples_into_single_wells(self):
         # each well on its own, under the same first-order rule: the area
@@ -290,7 +255,7 @@ class TestTunneling:
         for e_single in independent:
             nearest = min(abs(e_single - e) for e in dw)
             assert nearest < 1e-4
-            kappa = exp(-pi * self._signed(e_single))
+            kappa = exp(-pi * self._signed(e_single)[0])
             assert kappa < 1e-8
 
 
@@ -524,13 +489,8 @@ class TestPeriod:
         for frac in (0.25, 0.55, 0.85):
             e = emin + frac * (emax - emin)
             h = 1e-6 * (emax - emin)
-
-            def total(x):
-                t = turning_points(spec, x)
-                return sum(action_area(spec, x, i) for i in range(len(t.regions)))
-
-            deriv = (total(e + h) - total(e - h)) / (2 * h)
-            assert deriv == pytest.approx(orbit_period(spec, e), rel=1e-6)
+            lo, hi = orbit_areas(spec, [e - h, e + h])
+            assert (hi - lo) / (2 * h) == pytest.approx(orbit_period(spec, e), rel=1e-6)
 
 
 class TestDosCurve:
@@ -556,8 +516,8 @@ class TestBatchedPeriods:
     @pytest.mark.parametrize("n", range(1, 5))
     def test_roots_and_regions_match_turning_points(self, m, n):
         # the roots bit for bit as polyroots gives them, and the regions and
-        # branch labels that turning_points gave one energy at a time before
-        # the batched kernels: on a band grid 0.02 beyond both ends and at
+        # branch labels that the one-energy turning points gave before the
+        # batched kernels (scalar_areas.json): on a band grid 0.02 beyond both ends and at
         # each fixed point and 1e-15, 1e-13 and 1e-9 either side, where a
         # region can be narrower than 1e-8
         for case in (c for c in SCALAR_AREAS["regions"] if (c["m"], c["n"]) == (m, n)):
@@ -592,7 +552,7 @@ class TestBatchedPeriods:
         got = semiclassics.dos_semiclassical(spec, np.array(energies))
         assert np.allclose(got, want, rtol=1e-13, atol=0.0)
         for e in two_regions:  # their periods are sums over both regions
-            assert len(turning_points(spec, e).regions) == 2
+            assert len(turning(spec, e).row) == 2
 
     def test_curve_is_rk4_return_time(self):
         # independent oracle: upward zero crossings of sy on the RK4 path
@@ -621,17 +581,11 @@ class TestBatchedPeriods:
         emin, emax = band_range(spec)
         energies = np.append(emin + np.array(fracs) * (emax - emin), two_regions)
         for e in two_regions:
-            assert len(turning_points(spec, e).regions) == 2
+            assert len(turning(spec, e).row) == 2
         h = 1e-6 * (emax - emin)
-
-        def total(x):
-            t = turning_points(spec, x)
-            return sum(action_area(spec, x, i) for i in range(len(t.regions)))
-
+        deriv = (orbit_areas(spec, energies + h) - orbit_areas(spec, energies - h)) / (2 * h)
         periods = TWO_PI * semiclassics.dos_semiclassical(spec, energies)
-        for e, period in zip(energies, periods):
-            deriv = (total(e + h) - total(e - h)) / (2 * h)
-            assert deriv == pytest.approx(period, rel=1e-6)
+        assert deriv == pytest.approx(periods, rel=1e-6)
 
     def test_narrow_region_as_turning_points(self):
         # 1e-15 below the band top the region is 1.2e-8 wide and the sign
@@ -640,7 +594,7 @@ class TestBatchedPeriods:
         spec = ModelSpec(1, 3, 120, eps=0.08)
         energy = float.fromhex("0x1.160a2afbf6823p-1")
         assert band_range(spec)[1] - energy == pytest.approx(1e-15, rel=0.01)
-        assert len(turning_points(spec, energy).regions) == 1
+        assert len(turning(spec, energy).row) == 1
         period, status = semiclassics._periods(spec, np.array([energy]))
         assert status[0] == 0 and period[0].hex() == "0x1.c62743913d9ffp+1"
 
@@ -724,9 +678,6 @@ class TestAreaKernel:
         plain = semiclassics._area_terms(spec, energies, np.full(3, 0.002)).total
         assert terms.status.tolist() == [semiclassics._TWO_REGIONS, semiclassics._CONTINUED,
                                          semiclassics._SUMMED]
-        tp = semiclassics._turning(spec, energies)
-        regions = semiclassics._region_areas(spec, energies, tp)
-        pairs = semiclassics._continued_pairs(energies, tp, saddle.p)
         periods, _ = semiclassics._periods(spec, energies)
         # the same arithmetic, up to the rounding of the vector loops
         for k, e in enumerate(energies):
@@ -734,22 +685,7 @@ class TestAreaKernel:
             assert semiclassics._matching_areas(spec, one)[0] == pytest.approx(areas[k], abs=1e-13)
             one = semiclassics._area_terms(spec, np.array([e]), np.array([0.002]))
             assert one.total[0] == pytest.approx(plain[k], abs=1e-13)
-            here = tp.row == k
-            got = turning_points(spec, e).regions
-            assert [r[:2] for r in got] == list(zip(tp.left[here], tp.right[here]))
-            assert [(r[2] == "upper", r[3] == "upper") for r in got] == list(
-                zip(tp.upper_left[here], tp.upper_right[here]))
-            assert [action_area(spec, e, i) for i in range(len(got))] == pytest.approx(
-                regions[here], abs=1e-13)
             assert orbit_period(spec, e) == pytest.approx(periods[k], rel=1e-13)
-        gap = (tp.right[0], tp.left[1])
-        assert tunneling_integral(spec, energies[0], gap) == pytest.approx(
-            terms.s_eps[0], abs=1e-13)
-        assert tunneling_integral(spec, energies[1], pairs[1]) == pytest.approx(
-            -terms.s_eps[1], abs=1e-13)
-        acts = semiclassics.barrier_actions(spec, energies[1], saddle.p, shift=0.002)
-        assert np.allclose([acts.left, acts.right, acts.s_eps],
-                           [terms.left[1], terms.right[1], terms.s_eps[1]], rtol=0, atol=1e-13)
 
     def test_lockstep_roots_as_brentq(self):
         # one brentq per target, run together: the same roots to its tolerance
@@ -931,38 +867,43 @@ class TestPinnedLevels:
         assert len(levels) == 41 and calls == [spec]
 
 
+def barrier_terms(spec, energies):
+    """Areas and barrier terms (semiclassics._area_terms with the barrier)."""
+    return semiclassics._area_terms(spec, np.asarray(energies, dtype=float), None, True)
+
+
 class TestBarrierActions:
     def test_sum_identity_above_barrier(self):
         # both partial actions continued through one complex point: the
         # sum equals the single-region area exactly
         spec = ModelSpec(4, 1, 160, eps=0.5, v=1.0)
         saddle = [f for f in meanfield.find_fixed_points(spec) if f.stability == "saddle"][0]
-        for de in (1e-3, 1e-2, 5e-2):
-            energy = saddle.energy + de
-            acts = semiclassics.barrier_actions(spec, energy)
-            assert acts.total == pytest.approx(action_area(spec, energy), abs=1e-8)
-            assert acts.s_eps < 0
-            assert acts.kappa == pytest.approx(exp(-pi * acts.s_eps), rel=1e-12)
+        energies = saddle.energy + np.array([1e-3, 1e-2, 5e-2])
+        terms = barrier_terms(spec, energies)
+        assert (terms.status == semiclassics._CONTINUED).all()
+        assert terms.total == pytest.approx(orbit_areas(spec, energies), abs=1e-8)
+        assert (terms.s_eps < 0).all()
 
     def test_below_barrier_fields(self):
         spec = ModelSpec(4, 1, 160, eps=0.5, v=1.0)
         saddle = [f for f in meanfield.find_fixed_points(spec) if f.stability == "saddle"][0]
-        acts = semiclassics.barrier_actions(spec, saddle.energy - 5e-3)
-        assert acts.s_eps > 0
-        assert 0 < acts.kappa < 1
-        assert acts.left > 0 and acts.right > 0
-        assert acts.total == pytest.approx(acts.left + acts.right, abs=0)
+        terms = barrier_terms(spec, [saddle.energy - 5e-3])
+        assert terms.status[0] == semiclassics._TWO_REGIONS
+        assert terms.s_eps[0] > 0
+        assert terms.left[0] > 0 and terms.right[0] > 0
+        assert terms.total[0] == terms.left[0] + terms.right[0]
 
     def test_total_across_upper_gap(self):
         # two wells of U+ at (3,3,90, eps=0.1): both areas measure across the
         # gap from their far poles, so the total counts the circle once less
         spec = ModelSpec(3, 3, 90, eps=0.1, v=1.0)
         energy = 0.04956
-        acts = semiclassics.barrier_actions(spec, energy)
-        assert acts.total == pytest.approx(acts.left + acts.right - 2 * pi, abs=1e-12)
-        total = semiclassics._area_terms(spec, np.array([energy])).total[0]
-        assert acts.total == pytest.approx(total, abs=1e-12)
-        assert acts.total == pytest.approx(6.0704, abs=1e-4)
+        terms = barrier_terms(spec, [energy])
+        total = terms.total[0]
+        assert terms.status[0] == semiclassics._TWO_REGIONS
+        assert total == pytest.approx(terms.left[0] + terms.right[0] - 2 * pi, abs=1e-12)
+        assert total == pytest.approx(orbit_areas(spec, [energy])[0], abs=1e-12)
+        assert total == pytest.approx(6.0704, abs=1e-4)
 
     def test_area_form_zeroes_matching_residual(self):
         # below the barrier the area form is monotone, and where it meets
@@ -975,17 +916,17 @@ class TestBarrierActions:
         grid = np.linspace(-0.25 + 1e-4, saddle.energy - 1e-4, 161)
 
         def area(e):
-            terms = semiclassics._area_terms(spec, np.array([e]), None, True, None)
-            return semiclassics._matching_areas(spec, terms)[0]
+            return semiclassics._matching_areas(spec, barrier_terms(spec, [e]))[0]
 
         values = np.array([area(e) for e in grid])
         assert np.all(np.diff(values) > 0)
 
         def residual(e):
-            acts = semiclassics.barrier_actions(spec, e)
-            amp = 1.0 / sqrt(1.0 + acts.kappa**2)
-            return (np.cos((acts.left + acts.right) / (2 * eta) - acts.s_phi)
-                    + amp * np.cos((acts.left - acts.right) / (2 * eta)))
+            terms = barrier_terms(spec, [e])
+            left, right, s_eps = terms.left[0], terms.right[0], terms.s_eps[0]
+            amp = 1.0 / sqrt(1.0 + exp(-pi * s_eps) ** 2)
+            return (np.cos((left + right) / (2 * eta) - phase_correction(s_eps))
+                    + amp * np.cos((left - right) / (2 * eta)))
 
         nus = range(int(np.ceil(values[0] / (TWO_PI * eta) - 0.5)),
                     int(np.floor(values[-1] / (TWO_PI * eta) - 0.5)) + 1)
@@ -995,10 +936,35 @@ class TestBarrierActions:
             root = brentq(lambda e: area(e) - target, grid[0], grid[-1], xtol=1e-14)
             assert abs(residual(root)) < 1e-9
 
-    def test_no_barrier_raises(self):
-        spec = ModelSpec(1, 1, 20, eps=0.3, v=1.0)
-        with pytest.raises(ValueError):
-            semiclassics.barrier_actions(spec, 0.0)
+
+class TestOrderOfAccuracy:
+    """|WKB - exact| in scaled energy over a ladder of dimensions.
+
+    With the first-order term the median level error falls as eta^2; the
+    worst level, next to a saddle, falls only as eta.  A fixed tolerance
+    cannot tell a wrong first-order term from a small one; the slopes
+    can.  m = n = 1 is left out: WKB is exact there, and its error is
+    that of the area quadrature.
+    """
+
+    DIMS = [41, 81, 161, 321, 641]
+
+    @pytest.mark.parametrize("m,n,eps", [(2, 1, 0.5), (3, 2, 0.4), (4, 1, 0.5), (2, 2, 0.3),
+                                         (1, 3, -0.3)])
+    def test_error_slopes(self, m, n, eps):
+        median, worst = [], []
+        for dim in self.DIMS:
+            spec = ModelSpec(m, n, (dim - 1) * m * n, eps=eps)
+            assert spec.dim == dim
+            err = np.abs(semiclassical_spectrum(spec).energies
+                         - quantum.eigen_spectrum(spec).scaled_eigenvalues)
+            median.append(np.median(err))
+            worst.append(np.max(err))
+        log_dim = np.log(self.DIMS)
+        median_slope = np.polyfit(log_dim, np.log(median), 1)[0]
+        worst_slope = np.polyfit(log_dim, np.log(worst), 1)[0]
+        assert -2.3 <= median_slope <= -1.7, (median_slope, median)
+        assert worst_slope <= -0.8, (worst_slope, worst)
 
 
 class TestNearCriticalQuantization:

@@ -1,5 +1,6 @@
 import json
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -91,7 +92,7 @@ def test_spectrum_files(tmp_path):
     assert len(rows) == 5
     assert [float(raw) for _, raw, _ in rows] == list(res.raw_eigenvalues)  # bit exact
     assert [float(s) for _, _, s in rows] == list(res.scaled_eigenvalues)
-    payload = json.loads(open(stem + ".json").read())
+    payload = json.loads(Path(stem + ".json").read_text())
     assert payload == {"spec": {"m": 2, "n": 1, "N": 8, "eps": 0.5, "v": 1.0}}
 
 
