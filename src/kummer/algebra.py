@@ -17,12 +17,13 @@ import numpy as np
 from .model import ModelSpec
 
 
-def ladder_product(spec: ModelSpec, z: float) -> float:
+def ladder_product(spec: ModelSpec, z):
     """Auxiliary product of m+n linear factors in z.
 
     Its weighted difference across z -> z-1 gives the commutator
     polynomial and its weighted sum the Casimir polynomial.  Defined for
-    every real z; evaluated factor by factor, never expanded.
+    every real z, and elementwise on an array z, bit for bit as on each
+    scalar; evaluated factor by factor, never expanded.
     """
     m, n = spec.m, spec.n
     zc = spec.z_max
@@ -47,16 +48,16 @@ def _prefactor(spec: ModelSpec) -> float:
     return out
 
 
-def commutator_poly(spec: ModelSpec, z: float) -> float:
+def commutator_poly(spec: ModelSpec, z):
     """Polynomial F with [sx, sy] = i*F(sz); degree m+n-1.
 
-    Reduces to F(z) = z for (m, n) = (1, 1).
+    Reduces to F(z) = z for (m, n) = (1, 1).  Elementwise as ladder_product.
     """
     return _prefactor(spec) * (ladder_product(spec, z) - ladder_product(spec, z - 1.0))
 
 
-def casimir_poly(spec: ModelSpec, z: float) -> float:
-    """Polynomial G with sx^2 + sy^2 + G(sz) scalar; degree m+n."""
+def casimir_poly(spec: ModelSpec, z):
+    """Polynomial G with sx^2 + sy^2 + G(sz) scalar; degree m+n; elementwise as ladder_product."""
     return _prefactor(spec) * (ladder_product(spec, z) + ladder_product(spec, z - 1.0))
 
 

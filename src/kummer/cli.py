@@ -120,6 +120,15 @@ def _worker_count(jobs: int) -> int:
 
 def parse_config(argv) -> RunConfig:
     """Merge command line over an optional config file into a RunConfig."""
+    argv = list(argv)
+    for k in range(len(argv) - 2, -1, -1):  # argparse takes -1.37e-3 for an option
+        flag, value = argv[k], argv[k + 1]
+        if flag.startswith("--") and "=" not in flag and value.startswith("-"):
+            try:
+                float(value)
+            except ValueError:
+                continue
+            argv[k:k + 2] = [f"{flag}={value}"]
     args = _build_parser().parse_args(argv)
     table = {dest: (typ, default) for dest, typ, default, _ in
              _MODEL_OPTS + _COMMANDS[args.command]}

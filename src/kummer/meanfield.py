@@ -331,7 +331,10 @@ def classify_bifurcations(spec: ModelSpec) -> list:
     Saddle-node events occur at the inflection points of r with
     eps_c = +-v r'(p); transcritical events exist only for a mode index
     of exactly 2, at eps_c = +-v times the pole's slope (pole_slopes).
+    None at v = 0: H = eps*sz has only the poles, of stability eps^2.
     """
+    if spec.v == 0.0:
+        return []
     events = []
     for p in inflection_points(spec):
         slope = -classical_commutator(spec, p) / radius(spec, p)  # g = -r^2, dg/dp = 2f
@@ -341,15 +344,12 @@ def classify_bifurcations(spec: ModelSpec) -> list:
             eps_c = sign * spec.v * slope
             energy = (spec.v**2 / eps_c) * classical_commutator(spec, p) + eps_c * p
             events.append(BifurcationEvent(eps_c, "saddle_node", p, energy))
-    south, north = pole_slopes(spec)
-    if spec.m == 2:
-        for sign in (1.0, -1.0):
-            eps_c = sign * spec.v * south
-            events.append(BifurcationEvent(eps_c, "transcritical", "south_pole", -eps_c / 2.0))
-    if spec.n == 2:
-        for sign in (1.0, -1.0):
-            eps_c = sign * spec.v * north
-            events.append(BifurcationEvent(eps_c, "transcritical", "north_pole", eps_c / 2.0))
+    for mode, slope, pole, p in zip((spec.m, spec.n), pole_slopes(spec),
+                                    ("south_pole", "north_pole"), (-0.5, 0.5)):
+        if mode == 2:
+            for sign in (1.0, -1.0):
+                eps_c = sign * spec.v * slope
+                events.append(BifurcationEvent(eps_c, "transcritical", pole, eps_c * p))
     events.sort(key=lambda ev: (abs(ev.eps_critical), ev.eps_critical))
     return events
 

@@ -267,11 +267,11 @@ def commutator_residuals(spec: ModelSpec) -> dict:
         res_zx = np.max(np.abs(ay - step * ax)) / scale_off
         res_yz = np.max(np.abs(step * ay - ax)) / scale_off
 
-    f_diag = np.array([algebra.commutator_poly(spec, zi) for zi in z])
+    f_diag = algebra.commutator_poly(spec, z)
     lhs = 0.5 * (beta[:dim] - beta[1 : dim + 1])
     res_xy = np.max(np.abs(lhs - f_diag)) / max(np.max(np.abs(f_diag)), 1e-300)
 
-    g_diag = np.array([algebra.casimir_poly(spec, zi) for zi in z])
+    g_diag = algebra.casimir_poly(spec, z)
     cas = 0.5 * (beta[:dim] + beta[1 : dim + 1]) + g_diag
     scale_cas = max(np.max(0.5 * (beta[:dim] + beta[1 : dim + 1])), 1e-300)
     res_cas = np.max(np.abs(cas - np.mean(cas))) / scale_cas

@@ -495,7 +495,6 @@ class _AreaTerms:
     """The areas of an array of energies and the form each took (_area_terms)."""
 
     status: np.ndarray  # _OUT_OF_BAND, _SUMMED, _TWO_REGIONS or _CONTINUED
-    count: np.ndarray  # allowed regions
     total: np.ndarray  # the regions' sum S, or S_l + S_r across a barrier
     left: np.ndarray  # S_l, S_r and the signed barrier parameter; NaN
     right: np.ndarray  # where no barrier applies
@@ -582,7 +581,7 @@ def _area_terms(spec: ModelSpec, energies, shift=None, barrier: bool = False,
             total[one] = left[one] + right[one]
             s_eps[one] = _continued_barrier(spec, e, z)
             status[one] = _CONTINUED
-    return _AreaTerms(status, count, total, left, right, s_eps)
+    return _AreaTerms(status, total, left, right, s_eps)
 
 
 def _matching_areas(spec: ModelSpec, terms: _AreaTerms) -> np.ndarray:
@@ -818,59 +817,54 @@ def _fixed_point_shift(spec: ModelSpec, fp) -> float:
 
 
 def _structure_boundaries(spec: ModelSpec):
-    """Fixed points, their merged energies, and the energy shift at each.
+    """Merged fixed-point energies, the energy shift at each, and their saddles.
 
     Where fixed points share an energy, a saddle's shift wins: it is the
-    one that keeps the areas finite there.
+    one that keeps the areas finite there.  `tops` and `dips` hold, per
+    boundary, p of an interior saddle there on U- (q = pi, a barrier top)
+    and on U+ (q = 0, a dip bottom), or None.
     """
-    fps = meanfield.find_fixed_points(spec)
-    bounds, shifts = [], []
-    for fp in sorted(fps, key=lambda fp: fp.energy):
-        e = fp.energy
-        if bounds and e - bounds[-1] <= 1e-12 * (1.0 + abs(e)):
-            if fp.stability == "saddle":
-                shifts[-1] = _fixed_point_shift(spec, fp)
-            continue
-        bounds.append(e)
-        shifts.append(_fixed_point_shift(spec, fp))
-    return fps, bounds, shifts
+    bounds, shifts, tops, dips = [], [], [], []
+    for fp in sorted(meanfield.find_fixed_points(spec), key=lambda fp: fp.energy):
+        e, saddle = fp.energy, fp.stability == "saddle"
+        if not (bounds and e - bounds[-1] <= 1e-12 * (1.0 + abs(e))):
+            bounds.append(e)
+            shifts.append(_fixed_point_shift(spec, fp))
+            tops.append(None)
+            dips.append(None)
+        elif saddle:
+            shifts[-1] = _fixed_point_shift(spec, fp)
+        if saddle and fp.location == "interior":  # q is 0 or pi
+            (tops if fp.q == pi else dips)[-1] = fp.p
+    return bounds, shifts, tops, dips
 
 
-def _boundary_saddle(fps, energy: float, q_value: float):
-    """Interior saddle fixed point sitting at a boundary energy, if any."""
-    for fp in fps:
-        if (fp.stability == "saddle" and fp.location == "interior"
-                and fp.q == q_value
-                and abs(fp.energy - energy) <= 1e-10 * (1.0 + abs(energy))):
-            return fp
-    return None
-
-
-def _interval_mode(spec: ModelSpec, fps, lo: float, hi: float, p_left, p_right):
-    """Mode of one energy interval and the `barrier_p` of _interval_pieces.
+def _interval_plans(spec: ModelSpec, lo: float, hi: float, top, dip, p_left, p_right) -> list:
+    """Plans (lo, hi, mirrored, barrier_p, tag) that solve one structure interval (_piece).
 
     `p_left` and `p_right` are the allowed regions at the interval's
-    midpoint.  barrier_p is the location of the continued barrier,
-    (lower, upper) for "froman_both", and None where nothing is
-    continued.
+    midpoint, and `top` and `dip` p of a barrier top at lo and of a dip
+    bottom at hi (_structure_boundaries).  Two regions make a double
+    well, mirrored where the gap between them lies above U+; a barrier
+    top at lo is continued from below, a dip bottom at hi (mirrored)
+    from above, and with both the interval is split at a seam where both
+    barrier corrections are negligible; the asymmetric seam fraction
+    avoids pinning it onto a symmetric model's central level.
     """
     mid = 0.5 * (lo + hi)
     if len(p_left) > 2:
         raise QuantizationError(f"unexpected {len(p_left)} allowed regions at E = {mid}")
     if len(p_left) == 2:
-        gap_mid = 0.5 * (p_right[0] + p_left[1])
-        u_lo, u_hi = meanfield.potentials(spec, gap_mid)
-        mode = "matching_lower" if mid < u_lo else "matching_upper"
-        return mode, None
-    low_saddle = _boundary_saddle(fps, lo, pi)  # barrier top on U-
-    high_saddle = _boundary_saddle(fps, hi, 0.0)  # dip bottom on U+
-    if low_saddle and high_saddle:
-        return "froman_both", (low_saddle.p, high_saddle.p)
-    if low_saddle:
-        return "froman_lower", low_saddle.p
-    if high_saddle:
-        return "froman_upper", high_saddle.p
-    return "plain", None
+        u_lo, _ = meanfield.potentials(spec, 0.5 * (p_right[0] + p_left[1]))
+        return [(lo, hi, mid >= u_lo, None, DOUBLE_WELL)]
+    if top is not None and dip is not None:
+        seam = lo + 0.6180339887 * (hi - lo)
+        return [(lo, seam, False, top, ABOVE_BARRIER), (seam, hi, True, dip, ABOVE_BARRIER)]
+    if top is not None:
+        return [(lo, hi, False, top, ABOVE_BARRIER)]
+    if dip is not None:
+        return [(lo, hi, True, dip, ABOVE_BARRIER)]
+    return [(lo, hi, False, None, SINGLE_WELL)]
 
 
 _STEP_PROBES = 32  # energies per round of _step_past_continuation's search
@@ -917,44 +911,27 @@ def _step_past_continuation(spec: ModelSpec, lo: float, hi: float, area: _Interv
         roots.update(zip(moved, found.tolist()))
 
 
-def _interval_pieces(spec: ModelSpec, lo: float, hi: float, mode: str, table,
-                     barrier_p=None) -> list:
-    """Pieces (roots {nu: E}, edges, regime) solved inside one structure interval.
+def _piece(spec: ModelSpec, table, lo: float, hi: float, mirrored: bool, barrier_p, tag: str):
+    """Roots {nu: E}, edges and regime of one plan (_interval_plans).
 
-    Roots and edges (E, A(E)) are those of _area_levels in this spec's
-    orientation: a mirrored piece maps E -> -E, A -> 2*pi - A and
-    nu -> dim - 1 - nu.  `table` holds the boundaries and s at each (see
-    semiclassical_spectrum); mirrored, both are negated.
+    Roots and edges (E, A(E)) come from _area_levels, with the matching
+    area unless the tag is SINGLE_WELL; where a barrier at `barrier_p` is
+    continued, the roots step past the continuation's end
+    (_step_past_continuation).  A mirrored plan is solved on
+    spec.mirrored(), with E, the table and barrier_p negated, and mapped
+    back by nu -> dim - 1 - nu and A -> 2*pi - A.
     """
-    if mode in ("matching_upper", "froman_upper"):
-        mirror_p = None if barrier_p is None else -barrier_p
-        top = spec.dim - 1
-        sub = _interval_pieces(spec.mirrored(), -hi, -lo, mode.replace("upper", "lower"),
-                               (-table[0][::-1], -table[1][::-1]), mirror_p)
-        return [({top - nu: -e for nu, e in roots.items()},
-                 tuple((-e, TWO_PI - a) for e, a in reversed(edges)), tag + "_mirrored")
-                for roots, edges, tag in sub]
-    if mode == "froman_both":
-        # barrier continuation from below on the lower part of the band
-        # and (mirrored) from above higher up, joined at a seam where
-        # both barrier corrections are negligible; the asymmetric seam
-        # fraction avoids pinning it onto a symmetric model's central level
-        p_low, p_high = barrier_p
-        seam = lo + 0.6180339887 * (hi - lo)
-        return (_interval_pieces(spec, lo, seam, "froman_lower", table, p_low)
-                + _interval_pieces(spec, seam, hi, "froman_upper", table, p_high))
-    if mode == "plain":
-        area = _IntervalArea(spec, table)
-        tag = SINGLE_WELL
-    elif mode in ("matching_lower", "froman_lower"):
-        area = _IntervalArea(spec, table, True, barrier_p)
-        tag = DOUBLE_WELL if mode == "matching_lower" else ABOVE_BARRIER
-    else:
-        raise ValueError(f"unknown interval mode {mode!r}")
+    if mirrored:
+        spec, table = spec.mirrored(), (-table[0][::-1], -table[1][::-1])
+        lo, hi, barrier_p = -hi, -lo, None if barrier_p is None else -barrier_p
+    area = _IntervalArea(spec, table, tag != SINGLE_WELL, barrier_p)
     roots, edges = _area_levels(spec, lo, hi, area)
-    if mode == "froman_lower":
+    if barrier_p is not None:
         _step_past_continuation(spec, lo, hi, area, roots, edges)
-    return [(roots, edges, tag)]
+    if not mirrored:
+        return roots, edges, tag
+    return ({spec.dim - 1 - nu: -e for nu, e in roots.items()},
+            tuple((-e, TWO_PI - a) for e, a in reversed(edges)), tag + "_mirrored")
 
 
 def _assemble(spec: ModelSpec, band, pieces) -> list:
@@ -998,11 +975,12 @@ def _assemble(spec: ModelSpec, band, pieces) -> list:
 def semiclassical_spectrum(spec: ModelSpec) -> SemiclassicalSpectrum:
     """All dim levels from the WKB rules, regime-labeled and sorted.
 
-    The band is partitioned at the fixed-point energies; each interval
-    has a fixed structure (plain well, double well below a barrier, or
-    barrier-top continuation, possibly mirrored for structures of the
-    upper potential curve).  Every interval finds its levels the same
-    way, as the roots of a monotone area at the targets
+    The band is partitioned at the fixed-point energies, and the
+    structure of each interval is decided once, as flat plans
+    (_interval_plans): a plain well, a double well below a barrier, or a
+    barrier-top continuation, mirrored (_piece) for structures of the
+    upper potential curve.  Every plan finds its levels the same way, as
+    the roots of a monotone area at the targets
     2*pi*eta*(nu + 1/2), all solved together (_area_levels): the orbit
     area S(E) in a plain well, the area form of the matching condition
     across a barrier (_matching_areas).  Levels are assembled by their
@@ -1012,7 +990,7 @@ def semiclassical_spectrum(spec: ModelSpec) -> SemiclassicalSpectrum:
     every boundary.  A window holding two levels, or levels that do not
     increase strictly, raise QuantizationError.
     """
-    fps, bounds, shifts = _structure_boundaries(spec)
+    bounds, shifts, tops, dips = _structure_boundaries(spec)
     if len(bounds) < 2:
         raise QuantizationError("classical band is degenerate")
     table = np.array(bounds), np.array(shifts)
@@ -1020,8 +998,8 @@ def semiclassical_spectrum(spec: ModelSpec) -> SemiclassicalSpectrum:
     pieces = []
     for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
         here = mids.row == k
-        mode, barrier_p = _interval_mode(spec, fps, lo, hi, mids.left[here], mids.right[here])
-        pieces += _interval_pieces(spec, lo, hi, mode, table, barrier_p)
+        pieces += [_piece(spec, table, *plan) for plan in _interval_plans(
+            spec, lo, hi, tops[k], dips[k + 1], mids.left[here], mids.right[here])]
     energies, tags = zip(*_assemble(spec, (bounds[0], bounds[-1]), pieces))
     energies = np.array(energies)
     levels = energies + np.interp(energies, *table)

@@ -137,6 +137,20 @@ def test_verify_structure_degree_at_large_n(m, n, N, eps, monkeypatch):
     assert f"deg F={m + n - 2} " in detail and f"deg G={m + n - 1} " in detail
 
 
+def test_array_values_are_the_scalar_values():
+    # quantum and verify evaluate the structure polynomials on whole arrays
+    rng = np.random.RandomState(5)
+    for m in range(1, 6):
+        for n in range(1, 6):
+            for N in (m * n, 40 * m * n, 8000 * m * n):
+                spec = ModelSpec(m, n, N)
+                z = np.concatenate((spec.sz_value(np.arange(min(spec.dim, 101))),
+                                    rng.uniform(-spec.z_max - 1.0, spec.z_max + 1.0, 64)))
+                for poly in (algebra.ladder_product, algebra.commutator_poly, algebra.casimir_poly):
+                    scalar = np.array([poly(spec, float(zi)) for zi in z])
+                    assert np.array_equal(poly(spec, z), scalar), (m, n, N, poly.__name__)
+
+
 class TestCasimirCompletion:
     def test_su2_case(self):
         # linear deformation: phi(z) = z + z^2

@@ -83,6 +83,15 @@ class TestParseConfig:
         with pytest.raises(UsageError, match="key = value"):
             parse_config(["spectrum", "--config", str(conf)])
 
+    def test_negative_value_in_exponent_notation(self, tmp_path):
+        # argparse alone takes -1.37e-3 for an option and wants a value for --eps
+        cfg = parse_config("fixed-points --m 1 --n 3 --eps -1.37e-3 --v -1".split())
+        assert (cfg.spec.eps, cfg.spec.v) == (-1.37e-3, -1.0)
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(f"fixed-points --m 1 --n 3 --eps -1.37e-3 --out {a}".split()) == 0
+        assert main(f"fixed-points --m 1 --n 3 --eps=-1.37e-3 --out {b}".split()) == 0
+        assert (a / "fixed_points.csv").read_bytes() == (b / "fixed_points.csv").read_bytes()
+
 
 class TestMain:
     def test_usage_exit_code(self, capsys):
@@ -256,6 +265,23 @@ class TestMain:
         out = capsys.readouterr().out
         assert "17/17 checks passed" in out
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize("m,n", [(3, 1), (1, 4), (2, 1), (2, 2)])
+    def test_bifurcations_without_coupling(self, tmp_path, m, n):
+        # at v = 0, H = eps*sz: at every eps != 0 only the poles are fixed
+        # points, and their stability eps^2 never changes
+        assert main(f"bifurcations --m {m} --n {n} --v 0 --out {tmp_path}".split()) == 0
+        header, rows = serialize.read_csv(tmp_path / "bifurcations.csv")
+        assert header == ["eps_critical", "kind", "location", "energy"] and rows == []
+
+    def test_verify_without_coupling(self, tmp_path, capsys):
+        # at v = 0 the band holds no orbit: verify fails, with failed checks
+        # rather than exceptions from the bifurcation and area checks
+        assert main(f"verify --m 3 --n 1 --N 12 --v 0 --out {tmp_path}".split()) == 1
+        out = capsys.readouterr().out
+        assert "ZeroDivisionError" not in out and "IndexError" not in out
+        assert "Poincare index across bifurcations" in out and "no events" in out
+        assert "no grid energy in the band" in out
 
     def test_verify_names_an_unrepresentable_prefactor(self, tmp_path, capsys):
         # at m = n = 83 the prefactor n^n m^m / (2 N^(m+n-2)) is about

@@ -108,6 +108,8 @@ def main():
     failed = [r for r in results if "error" in r]
     worst = [r["worst"] for r in results if "worst" in r]
     label = f"dim {args.dim}, offset {args.offset}, {len(cases)} specs"
+    if args.out:  # before the report, which a closed stdout can cut short
+        Path(args.out).write_text(json.dumps({"label": label, "specs": results}) + "\n")
     print(f"{label}: {len(failed)} failures, {sum(w > BAD for w in worst)} specs beyond "
           f"{BAD} of a spacing, worst level {max(worst, default=float('nan')):.3f}, "
           f"{wall:.1f} s")
@@ -118,8 +120,6 @@ def main():
     if args.compare:
         parent = json.loads(Path(args.compare).read_text())
         print("\n".join(compare(results, parent)))
-    if args.out:
-        Path(args.out).write_text(json.dumps({"label": label, "specs": results}) + "\n")
     sys.exit(1 if failed else 0)
 
 
