@@ -88,10 +88,14 @@ def casimir_value(spec: ModelSpec, state) -> float:
 
 
 def potentials(spec: ModelSpec, p):
-    """Momentum potential curves U-(p) <= U+(p) bounding the energy at p."""
+    """Momentum potential curves U-(p) <= U+(p) bounding the energy at p.
+
+    H is the same at v and -v up to the rotation q -> q + pi, so the
+    curves are eps*p -+ |v|*r(p).
+    """
     r = radius(spec, p)
     base = np.asarray(p, dtype=float) * spec.eps
-    lo, hi = base - spec.v * r, base + spec.v * r
+    lo, hi = base - abs(spec.v) * r, base + abs(spec.v) * r
     if np.asarray(p).ndim == 0:
         return float(lo), float(hi)
     return lo, hi

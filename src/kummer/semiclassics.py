@@ -78,14 +78,6 @@ def _band_poly_coeffs(spec: ModelSpec, energies: np.ndarray) -> np.ndarray:
     return out
 
 
-def band_polynomial(spec: ModelSpec, energy: float, p):
-    """(U+ - E)(E - U-) evaluated directly; positive inside allowed regions."""
-    if not isinstance(p, float):
-        p = np.asarray(p, dtype=float)
-    out = (spec.v * meanfield.radius(spec, p)) ** 2 - (energy - spec.eps * p) ** 2
-    return float(out) if np.ndim(out) == 0 else out
-
-
 def _stacked_roots(coeffs: np.ndarray) -> np.ndarray:
     """Roots of each row of ascending coefficients, sorted, as complex.
 
@@ -103,58 +95,47 @@ def _stacked_roots(coeffs: np.ndarray) -> np.ndarray:
 
 
 def _regions(spec: ModelSpec, energies: np.ndarray, roots: np.ndarray):
-    """Real turning points of every energy and its allowed regions.
+    """Real turning points of every energy, its allowed regions and their labels.
 
     The real roots lie in [-1/2, 1/2], are clipped to it, and come back
-    sorted in `points`, one row per energy padded with inf.  A region is
-    a pair of consecutive real roots with the band polynomial positive
-    at their midpoint, given as (row, i): from points[row, i] to
-    points[row, i + 1].  Rows ascend, and the regions of one row ascend
-    in p.
+    sorted in `points`, one row per energy padded with inf.  They and the
+    two poles cut [-1/2, 1/2] into zones, and the middle of every zone is
+    probed once for E - eps*p and |v|*r.  A region is a zone between two
+    real points with (|v| r)^2 - (E - eps*p)^2 positive, given as flat
+    arrays of its row and its left and right ends.  Rows ascend, and the
+    regions of one row ascend in p.  The branch of each end, True on U+,
+    is read in the zone beyond it: at the turning point itself
+    E - eps*p = +-|v| r(p) vanishes to rounding for orbits hugging a pole,
+    but E above U+ or below U- is well separated there.  Where neither
+    holds, the end is on U+ when E >= eps*p.
     """
     tol_im = ROOT_IMAG_TOL * (1.0 + np.abs(energies))
     re = roots.real
     real = ((np.abs(roots.imag) <= tol_im[:, None])
             & (re >= -0.5 - POLE_SLACK) & (re <= 0.5 + POLE_SLACK))
     points = np.sort(np.where(real, np.clip(re, -0.5, 0.5), np.inf), axis=1)
-    row, i = np.nonzero(np.isfinite(points[:, 1:]))
-    pl, pr = points[row, i], points[row, i + 1]
-    e, mid = energies[row], 0.5 * (pl + pr)
-    value = band_polynomial(spec, e, mid)
+    count, width = points.shape
+    last = np.isfinite(points).sum(axis=1)  # zones per row, less one
+    cuts = np.hstack((np.full((count, 1), -0.5), points, np.full((count, 1), np.inf)))
+    cuts[np.arange(count), last + 1] = 0.5
+    # zone j of a row runs from cuts[j] to cuts[j + 1]; zones are flat, in
+    # row order, so the zones beside zone k are k - 1 and k + 1
+    row, j = np.nonzero(np.arange(width + 1) <= last[:, None])
+    mid = 0.5 * (cuts[row, j] + cuts[row, j + 1])
+    gap = energies[row] - spec.eps * mid
+    vr = abs(spec.v) * meanfield.radius(spec, mid)
     # numpy's vector power can differ from libm's pow by an ulp, enough to
-    # flip the sign in a region narrower than about 1e-8: where it could,
+    # flip a comparison in a zone narrower than about 1e-8: where it could,
     # take the scalar value
-    for k in np.nonzero(np.abs(value) <= 1e-13 * (e - spec.eps * mid) ** 2)[0]:
-        value[k] = band_polynomial(spec, float(e[k]), float(mid[k]))
-    inside = value > 0.0
-    return points, row[inside], i[inside]
-
-
-def _branch_labels(spec: ModelSpec, energies, points, row, i):
-    """Branches of the two ends of every region (_regions), True on U+.
-
-    A branch is decided in the adjacent forbidden zone, midway to the
-    next real point or the pole: at the turning point itself
-    E - eps*p = +-v*r(p) vanishes to rounding for orbits hugging a pole,
-    but one step into the forbidden side E above U+ or below U- is well
-    separated.  Where neither holds, the end is on U+ when E >= eps*p.
-    """
-    width = points.shape[1]
-    p_left, p_right = points[row, i], points[row, i + 1]
-    before = np.where(i > 0, points[row, np.maximum(i - 1, 0)], -0.5)
-    after = points[row, np.minimum(i + 2, width - 1)]
-    after = np.where((i + 2 < width) & np.isfinite(after), after, 0.5)
-    ends = np.concatenate((p_left, p_right))
-    probes = np.concatenate((0.5 * (before + p_left), 0.5 * (p_right + after)))
-    e = np.concatenate((energies[row], energies[row]))
-    gap = e - spec.eps * probes
-    vr = spec.v * meanfield.radius(spec, probes)
-    # the vector power again (see _regions): where the comparison is that
-    # close, take the scalar value
     for k in np.nonzero(np.abs(np.abs(gap) - vr) <= 1e-13 * vr)[0]:
-        vr[k] = spec.v * meanfield.radius(spec, float(probes[k]))
-    upper = np.where(gap > vr, True, np.where(gap < -vr, False, e >= spec.eps * ends))
-    return upper[:len(row)], upper[len(row):]
+        vr[k] = abs(spec.v) * meanfield.radius(spec, float(mid[k]))
+    zone = np.nonzero((j > 0) & (j < last[row]) & (vr**2 - gap**2 > 0.0))[0]
+    row, left, right = row[zone], cuts[row[zone], j[zone]], cuts[row[zone], j[zone] + 1]
+    beyond = np.concatenate((zone - 1, zone + 1))
+    gap, vr = gap[beyond], vr[beyond]
+    tie = energies[np.tile(row, 2)] >= spec.eps * np.concatenate((left, right))
+    upper = np.where(gap > vr, True, np.where(gap < -vr, False, tie))
+    return points, row, left, right, upper[:len(row)], upper[len(row):]
 
 
 @dataclass(frozen=True)
@@ -186,10 +167,7 @@ def _turning(spec: ModelSpec, energies: np.ndarray) -> _Turning:
         roots = np.zeros((len(energies), 0), dtype=complex)
     else:
         roots = _stacked_roots(coeffs)
-    points, row, i = _regions(spec, energies, roots)
-    upper_left, upper_right = _branch_labels(spec, energies, points, row, i)
-    return _Turning(lead, roots, points, row, points[row, i], points[row, i + 1],
-                    upper_left, upper_right)
+    return _Turning(lead, roots, *_regions(spec, energies, roots))
 
 
 # ---------------------------------------------------------------------
@@ -303,8 +281,8 @@ def _region_areas(spec: ModelSpec, energies, tp: _Turning, shift=None) -> np.nda
         row, p_left, p_right = tp.row[blk], tp.left[blk], tp.right[blk]
         half = 0.5 * (p_right - p_left)
         p_nodes = (0.5 * (p_left + p_right))[:, None] + half[:, None] * sin_t
-        gap = energies[row][:, None] - spec.eps * p_nodes  # v r cos q
-        w = gap / (spec.v * _radius_any(spec, p_nodes))
+        gap = energies[row][:, None] - spec.eps * p_nodes  # |v| r cos q
+        w = gap / (abs(spec.v) * _radius_any(spec, p_nodes))
         s_tilde = half * (np.arccos(np.clip(w, -1.0, 1.0)) @ jacobian)
         if shift is not None:
             quotient, _ = _deflated_quotient(tp.roots[row], tp.lead, p_left, p_right, p_nodes)
@@ -323,14 +301,14 @@ def _contour_actions(spec: ModelSpec, energies, start, end, shift=None):
     The ends are complex turning points (or a real one and a complex
     one); q is the principal arccos and r is continued to complex p
     (_radius_any), under the substitution of _region_areas.  A numeric
-    `shift` adds the first-order term with dt = dp / (v r sin q): on a
-    contour to a complex turning point v r sin q itself fixes the branch.
+    `shift` adds the first-order term with dt = dp / (|v| r sin q): on a
+    contour to a complex turning point |v| r sin q itself fixes the branch.
     """
     sin_t, _, jacobian = _sine_rule(ACTION_ORDER)
     half = 0.5 * (end - start)
     p_nodes = (0.5 * (start + end))[:, None] + half[:, None] * sin_t
     gap = energies[:, None] - spec.eps * p_nodes
-    vr = spec.v * _radius_any(spec, p_nodes)
+    vr = abs(spec.v) * _radius_any(spec, p_nodes)
     q = np.arccos(gap / vr)
     total = half * (q @ jacobian)
     if shift is None:
@@ -821,8 +799,8 @@ def _structure_boundaries(spec: ModelSpec):
 
     Where fixed points share an energy, a saddle's shift wins: it is the
     one that keeps the areas finite there.  `tops` and `dips` hold, per
-    boundary, p of an interior saddle there on U- (q = pi, a barrier top)
-    and on U+ (q = 0, a dip bottom), or None.
+    boundary, p of an interior saddle there on U- (v*sx < 0, a barrier
+    top) and on U+ (a dip bottom), or None.
     """
     bounds, shifts, tops, dips = [], [], [], []
     for fp in sorted(meanfield.find_fixed_points(spec), key=lambda fp: fp.energy):
@@ -834,29 +812,29 @@ def _structure_boundaries(spec: ModelSpec):
             dips.append(None)
         elif saddle:
             shifts[-1] = _fixed_point_shift(spec, fp)
-        if saddle and fp.location == "interior":  # q is 0 or pi
-            (tops if fp.q == pi else dips)[-1] = fp.p
+        if saddle and fp.location == "interior":
+            (tops if spec.v * fp.sx < 0.0 else dips)[-1] = fp.p
     return bounds, shifts, tops, dips
 
 
-def _interval_plans(spec: ModelSpec, lo: float, hi: float, top, dip, p_left, p_right) -> list:
+def _interval_plans(lo: float, hi: float, top, dip, upper) -> list:
     """Plans (lo, hi, mirrored, barrier_p, tag) that solve one structure interval (_piece).
 
-    `p_left` and `p_right` are the allowed regions at the interval's
-    midpoint, and `top` and `dip` p of a barrier top at lo and of a dip
-    bottom at hi (_structure_boundaries).  Two regions make a double
-    well, mirrored where the gap between them lies above U+; a barrier
-    top at lo is continued from below, a dip bottom at hi (mirrored)
-    from above, and with both the interval is split at a seam where both
-    barrier corrections are negligible; the asymmetric seam fraction
-    avoids pinning it onto a symmetric model's central level.
+    `upper` holds the right-end branch labels of the allowed regions at
+    the interval's midpoint (_regions), and `top` and `dip` p of a
+    barrier top at lo and of a dip bottom at hi (_structure_boundaries).
+    Two regions make a double well, mirrored where the gap between them
+    lies above U+; a barrier top at lo is continued from below, a dip
+    bottom at hi (mirrored) from above, and with both the interval is
+    split at a seam where both barrier corrections are negligible; the
+    asymmetric seam fraction avoids pinning it onto a symmetric model's
+    central level.
     """
-    mid = 0.5 * (lo + hi)
-    if len(p_left) > 2:
-        raise QuantizationError(f"unexpected {len(p_left)} allowed regions at E = {mid}")
-    if len(p_left) == 2:
-        u_lo, _ = meanfield.potentials(spec, 0.5 * (p_right[0] + p_left[1]))
-        return [(lo, hi, mid >= u_lo, None, DOUBLE_WELL)]
+    if len(upper) > 2:
+        mid = 0.5 * (lo + hi)
+        raise QuantizationError(f"unexpected {len(upper)} allowed regions at E = {mid}")
+    if len(upper) == 2:
+        return [(lo, hi, bool(upper[0]), None, DOUBLE_WELL)]
     if top is not None and dip is not None:
         seam = lo + 0.6180339887 * (hi - lo)
         return [(lo, seam, False, top, ABOVE_BARRIER), (seam, hi, True, dip, ABOVE_BARRIER)]
@@ -988,8 +966,11 @@ def semiclassical_spectrum(spec: ModelSpec) -> SemiclassicalSpectrum:
     between the values of dH at the structure boundaries, shared by the
     two intervals that meet there, so the area stays continuous across
     every boundary.  A window holding two levels, or levels that do not
-    increase strictly, raise QuantizationError.
+    increase strictly, raise QuantizationError, as does v = 0, where no
+    orbit has turning points.
     """
+    if spec.v == 0.0:
+        raise QuantizationError(f"v = 0: no orbit of {spec} has turning points to quantize")
     bounds, shifts, tops, dips = _structure_boundaries(spec)
     if len(bounds) < 2:
         raise QuantizationError("classical band is degenerate")
@@ -997,9 +978,8 @@ def semiclassical_spectrum(spec: ModelSpec) -> SemiclassicalSpectrum:
     mids = _turning(spec, 0.5 * (table[0][:-1] + table[0][1:]))
     pieces = []
     for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-        here = mids.row == k
         pieces += [_piece(spec, table, *plan) for plan in _interval_plans(
-            spec, lo, hi, tops[k], dips[k + 1], mids.left[here], mids.right[here])]
+            lo, hi, tops[k], dips[k + 1], mids.upper_right[mids.row == k])]
     energies, tags = zip(*_assemble(spec, (bounds[0], bounds[-1]), pieces))
     energies = np.array(energies)
     levels = energies + np.interp(energies, *table)

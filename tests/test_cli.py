@@ -330,3 +330,12 @@ def test_quantize_pinched_pole_band_bottom(tmp_path):
     assert main(argv.split()) == 0
     rows = (tmp_path / "quantize.csv").read_text().splitlines()
     assert len([r for r in rows if not r.startswith("#")]) == 1 + 41
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 2)])
+def test_quantize_at_zero_coupling_names_v(tmp_path, capsys, m, n):
+    argv = f"quantize --m {m} --n {n} --v 0 --eps 0.3 --out {tmp_path}"
+    assert main(argv.split()) == 1
+    err = capsys.readouterr().err
+    assert "QuantizationError: v = 0" in err
+    assert not (tmp_path / "quantize.csv").exists()

@@ -1039,3 +1039,72 @@ def test_level_counts_at_fixed_point_energies():
                 if not ok:
                     failures.append(f"{spec}: {detail}")
     assert not failures
+
+
+def in_band_energies(spec, count):
+    """`count` energies inside the band, each at least 1e-6 from every fixed-point energy."""
+    fixed = np.array([fp.energy for fp in meanfield.find_fixed_points(spec)])
+    energies = fixed.min() + np.linspace(0.0371, 0.9629, count) * np.ptp(fixed)
+    assert np.min(np.abs(energies[:, None] - fixed)) >= 1e-6
+    return energies
+
+
+class TestNegativeCoupling:
+    # H(-v) is H(v) rotated by q -> q + pi: every level, area and period
+    # of |v| holds at -v, bit for bit
+    SPECS = [ModelSpec(m, n, 40 * m * n, eps=eps, v=0.8)
+             for m in range(1, 5) for n in range(1, 5) for eps in (-1.3, 0.37, 0.9)]
+
+    @staticmethod
+    def flipped(spec):
+        return ModelSpec(spec.m, spec.n, spec.N, eps=spec.eps, v=-spec.v)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=str)
+    def test_levels_areas_and_periods_match_positive_v(self, spec):
+        neg = self.flipped(spec)
+        a, b = semiclassical_spectrum(spec), semiclassical_spectrum(neg)
+        assert a.energies.tobytes() == b.energies.tobytes()
+        assert [lv.regime for lv in a.levels] == [lv.regime for lv in b.levels]
+        energies = in_band_energies(spec, 40)
+        bounds, shifts, _, _ = semiclassics._structure_boundaries(spec)
+        shift = np.interp(energies, bounds, shifts)
+        terms = [semiclassics._area_terms(s, energies, shift, barrier=True) for s in (spec, neg)]
+        for field in ("status", "total", "left", "right", "s_eps"):
+            assert getattr(terms[0], field).tobytes() == getattr(terms[1], field).tobytes(), field
+        dos = [semiclassics.dos_semiclassical(s, energies) for s in (spec, neg)]
+        assert dos[0].tobytes() == dos[1].tobytes()
+        lo, hi = meanfield.potentials(neg, np.linspace(-0.5, 0.5, 101))
+        assert np.all(lo <= hi)
+
+
+class TestZoneOracle:
+    # the regions and branch labels of _turning against a direct evaluation
+    # of (|v| r)^2 - (E - eps*p)^2 between its real points
+    @pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 5) for n in range(1, 5)])
+    def test_regions_and_labels(self, m, n):
+        fracs = np.linspace(0.05, 0.95, 19)
+        for eps in (-0.9, 0.3, 1.4):
+            for v in (0.7, -0.7):
+                spec = ModelSpec(m, n, 40 * m * n, eps=eps, v=v)
+                energies = in_band_energies(spec, 9)
+                tp = semiclassics._turning(spec, energies)
+
+                def band(e, p):
+                    return (abs(v) * meanfield.radius(spec, p)) ** 2 - (e - eps * p) ** 2
+
+                for r, e in enumerate(energies):
+                    real = tp.points[r][np.isfinite(tp.points[r])]
+                    cuts = np.concatenate(([-0.5], real, [0.5]))
+                    here = np.flatnonzero(tp.row == r)
+                    starts = [int(np.searchsorted(real, tp.left[k])) + 1 for k in here]
+                    assert [real[j - 1] for j in starts] == list(tp.left[here])
+                    for j in range(len(cuts) - 1):
+                        a, b = cuts[j], cuts[j + 1]
+                        if j not in starts:
+                            assert band(e, 0.5 * (a + b)) < 0.0, (spec, e, j)
+                            continue
+                        assert np.all(band(e, a + fracs * (b - a)) > 0.0), (spec, e, j)
+                        k = here[starts.index(j)]
+                        beyond = (a - 1e-6 * (a - cuts[j - 1]), b + 1e-6 * (cuts[j + 2] - b))
+                        for label, p in zip((tp.upper_left[k], tp.upper_right[k]), beyond):
+                            assert label == (e - eps * p > 0.0), (spec, e, j)
