@@ -104,13 +104,6 @@ def casimir_completion(alpha) -> np.ndarray:
     return np.array([float(c) for c in _completion_exact(alpha)])
 
 
-def _polyval_ascending(coeffs, z):
-    val = 0.0
-    for c in reversed(coeffs):
-        val = val * z + c
-    return val
-
-
 def _completion_exact(alpha):
     """Exact rational coefficients of phi."""
     k = len(alpha) - 1
@@ -147,11 +140,8 @@ def completion_residual(alpha, samples) -> float:
             delta[i] -= Fraction(1, 2) * c * comb(j, i) * (-1) ** (j - i)
     for j, a in enumerate(alpha):
         delta[j] -= Fraction(a)
-    delta_f = [float(c) for c in delta]
-    worst = 0.0
-    for z in samples:
-        worst = max(worst, abs(_polyval_ascending(delta_f, z)))
-    return worst
+    values = np.polynomial.polynomial.polyval(np.asarray(samples), [float(c) for c in delta])
+    return float(np.max(np.abs(values), initial=0.0))
 
 
 def boson_power_commutator(power: int, occupancy: int) -> int:

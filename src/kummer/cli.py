@@ -110,6 +110,14 @@ def _read_config_file(path):
     return values
 
 
+def _config_bool(raw: str) -> bool:
+    """A config file's boolean: 1/true/yes or 0/false/no, in any case."""
+    word = raw.lower()
+    if word not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(raw)
+    return word in ("1", "true", "yes")
+
+
 def _worker_count(jobs: int) -> int:
     """Sweep workers from --jobs, or from KUMMER_JOBS where --jobs is 0; 0 runs serially."""
     name, raw = ("--jobs", jobs) if jobs else ("KUMMER_JOBS", os.environ.get("KUMMER_JOBS", "1"))
@@ -142,7 +150,7 @@ def parse_config(argv) -> RunConfig:
                 raise UsageError(f"unknown config key {key!r} for command {args.command!r}")
             typ = table[key][0]
             try:
-                merged[key] = (raw.lower() in ("1", "true", "yes")) if typ is bool else typ(raw)
+                merged[key] = (_config_bool if typ is bool else typ)(raw)
             except ValueError:
                 raise UsageError(f"config key {key!r}: cannot parse {raw!r} as {typ.__name__}")
     for key in table:

@@ -479,14 +479,13 @@ class _AreaTerms:
     s_eps: np.ndarray
 
 
-def _continued_pairs(energies, tp: _Turning, barrier_p):
+def _continued_pairs(energies, tp: _Turning):
     """Upper-half root continuing a barrier's turning points; NaN where none is usable.
 
     Only an energy with one allowed region has one.  Near the barrier top
     the pair sits close to the real axis at the barrier location, inside
-    the region; the pair nearest `barrier_p` is taken, or the one nearest
-    the axis if it is None.  A pair far from the axis (relative to the
-    region width) or far from the barrier belongs to some other
+    the region, and the pair nearest the axis is taken.  A pair far from
+    the axis (relative to the region width) belongs to some other
     structure, and a contour through it is unreliable; by then the
     barrier correction is dead anyway, so callers fall back to the plain
     rule.
@@ -501,17 +500,12 @@ def _continued_pairs(energies, tp: _Turning, barrier_p):
     tol_im = ROOT_IMAG_TOL * (1.0 + np.abs(energies))
     inside = (one[:, None] & (z.imag > tol_im[:, None]) & (-0.5 < z.real) & (z.real < 0.5)
               & (p_left[:, None] < z.real) & (z.real < p_right[:, None]))
-    key = z.imag if barrier_p is None else np.abs(z.real - barrier_p)
-    z = z[np.arange(len(energies)), np.argmin(np.where(inside, key, np.inf), axis=1)]
-    width = p_right - p_left
-    usable = inside.any(axis=1) & (z.imag <= 0.5 * width)
-    if barrier_p is not None:
-        usable &= np.abs(z.real - barrier_p) <= 0.3 * width + 2.0 * z.imag
+    z = z[np.arange(len(energies)), np.argmin(np.where(inside, z.imag, np.inf), axis=1)]
+    usable = inside.any(axis=1) & (z.imag <= 0.5 * (p_right - p_left))
     return np.where(usable, z, np.nan)
 
 
-def _area_terms(spec: ModelSpec, energies, shift=None, barrier: bool = False,
-                barrier_p=None) -> _AreaTerms:
+def _area_terms(spec: ModelSpec, energies, shift=None, barrier: bool = False) -> _AreaTerms:
     """Areas at an array of energies: the plain sum, and the barrier terms if asked.
 
     The plain area S sums the region areas (_region_areas) in p order,
@@ -545,7 +539,7 @@ def _area_terms(spec: ModelSpec, energies, shift=None, barrier: bool = False,
         total[two] = left[two] + right[two] - TWO_PI * tp.upper_right[k]
         s_eps[two] = _gap_barrier(spec, energies[two], tp.right[k], tp.left[k + 1])
         status[two] = _TWO_REGIONS
-        z = _continued_pairs(energies, tp, barrier_p)
+        z = _continued_pairs(energies, tp)
         one = np.nonzero(~np.isnan(z))[0]
         if len(one):
             k, z, e = np.searchsorted(tp.row, one), z[one], energies[one]
@@ -623,25 +617,23 @@ class _IntervalArea:
     `table` holds the structure boundaries and s at each (see
     semiclassical_spectrum), so s(E) interpolates it and the band runs
     from its first energy to its last.  With `barrier` the area is the
-    matching form across the barrier at `barrier_p` (_matching_areas),
-    otherwise the plain sum S(E).
+    matching form across a barrier (_matching_areas), otherwise the plain
+    sum S(E).
     """
 
     spec: ModelSpec
     table: tuple
     barrier: bool = False
-    barrier_p: object = None
 
     @property
     def band(self):
         return self.table[0][0], self.table[0][-1]
 
     def __call__(self, energies):
-        """The areas and their statuses (_area_terms); NaN out of band."""
+        """The areas (_area_terms); NaN where the turning points do not resolve."""
         energies = np.asarray(energies, dtype=float)
-        terms = _area_terms(self.spec, energies, np.interp(energies, *self.table),
-                            self.barrier, self.barrier_p)
-        return (_matching_areas(self.spec, terms) if self.barrier else terms.total), terms.status
+        terms = _area_terms(self.spec, energies, np.interp(energies, *self.table), self.barrier)
+        return _matching_areas(self.spec, terms) if self.barrier else terms.total
 
 
 def _edge_actions(lo: float, hi: float, area: _IntervalArea):
@@ -670,9 +662,8 @@ def _edge_actions(lo: float, hi: float, area: _IntervalArea):
         margin *= 10.0
     margins = np.array(margins)
     probes = np.stack((lo + margins, hi - margins))
-    values, status = area(probes.ravel())
-    values = np.clip(values, 0.0, TWO_PI).reshape(probes.shape)
-    resolved = (status != _OUT_OF_BAND).reshape(probes.shape)
+    values = np.clip(area(probes.ravel()), 0.0, TWO_PI).reshape(probes.shape)
+    resolved = ~np.isnan(values)
     edges = []
     for row, (bound, side, s_end) in enumerate(((lo, 1, 0.0), (hi, -1, TWO_PI))):
         hit = np.flatnonzero(resolved[row])
@@ -688,13 +679,14 @@ def _edge_actions(lo: float, hi: float, area: _IntervalArea):
 def _lockstep_roots(area, targets, x0, x1, s0, s1):
     """Energies where area(E) = target for every target together.
 
-    Each target's root lies in its bracket (x0, x1): s0 = area(x0) and
-    s1 = area(x1) lie on either side of the target, or at it.  Every
-    target runs the steps of brentq, whose tolerance _XTOL + _RTOL*|E|
-    it keeps: secant or inverse quadratic steps inside the bracket,
-    bisection where they would not shrink it fast enough.  The targets
-    move in lockstep, so each sweep is one call of `area` on an array of
-    energies, one per unresolved target.
+    Each target's root lies in its bracket (x0, x1), in either order:
+    s0 = area(x0) and s1 = area(x1) lie on either side of the target, or
+    at it.  Every target runs the steps of brentq, whose tolerance
+    _XTOL + _RTOL*|E| it keeps: secant or inverse quadratic steps inside
+    the bracket, bisection where they would not shrink it fast enough.
+    The targets move in lockstep, so each sweep is one call of `area` on
+    an array of energies, one per unresolved target.  An energy where
+    the area is NaN (unresolved turning points) raises QuantizationError.
     """
     x_pre, x_cur = np.array(x0, dtype=float), np.array(x1, dtype=float)
     f_pre, f_cur = np.asarray(s0) - targets, np.asarray(s1) - targets
@@ -705,6 +697,10 @@ def _lockstep_roots(area, targets, x0, x1, s0, s1):
     x_pre, x_cur, f_pre, f_cur = x_pre[act], x_cur[act], f_pre[act], f_cur[act]
     x_blk, f_blk, s_pre, s_cur = (np.zeros(len(act)) for _ in range(4))
     while len(act):
+        nan = np.isnan(f_pre) | np.isnan(f_cur)
+        if nan.any():
+            e = np.where(np.isnan(f_cur), x_cur, x_pre)[nan][0]
+            raise QuantizationError(f"the area is unresolved at E = {e!r}, inside its edges")
         flip = f_pre * f_cur < 0.0
         x_blk, f_blk = np.where(flip, x_pre, x_blk), np.where(flip, f_pre, f_blk)
         s_pre = np.where(flip, x_cur - x_pre, s_pre)
@@ -739,18 +735,6 @@ def _lockstep_roots(area, targets, x0, x1, s0, s1):
     return roots
 
 
-def _kept_area(area: _IntervalArea, edges):
-    """The areas of `area` alone; an energy it leaves unresolved (a newborn
-    well) takes the area of the nearer of the two `edges` (_edge_actions)."""
-    (a, s_a), (b, s_b) = edges
-
-    def kept(e):
-        s, status = area(e)
-        return np.where(status == _OUT_OF_BAND, np.where(e - a < b - e, s_a, s_b), s)
-
-    return kept
-
-
 def _area_levels(spec: ModelSpec, lo: float, hi: float, area: _IntervalArea):
     """Roots {nu: E} of a monotone area in (lo, hi), and its two edge points.
 
@@ -758,11 +742,9 @@ def _area_levels(spec: ModelSpec, lo: float, hi: float, area: _IntervalArea):
     edges (_edge_actions), which are returned as ((E, A(E)), (E, A(E)));
     without edges, or with edges that bound no span, there are no levels.
     One area call on a grid of as many energies as targets, plus two,
-    brackets each target by the closest grid energies on either side of
-    it, or by the edges where the area is not monotone there; one solve
-    then finds every level together (_lockstep_roots).  An energy where
-    the area is unresolved (a newborn well) takes the area of the nearer
-    edge.
+    brackets each target by the last grid energy below it and the first
+    above it, in either order; one solve then finds every level together
+    (_lockstep_roots).
     """
     eta = spec.eta
     edges = _edge_actions(lo, hi, area)
@@ -774,16 +756,13 @@ def _area_levels(spec: ModelSpec, lo: float, hi: float, area: _IntervalArea):
     if not len(nus):
         return {}, edges
     targets = TWO_PI * eta * (nus + 0.5)
-    kept = _kept_area(area, edges)
     grid = np.linspace(a, b, len(nus) + 4)
-    s_grid = np.concatenate(([s_a], kept(grid[1:-1]), [s_b]))
+    s_grid = np.concatenate(([s_a], area(grid[1:-1]), [s_b]))
     # the last grid energy below each target and the first above it
     below = np.searchsorted(np.minimum.accumulate(s_grid[::-1])[::-1], targets) - 1
     above = np.searchsorted(np.maximum.accumulate(s_grid), targets, side="right")
     left, right = np.maximum(below, 0), np.minimum(above, len(grid) - 1)
-    monotone = grid[left] < grid[right]
-    left, right = np.where(monotone, left, 0), np.where(monotone, right, len(grid) - 1)
-    roots = _lockstep_roots(kept, targets, grid[left], grid[right], s_grid[left], s_grid[right])
+    roots = _lockstep_roots(area, targets, grid[left], grid[right], s_grid[left], s_grid[right])
     return dict(zip(nus.tolist(), roots.tolist())), edges
 
 
@@ -798,9 +777,9 @@ def _structure_boundaries(spec: ModelSpec):
     """Merged fixed-point energies, the energy shift at each, and their saddles.
 
     Where fixed points share an energy, a saddle's shift wins: it is the
-    one that keeps the areas finite there.  `tops` and `dips` hold, per
-    boundary, p of an interior saddle there on U- (v*sx < 0, a barrier
-    top) and on U+ (a dip bottom), or None.
+    one that keeps the areas finite there.  `tops` and `dips` tell, per
+    boundary, whether an interior saddle there lies on U- (v*sx < 0, a
+    barrier top) or on U+ (a dip bottom).
     """
     bounds, shifts, tops, dips = [], [], [], []
     for fp in sorted(meanfield.find_fixed_points(spec), key=lambda fp: fp.energy):
@@ -808,21 +787,21 @@ def _structure_boundaries(spec: ModelSpec):
         if not (bounds and e - bounds[-1] <= 1e-12 * (1.0 + abs(e))):
             bounds.append(e)
             shifts.append(_fixed_point_shift(spec, fp))
-            tops.append(None)
-            dips.append(None)
+            tops.append(False)
+            dips.append(False)
         elif saddle:
             shifts[-1] = _fixed_point_shift(spec, fp)
         if saddle and fp.location == "interior":
-            (tops if spec.v * fp.sx < 0.0 else dips)[-1] = fp.p
+            (tops if spec.v * fp.sx < 0.0 else dips)[-1] = True
     return bounds, shifts, tops, dips
 
 
-def _interval_plans(lo: float, hi: float, top, dip, upper) -> list:
-    """Plans (lo, hi, mirrored, barrier_p, tag) that solve one structure interval (_piece).
+def _interval_plans(lo: float, hi: float, top: bool, dip: bool, upper) -> list:
+    """Plans (lo, hi, mirrored, tag) that solve one structure interval (_piece).
 
     `upper` holds the right-end branch labels of the allowed regions at
-    the interval's midpoint (_regions), and `top` and `dip` p of a
-    barrier top at lo and of a dip bottom at hi (_structure_boundaries).
+    the interval's midpoint (_regions), and `top` and `dip` tell whether
+    a barrier top lies at lo and a dip bottom at hi (_structure_boundaries).
     Two regions make a double well, mirrored where the gap between them
     lies above U+; a barrier top at lo is continued from below, a dip
     bottom at hi (mirrored) from above, and with both the interval is
@@ -834,15 +813,13 @@ def _interval_plans(lo: float, hi: float, top, dip, upper) -> list:
         mid = 0.5 * (lo + hi)
         raise QuantizationError(f"unexpected {len(upper)} allowed regions at E = {mid}")
     if len(upper) == 2:
-        return [(lo, hi, bool(upper[0]), None, DOUBLE_WELL)]
-    if top is not None and dip is not None:
+        return [(lo, hi, bool(upper[0]), DOUBLE_WELL)]
+    if top and dip:
         seam = lo + 0.6180339887 * (hi - lo)
-        return [(lo, seam, False, top, ABOVE_BARRIER), (seam, hi, True, dip, ABOVE_BARRIER)]
-    if top is not None:
-        return [(lo, hi, False, top, ABOVE_BARRIER)]
-    if dip is not None:
-        return [(lo, hi, True, dip, ABOVE_BARRIER)]
-    return [(lo, hi, False, None, SINGLE_WELL)]
+        return [(lo, seam, False, ABOVE_BARRIER), (seam, hi, True, ABOVE_BARRIER)]
+    if top or dip:
+        return [(lo, hi, dip, ABOVE_BARRIER)]
+    return [(lo, hi, False, SINGLE_WELL)]
 
 
 _STEP_PROBES = 32  # energies per round of _step_past_continuation's search
@@ -863,7 +840,7 @@ def _step_past_continuation(spec: ModelSpec, lo: float, hi: float, area: _Interv
     then solved together (_lockstep_roots).
     """
     def usable(e):
-        return ~np.isnan(_continued_pairs(e, _turning(spec, e), area.barrier_p))
+        return ~np.isnan(_continued_pairs(e, _turning(spec, e)))
 
     if not roots or usable(np.array([hi]))[0]:
         return
@@ -877,34 +854,32 @@ def _step_past_continuation(spec: ModelSpec, lo: float, hi: float, area: _Interv
             a = probes[-1]
     if a == lo:
         return
-    kept = _kept_area(area, edges)
     edge = edges[1][0]
-    s_end, s_edge = kept(np.array([b, edge]))
+    s_end, s_edge = area(np.array([b, edge]))
     moved = [nu for nu, e in roots.items() if e < a and TWO_PI * spec.eta * (nu + 0.5) > s_end]
     if moved:
         count = len(moved)
         targets = TWO_PI * spec.eta * (np.array(moved) + 0.5)
-        found = _lockstep_roots(kept, targets, np.full(count, b), np.full(count, edge),
+        found = _lockstep_roots(area, targets, np.full(count, b), np.full(count, edge),
                                 np.full(count, s_end), np.full(count, s_edge))
         roots.update(zip(moved, found.tolist()))
 
 
-def _piece(spec: ModelSpec, table, lo: float, hi: float, mirrored: bool, barrier_p, tag: str):
+def _piece(spec: ModelSpec, table, lo: float, hi: float, mirrored: bool, tag: str):
     """Roots {nu: E}, edges and regime of one plan (_interval_plans).
 
     Roots and edges (E, A(E)) come from _area_levels, with the matching
-    area unless the tag is SINGLE_WELL; where a barrier at `barrier_p` is
-    continued, the roots step past the continuation's end
-    (_step_past_continuation).  A mirrored plan is solved on
-    spec.mirrored(), with E, the table and barrier_p negated, and mapped
-    back by nu -> dim - 1 - nu and A -> 2*pi - A.
+    area unless the tag is SINGLE_WELL; where the tag is ABOVE_BARRIER,
+    the roots step past the continuation's end (_step_past_continuation).
+    A mirrored plan is solved on spec.mirrored(), with E and the table
+    negated, and mapped back by nu -> dim - 1 - nu and A -> 2*pi - A.
     """
     if mirrored:
         spec, table = spec.mirrored(), (-table[0][::-1], -table[1][::-1])
-        lo, hi, barrier_p = -hi, -lo, None if barrier_p is None else -barrier_p
-    area = _IntervalArea(spec, table, tag != SINGLE_WELL, barrier_p)
+        lo, hi = -hi, -lo
+    area = _IntervalArea(spec, table, tag != SINGLE_WELL)
     roots, edges = _area_levels(spec, lo, hi, area)
-    if barrier_p is not None:
+    if tag == ABOVE_BARRIER:
         _step_past_continuation(spec, lo, hi, area, roots, edges)
     if not mirrored:
         return roots, edges, tag

@@ -77,6 +77,20 @@ class TestParseConfig:
         fresh = cli._build_parser.__wrapped__()
         assert cli._build_parser().format_help() == fresh.format_help()
 
+    def test_config_booleans(self, tmp_path, capsys):
+        # 1/true/yes and 0/false/no in any case; a typo is a usage error
+        conf = tmp_path / "run.conf"
+        for raw, want in (("1", True), ("TRUE", True), ("Yes", True),
+                          ("0", False), ("False", False), ("NO", False)):
+            conf.write_text(f"m = 2\nn = 1\nplot = {raw}\n")
+            assert parse_config(["spectrum", "--config", str(conf)]).plot is want
+        conf.write_text("m = 2\nn = 1\nplot = ture\n")
+        with pytest.raises(UsageError, match="'plot'.*'ture'"):
+            parse_config(["spectrum", "--config", str(conf)])
+        assert main(["spectrum", "--config", str(conf), "--out", str(tmp_path)]) == 2
+        assert "'ture'" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.svg"))
+
     def test_malformed_config_line(self, tmp_path):
         conf = tmp_path / "run.conf"
         conf.write_text("m 2\n")

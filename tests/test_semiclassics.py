@@ -650,10 +650,8 @@ class TestAreaKernel:
             tp = semiclassics._turning(spec, energies)
             plain = semiclassics._area_terms(spec, energies)
             summed = semiclassics._area_terms(spec, energies, shifts)
-            free = semiclassics._area_terms(spec, energies, shifts, True, None)
-            held = semiclassics._area_terms(spec, energies, shifts, True, case["barrier_p"])
+            free = semiclassics._area_terms(spec, energies, shifts, True)
             matching = semiclassics._matching_areas(spec, free)
-            matching_p = semiclassics._matching_areas(spec, held)
             for k, (energy, labels, form, *areas) in enumerate(rows):
                 here = tp.row == k
                 got = "".join("UL"[not a] + "UL"[not b] for a, b in
@@ -663,8 +661,10 @@ class TestAreaKernel:
                 if form == "oob":
                     assert np.isnan(matching[k]) and plain.status[k] == semiclassics._OUT_OF_BAND
                     continue
-                want = np.array(areas)
-                have = [plain.total[k], summed.total[k], matching[k], matching_p[k]]
+                # areas[3] is the matching area of a pair rule keyed on the
+                # barrier location, which the kernel does not have
+                want = np.array(areas[:3] + areas[4:])
+                have = [plain.total[k], summed.total[k], matching[k]]
                 if form != "sum":
                     have += [free.left[k], free.right[k], free.s_eps[k]]
                 assert np.allclose(have, want, rtol=0.0, atol=1e-13), (spec, energy)
@@ -673,7 +673,7 @@ class TestAreaKernel:
         spec = ModelSpec(4, 1, 160, eps=0.5)
         saddle = [f for f in meanfield.find_fixed_points(spec) if f.stability == "saddle"][0]
         energies = np.array([saddle.energy - 5e-3, saddle.energy + 1e-2, 0.1])
-        terms = semiclassics._area_terms(spec, energies, np.full(3, 0.002), True, saddle.p)
+        terms = semiclassics._area_terms(spec, energies, np.full(3, 0.002), True)
         areas = semiclassics._matching_areas(spec, terms)
         plain = semiclassics._area_terms(spec, energies, np.full(3, 0.002)).total
         assert terms.status.tolist() == [semiclassics._TWO_REGIONS, semiclassics._CONTINUED,
@@ -681,24 +681,33 @@ class TestAreaKernel:
         periods, _ = semiclassics._periods(spec, energies)
         # the same arithmetic, up to the rounding of the vector loops
         for k, e in enumerate(energies):
-            one = semiclassics._area_terms(spec, np.array([e]), np.array([0.002]), True, saddle.p)
+            one = semiclassics._area_terms(spec, np.array([e]), np.array([0.002]), True)
             assert semiclassics._matching_areas(spec, one)[0] == pytest.approx(areas[k], abs=1e-13)
             one = semiclassics._area_terms(spec, np.array([e]), np.array([0.002]))
             assert one.total[0] == pytest.approx(plain[k], abs=1e-13)
             assert orbit_period(spec, e) == pytest.approx(periods[k], rel=1e-13)
 
     def test_lockstep_roots_as_brentq(self):
-        # one brentq per target, run together: the same roots to its tolerance
+        # one brentq per target, run together: the same roots to its
+        # tolerance, with the bracket given in either order
         targets = np.array([-0.9, -0.3, 0.0, 0.2, 0.7, 0.95])
         area = lambda e: np.tanh(3.0 * e) + 0.05 * np.sin(40.0 * e)
-        left, right = np.full(6, -2.0), np.full(6, 2.0)
-        roots = semiclassics._lockstep_roots(area, targets, left, right, area(left),
-                                             area(right))
-        for t, root in zip(targets, roots):
-            want = brentq(lambda e: area(e) - t, -2.0, 2.0, xtol=1e-14, rtol=8.9e-16)
-            assert abs(root - want) <= 1e-14 or abs(area(root) - t) <= 1e-15
+        for a, b in ((-2.0, 2.0), (2.0, -2.0)):
+            left, right = np.full(6, a), np.full(6, b)
+            roots = semiclassics._lockstep_roots(area, targets, left, right, area(left),
+                                                 area(right))
+            for t, root in zip(targets, roots):
+                want = brentq(lambda e: area(e) - t, a, b, xtol=1e-14, rtol=8.9e-16)
+                assert abs(root - want) <= 1e-14 or abs(area(root) - t) <= 1e-15
+        same = np.full(6, 2.0)
         with pytest.raises(ValueError):
-            semiclassics._lockstep_roots(area, targets, right, right, area(right), area(right))
+            semiclassics._lockstep_roots(area, targets, same, same, area(same), area(same))
+        # an energy inside a bracket where the area is unresolved (NaN)
+        holed = lambda e: np.where(np.abs(e - 0.1) < 0.05, np.nan, area(e))
+        ends = np.array([-2.0]), np.array([2.0])
+        with pytest.raises(semiclassics.QuantizationError, match="unresolved at E = "):
+            semiclassics._lockstep_roots(holed, np.array([0.2]), *ends, holed(ends[0]),
+                                         holed(ends[1]))
 
 
 class TestPinnedLevels:
