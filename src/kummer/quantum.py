@@ -127,34 +127,66 @@ def eigen_residual(spec: ModelSpec) -> float:
     return float(np.max(res) / norm_h)
 
 
+_COUNT_BLOCK = 1 << 15  # pivots per block of level_counts: 256 kB
+
+
 def level_counts(spec: ModelSpec, energies) -> np.ndarray:
     """Number of levels strictly below each scaled energy, without an eigensolve.
 
     Sylvester inertia of H - x: the LDL^T pivots q_0 = d_0 - x and
     q_i = (d_i - x) - e_{i-1}^2 / q_{i-1} have as many negatives as H has
     eigenvalues below x (Barth, Martin & Wilkinson 1967; LAPACK dstebz).
-    One pass over the dimension, vectorised over all energies.  A pivot
-    smaller in magnitude than pivmin (dstebz's guard) is set to +pivmin,
-    so a level that x hits exactly counts as not below it.
+    A pivot strictly inside (-pivmin, pivmin) (dstebz's guard) is set to
+    +pivmin, so a level that x hits exactly counts as not below it.
+
+    The rows run in blocks of about _COUNT_BLOCK pivots, all energies
+    at once, as LAPACK dlaneg does (Marques, Riedy & Voemel, SIAM J. Sci.
+    Comput. 28, 2006): each row costs two numpy calls without the guard,
+    and the block is checked afterwards.  At the first row with a pivot
+    inside the guard, those pivots are set to +pivmin and the rows after
+    it rerun from d - x, so every pivot is the guarded recurrence's to
+    the bit.  After a restart the loop checks after 1, 2, 4, ... rows,
+    which keeps a chain of zero pivots (v = eps = 0) linear in dim.
     """
     ops = build_operators(spec)
     x = np.asarray(energies, dtype=float) / spec.eta
+    flat = x.ravel()
+    d = ops.h.diag
     e2 = ops.h.offdiag ** 2
     pivmin = np.finfo(float).tiny * max(1.0, float(np.max(e2, initial=0.0)))
-    q = np.full_like(x, np.inf)  # with e_{-1} = 0 the first pivot is d_0 - x
-    step = np.empty_like(x)
-    keep = np.empty(x.shape, dtype=bool)
-    above = np.zeros(x.shape, dtype=np.intp)
-    # the loop runs dim times over arrays only as long as `energies`, so
-    # call overhead dominates: out arguments are positional
-    for d, e2_prev in zip(ops.h.diag.tolist(), [0.0] + e2.tolist()):
-        np.subtract(d, x, step)
-        np.divide(e2_prev, q, q)
-        np.subtract(step, q, q)
-        np.greater(q, -pivmin, keep)  # not negative once guarded
-        above += keep
-        np.maximum(q, pivmin, out=q, where=keep)
-    return spec.dim - above
+    e2_prev = [0.0] + e2.tolist()  # with e_{-1} = 0 the first pivot is d_0 - x
+    height = min(spec.dim, max(1, _COUNT_BLOCK // max(flat.size, 1)))
+    block = np.empty((height, flat.size))
+    prev = np.full_like(flat, np.inf)
+    tmp = np.empty_like(flat)
+    above = np.zeros(flat.shape, dtype=np.intp)
+    for start in range(0, spec.dim, height):
+        q = block[:min(height, spec.dim - start)]
+        np.subtract.outer(d[start:start + len(q)], flat, out=q)
+        rows = list(q)
+        i, span = 0, len(q)
+        while i < len(q):
+            stop = min(i + span, len(q))
+            # call overhead dominates, so out arguments are positional; a
+            # pivot inside the guard leaves inf or nan behind it, redone below
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                for e2_k, row in zip(e2_prev[start + i:start + stop], rows[i:stop]):
+                    np.divide(e2_k, prev, tmp)
+                    np.subtract(row, tmp, row)
+                    prev = row
+            tiny = np.abs(q[i:stop]) < pivmin
+            hit = np.flatnonzero(tiny.any(axis=1))
+            if hit.size == 0:
+                i, span = stop, 2 * span
+                continue
+            r = i + hit[0]
+            rows[r][tiny[hit[0]]] = pivmin
+            np.subtract.outer(d[start + r + 1:start + stop], flat, out=q[r + 1:stop])
+            prev = rows[r]
+            i, span = r + 1, 1
+        above += np.count_nonzero(q > -pivmin, axis=0)
+        prev = rows[-1].copy()
+    return spec.dim - above.reshape(x.shape)
 
 
 def _scaled_level(spec: ModelSpec, index: int) -> float:

@@ -1,8 +1,42 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from kummer import quantum
 from kummer.model import ModelSpec
+
+
+def reference_counts(spec: ModelSpec, energies) -> np.ndarray:
+    """level_counts as one guarded row at a time over the whole chain.
+
+    The loop level_counts ran before it went to blocks, kept as the oracle
+    its blocked recurrence must match bit for bit.
+    """
+    ops = quantum.build_operators(spec)
+    x = np.asarray(energies, dtype=float) / spec.eta
+    e2 = ops.h.offdiag ** 2
+    pivmin = np.finfo(float).tiny * max(1.0, float(np.max(e2, initial=0.0)))
+    q = np.full_like(x, np.inf)  # with e_{-1} = 0 the first pivot is d_0 - x
+    step = np.empty_like(x)
+    keep = np.empty(x.shape, dtype=bool)
+    above = np.zeros(x.shape, dtype=np.intp)
+    # the loop runs dim times over arrays only as long as `energies`, so
+    # call overhead dominates: out arguments are positional
+    for d, e2_prev in zip(ops.h.diag.tolist(), [0.0] + e2.tolist()):
+        np.subtract(d, x, step)
+        np.divide(e2_prev, q, q)
+        np.subtract(step, q, q)
+        np.greater(q, -pivmin, keep)  # not negative once guarded
+        above += keep
+        np.maximum(q, pivmin, out=q, where=keep)
+    return spec.dim - above
+
+
+def assert_same_counts(got, want):
+    assert type(got) is type(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
 
 
 class TestLadderStrength:
@@ -112,9 +146,14 @@ class TestLevelCounts:
             assert np.array_equal(quantum.level_counts(spec, x), np.searchsorted(eigs, x))
 
     @pytest.mark.parametrize("dim", [40, 41])
-    def test_zero_pivot(self, dim):
+    @pytest.mark.parametrize("rows", [None, 1, 7])
+    def test_zero_pivot(self, dim, rows, monkeypatch):
         # eps = 0: x = 0 equals every diagonal entry, so the first pivot is
-        # exactly zero; an odd dimension also has a level at 0, not below it
+        # exactly zero; an odd dimension also has a level at 0, not below it.
+        # At `rows` rows a block the chain spans 40-41 or 6 blocks (None:
+        # the default budget, one block)
+        if rows is not None:
+            monkeypatch.setattr(quantum, "_COUNT_BLOCK", 2 * rows)
         spec = ModelSpec(2, 1, 2 * (dim - 1), eps=0.0)
         eigs = quantum.eigen_spectrum(spec).scaled_eigenvalues
         got = quantum.level_counts(spec, [0.0, 0.1])
@@ -125,6 +164,73 @@ class TestLevelCounts:
         spec = ModelSpec(2, 1, 40, eps=0.3)
         assert quantum.level_counts(spec, 10.0) == spec.dim
         assert quantum.level_counts(spec, np.zeros((2, 3))).shape == (2, 3)
+
+    @pytest.mark.parametrize("m,n,dim,eps,v", [
+        (2, 1, 1001, 0.5, 1.0), (3, 3, 2001, 0.08, 1.0), (1, 1, 1500, -0.7, 0.4),
+        (4, 1, 1201, 1.3, -0.8), (2, 1, 1001, 0.0, 1.0), (3, 2, 1001, 0.0, 0.7),
+        (2, 1, 1001, 0.5, 0.0), (2, 2, 1001, 0.0, 0.0)])
+    def test_blocks_match_reference(self, m, n, dim, eps, v):
+        # 204 energies: 160 rows per block, so 7-13 blocks at the default
+        # budget.  The grid holds 0 exactly: at eps = 0 every pivot of row 0
+        # is zero, and at eps = v = 0 every pivot of every row, so blocks
+        # restart on their first, middle and last rows and across their
+        # boundaries.  nan and +-inf give the reference's counts
+        spec = ModelSpec(m, n, m * n * (dim - 1), eps=eps, v=v)
+        x = np.concatenate((np.linspace(-2.0, 2.0, 201), [np.nan, np.inf, -np.inf]))
+        assert x[100] == 0.0
+        assert_same_counts(quantum.level_counts(spec, x), reference_counts(spec, x))
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 8])
+    def test_zero_pivots_at_block_positions(self, rows, monkeypatch):
+        # v = 0 leaves H diagonal: x = d_k zeroes the pivot of row k alone,
+        # and without the guard 0 / 0 = nan would fill the rows after it.
+        # At 8 rows a block the hits are at a block's first row (0), a
+        # middle row (11), its last row (23), across a boundary (31, 32)
+        # and in consecutive rows (42, 43, 44); dim 64 makes eta = 2**-6,
+        # so every x = E / eta is exact
+        spec = ModelSpec(1, 1, 63, eps=0.5, v=0.0)
+        d = quantum.build_operators(spec).h.diag
+        hits = [0, 11, 23, 31, 32, 42, 43, 44]
+        x = np.concatenate((d[hits] * spec.eta, [0.01, -0.3, np.nan, np.inf, -np.inf]))
+        assert np.array_equal(x[:len(hits)] / spec.eta, d[hits])
+        monkeypatch.setattr(quantum, "_COUNT_BLOCK", rows * len(x))
+        assert_same_counts(quantum.level_counts(spec, x), reference_counts(spec, x))
+        assert np.array_equal(quantum.level_counts(spec, x[:len(hits)]), hits)
+
+    def test_guard_is_strict(self):
+        # v = 0, eps = tiny and x = 0 give the pivots d_k = tiny * (k - 32)
+        # exactly: -pivmin (row 31) stays negative, 0 (row 32) is guarded
+        # to +pivmin and +pivmin (row 33) stays as it is
+        spec = ModelSpec(1, 1, 64, eps=np.finfo(float).tiny, v=0.0)
+        assert_same_counts(quantum.level_counts(spec, [0.0]), np.array([32]))
+        assert_same_counts(reference_counts(spec, [0.0]), np.array([32]))
+
+    @pytest.mark.parametrize("energies", [
+        10.0, 0.0, np.nan, -np.inf, np.float64(0.1), [], np.zeros((0, 3)),
+        [[0.0, 0.1, -0.4], [np.nan, np.inf, 0.7]],
+        np.linspace(-1.0, 1.0, 24).reshape(2, 3, 4)])
+    @pytest.mark.parametrize("eps", [0.0, 0.6])
+    def test_shapes_match_reference(self, energies, eps, monkeypatch):
+        # 2 pivots per block splits even one energy's chain into 21 blocks
+        monkeypatch.setattr(quantum, "_COUNT_BLOCK", 2)
+        spec = ModelSpec(2, 1, 80, eps=eps)
+        assert_same_counts(quantum.level_counts(spec, energies),
+                           reference_counts(spec, energies))
+
+    def test_block_memory_stays_near_energies(self):
+        # 100,000 energies are more than a block's budget, so each block is
+        # one row: the peak stays a small multiple of the energies array
+        # however many edges (`--bins`) are counted
+        spec = ModelSpec(2, 1, 2 * 2000, eps=0.3)
+        x = np.linspace(-0.8, 0.8, 100_000)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            quantum.level_counts(spec, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * x.nbytes
 
 
 class TestDosHistogram:
