@@ -156,13 +156,11 @@ def level_counts(spec: ModelSpec, energies) -> np.ndarray:
     pivmin = np.finfo(float).tiny * max(1.0, float(np.max(e2, initial=0.0)))
     e2_prev = [0.0] + e2.tolist()  # with e_{-1} = 0 the first pivot is d_0 - x
     height = min(spec.dim, max(1, _COUNT_BLOCK // max(flat.size, 1)))
-    block = np.empty((height, flat.size))
     prev = np.full_like(flat, np.inf)
     tmp = np.empty_like(flat)
     above = np.zeros(flat.shape, dtype=np.intp)
     for start in range(0, spec.dim, height):
-        q = block[:min(height, spec.dim - start)]
-        np.subtract.outer(d[start:start + len(q)], flat, out=q)
+        q = np.subtract.outer(d[start:start + height], flat)
         rows = list(q)
         i, span = 0, len(q)
         while i < len(q):
