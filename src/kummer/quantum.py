@@ -155,7 +155,7 @@ def level_counts(spec: ModelSpec, energies) -> np.ndarray:
     e2 = ops.h.offdiag ** 2
     pivmin = np.finfo(float).tiny * max(1.0, float(np.max(e2, initial=0.0)))
     e2_prev = [0.0] + e2.tolist()  # with e_{-1} = 0 the first pivot is d_0 - x
-    height = min(spec.dim, max(1, _COUNT_BLOCK // max(flat.size, 1)))
+    height = max(1, _COUNT_BLOCK // max(flat.size, 1))
     prev = np.full_like(flat, np.inf)
     tmp = np.empty_like(flat)
     above = np.zeros(flat.shape, dtype=np.intp)

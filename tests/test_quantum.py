@@ -10,8 +10,8 @@ from kummer.model import ModelSpec
 def reference_counts(spec: ModelSpec, energies) -> np.ndarray:
     """level_counts as one guarded row at a time over the whole chain.
 
-    The loop level_counts ran before it went to blocks, kept as the oracle
-    its blocked recurrence must match bit for bit.
+    The oracle that the blocked recurrence of level_counts must match bit
+    for bit.
     """
     ops = quantum.build_operators(spec)
     x = np.asarray(energies, dtype=float) / spec.eta
@@ -171,8 +171,8 @@ class TestLevelCounts:
         (2, 1, 1001, 0.5, 0.0), (2, 2, 1001, 0.0, 0.0)])
     def test_blocks_match_reference(self, m, n, dim, eps, v):
         # 204 energies: 160 rows per block, so 7-13 blocks at the default
-        # budget.  The grid holds 0 exactly: at eps = 0 every pivot of row 0
-        # is zero, and at eps = v = 0 every pivot of every row, so blocks
+        # budget.  The grid holds 0 exactly: at eps = 0 the pivot of x = 0
+        # is zero in row 0, and at eps = v = 0 in every row, so blocks
         # restart on their first, middle and last rows and across their
         # boundaries.  nan and +-inf give the reference's counts
         spec = ModelSpec(m, n, m * n * (dim - 1), eps=eps, v=v)
