@@ -27,11 +27,8 @@ from .quantum import (
     DosHistogram,
     SpectrumResult,
     SweepTable,
-    TridiagonalOperator,
-    build_operators,
     dos_histogram,
     eigen_spectrum,
-    ladder_strength,
     level_counts,
     sweep_epsilon,
 )

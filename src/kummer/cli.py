@@ -42,7 +42,7 @@ _COMMANDS = {
         ("eps_min", float, None, "lower end of the eps grid"),
         ("eps_max", float, None, "upper end of the eps grid"),
         ("eps_steps", int, None, "number of grid points"),
-        ("jobs", int, 0, "worker processes (0: serial; env KUMMER_JOBS)"),
+        ("jobs", int, 0, "worker processes (0 or 1: serial)"),
     ),
     "trajectory": (
         ("sx", float, None, "initial sx"),
@@ -119,11 +119,10 @@ def _config_bool(raw: str) -> bool:
 
 
 def _worker_count(jobs: int) -> int:
-    """Sweep workers from --jobs, or from KUMMER_JOBS where --jobs is 0; 0 runs serially."""
-    name, raw = ("--jobs", jobs) if jobs else ("KUMMER_JOBS", os.environ.get("KUMMER_JOBS", "1"))
-    if not str(raw).strip().isdecimal():
-        raise UsageError(f"{name} must be a non-negative integer, got {raw!r}")
-    return max(int(raw), 1)
+    """Sweep workers from --jobs; 0 runs serially."""
+    if jobs < 0:
+        raise UsageError(f"--jobs must be a non-negative integer, got {jobs!r}")
+    return max(jobs, 1)
 
 
 def parse_config(argv) -> RunConfig:
@@ -264,7 +263,7 @@ def _cmd_dos(cfg: RunConfig):
                if fp.stability == "saddle"]
     curve = semiclassics.dos_semiclassical(cfg.spec, centers, saddle_energies=saddles)
     stem = os.path.join(cfg.out, "dos")
-    serialize.write_dos(cfg.spec, hist, centers, curve, stem, saddle_energies=saddles)
+    serialize.write_dos(hist, centers, curve, stem, saddle_energies=saddles)
     if cfg.plot:
         svgplot.plot_dos(cfg.spec, hist, centers, curve, stem + ".svg")
 
@@ -272,7 +271,7 @@ def _cmd_dos(cfg: RunConfig):
 def _cmd_mesh(cfg: RunConfig):
     mesh = meanfield.kummer_mesh(cfg.spec, cfg.options["n_theta"], cfg.options["n_p"])
     stem = os.path.join(cfg.out, "kummer_mesh")
-    serialize.write_mesh(cfg.spec, mesh, stem)
+    serialize.write_mesh(mesh, stem)
     if cfg.plot:
         p_grid = np.linspace(-0.5, 0.5, 257)
         r_vals = meanfield.radius(cfg.spec, p_grid)

@@ -1,9 +1,12 @@
-"""Many-particle operators on the conserved-N subspace and their spectra.
+"""The Hamiltonian chain on the conserved-N subspace and its spectra.
 
-All operators are real symmetric tridiagonal matrices in the Fock basis
-|mu> = |mu*m, N/m - mu*n>, mu = 0..N/(m*n).  sy is never materialised as
-a complex matrix: everything is expressed through the real ladder
-weights, which keeps the whole module in real arithmetic.
+In the Fock basis |mu> = |mu*m, N/m - mu*n>, mu = 0..N/(m*n), the
+Hamiltonian H = eps*sz + v*sx is a real symmetric tridiagonal chain:
+eps*z on the diagonal, z = mu - z_max, and (v/2)*sqrt(beta_mu) on the
+off-diagonal, where beta_mu are the ladder weights of the polynomially
+deformed su(2) algebra.  sx and sy share the off-diagonal magnitudes
+sqrt(beta_mu)/2 and sy is never materialised as a complex matrix, which
+keeps the whole module in real arithmetic.
 """
 
 from __future__ import annotations
@@ -37,56 +40,11 @@ def _ladder_weights(spec: ModelSpec, mu):
     return val
 
 
-def ladder_strength(spec: ModelSpec, mu: int) -> float:
-    """Squared hopping weight beta_mu connecting basis states mu-1 and mu.
-
-    beta_0 = 0 and beta_{N/(m*n)+1} = 0 terminate the chain.
-    """
-    top = spec.N // (spec.m * spec.n)
-    if mu < 0 or mu > top + 1:
-        raise ValueError(f"mu must lie in 0..{top + 1}")
-    if mu == 0 or mu == top + 1:
-        return 0.0
-    return _ladder_weights(spec, mu)
-
-
-@dataclass(frozen=True)
-class TridiagonalOperator:
-    """Real symmetric tridiagonal data for one of sx, sy, sz, H.
-
-    For kind 'sy' the stored off-diagonal holds the magnitudes; the
-    actual matrix is (-i) times them below the diagonal and (+i) above.
-    """
-
-    diag: np.ndarray
-    offdiag: np.ndarray
-    kind: str
-
-    @property
-    def dim(self) -> int:
-        return len(self.diag)
-
-
-@dataclass(frozen=True)
-class OperatorSet:
-    spec: ModelSpec
-    sx: TridiagonalOperator
-    sy: TridiagonalOperator
-    sz: TridiagonalOperator
-    h: TridiagonalOperator
-
-
-def build_operators(spec: ModelSpec) -> OperatorSet:
-    """Matrices of sx, sy, sz and H = eps*sz + v*sx on the N-subspace."""
-    dim = spec.dim
-    sqrt_beta = np.sqrt(_ladder_weights(spec, np.arange(1, dim)))
-    z = np.arange(dim) - spec.z_max  # spec.sz_value(mu) for every mu
-    zero = np.zeros(dim)
-    sx = TridiagonalOperator(zero, 0.5 * sqrt_beta, "sx")
-    sy = TridiagonalOperator(zero, 0.5 * sqrt_beta, "sy")
-    sz = TridiagonalOperator(z, np.zeros(max(dim - 1, 0)), "sz")
-    h = TridiagonalOperator(spec.eps * z, (spec.v / 2.0) * sqrt_beta, "h")
-    return OperatorSet(spec, sx, sy, sz, h)
+def _chain(spec: ModelSpec):
+    """Diagonal eps*z and off-diagonal (v/2)*sqrt(beta_mu) of H = eps*sz + v*sx."""
+    z = np.arange(spec.dim) - spec.z_max  # spec.sz_value(mu) for every mu
+    sqrt_beta = np.sqrt(_ladder_weights(spec, np.arange(1, spec.dim)))
+    return spec.eps * z, (spec.v / 2.0) * sqrt_beta
 
 
 @dataclass(frozen=True)
@@ -105,8 +63,7 @@ def eigen_spectrum(spec: ModelSpec) -> SpectrumResult:
     Uses the implicit-shift QL/QR solver for symmetric tridiagonal
     matrices (eigenvalues only, O(dim^2), no dense workspace).
     """
-    ops = build_operators(spec)
-    raw = eigvalsh_tridiagonal(ops.h.diag, ops.h.offdiag, lapack_driver="sterf")
+    raw = eigvalsh_tridiagonal(*_chain(spec), lapack_driver="sterf")
     return SpectrumResult(spec, np.sort(raw))
 
 
@@ -116,8 +73,7 @@ def eigen_residual(spec: ModelSpec) -> float:
     Recomputes eigenvectors with the divide-and-conquer tridiagonal
     solver; intended as a spot check for moderate dimensions.
     """
-    ops = build_operators(spec)
-    d, e = ops.h.diag, ops.h.offdiag
+    d, e = _chain(spec)
     w, vecs = eigh_tridiagonal(d, e)
     hv = d[:, None] * vecs
     hv[:-1] += e[:, None] * vecs[1:]
@@ -148,11 +104,10 @@ def level_counts(spec: ModelSpec, energies) -> np.ndarray:
     the bit.  After a restart the loop checks after 1, 2, 4, ... rows,
     which keeps a chain of zero pivots (v = eps = 0) linear in dim.
     """
-    ops = build_operators(spec)
+    d, e = _chain(spec)
     x = np.asarray(energies, dtype=float) / spec.eta
     flat = x.ravel()
-    d = ops.h.diag
-    e2 = ops.h.offdiag ** 2
+    e2 = e ** 2
     pivmin = np.finfo(float).tiny * max(1.0, float(np.max(e2, initial=0.0)))
     e2_prev = [0.0] + e2.tolist()  # with e_{-1} = 0 the first pivot is d_0 - x
     height = max(1, _COUNT_BLOCK // max(flat.size, 1))
@@ -189,9 +144,7 @@ def level_counts(spec: ModelSpec, energies) -> np.ndarray:
 
 def _scaled_level(spec: ModelSpec, index: int) -> float:
     """Scaled level `index` (ascending) by one LAPACK bisection solve, O(dim)."""
-    ops = build_operators(spec)
-    raw = eigvalsh_tridiagonal(ops.h.diag, ops.h.offdiag, select="i",
-                               select_range=(index, index))
+    raw = eigvalsh_tridiagonal(*_chain(spec), select="i", select_range=(index, index))
     return spec.eta * raw[0]
 
 
@@ -284,18 +237,18 @@ def commutator_residuals(spec: ModelSpec) -> dict:
     """
     from . import algebra
 
-    ops = build_operators(spec)
     dim = spec.dim
     beta = _ladder_weights(spec, np.arange(dim + 1))  # mu = 0..dim, zero at both ends
-    z, ax, ay = ops.sz.diag, ops.sx.offdiag, ops.sy.offdiag
+    z = np.arange(dim) - spec.z_max
+    a = 0.5 * np.sqrt(beta[1:dim])  # off-diagonal magnitudes of both sx and sy
 
-    # superdiagonals (sy = +i*ay there): [sz, sx] = -step*ax vs i*sy = -ay,
-    # [sy, sz] = i*step*ay vs i*sx = i*ax; subdiagonals mirror them
+    # superdiagonals (sx = a, sy = +i*a there): [sz, sx] = -step*a vs
+    # i*sy = -a, [sy, sz] = i*step*a vs i*sx = i*a; subdiagonals mirror them
     res_zx = res_yz = 0.0
     if dim > 1:
-        step, scale_off = z[1:] - z[:-1], max(np.max(ax), 1e-300)
-        res_zx = np.max(np.abs(ay - step * ax)) / scale_off
-        res_yz = np.max(np.abs(step * ay - ax)) / scale_off
+        step, scale_off = z[1:] - z[:-1], max(np.max(a), 1e-300)
+        res_zx = np.max(np.abs(a - step * a)) / scale_off
+        res_yz = np.max(np.abs(step * a - a)) / scale_off
 
     f_diag = algebra.commutator_poly(spec, z)
     lhs = 0.5 * (beta[:dim] - beta[1 : dim + 1])

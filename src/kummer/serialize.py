@@ -131,7 +131,7 @@ def write_trajectory(spec, record, stem):
     _spec_json(stem, spec)
 
 
-def write_mesh(spec, mesh, stem):
+def write_mesh(mesh, stem):
     n_p, n_theta, _ = mesh.shape
     write_csv(
         stem + ".csv",
@@ -154,8 +154,8 @@ def write_semiclassical(result, stem, exact):
     _spec_json(stem, result.spec)
 
 
-def write_dos(spec, hist, curve_energies, curve_values, stem, saddle_energies=()):
-    centers = 0.5 * (hist.bin_edges[:-1] + hist.bin_edges[1:])
+def write_dos(hist, centers, curve_values, stem, saddle_energies=()):
+    """Histogram and period curve; the curve is sampled at the bin centres."""
     write_csv(
         stem + "_histogram.csv",
         ("bin_left", "bin_right", "bin_center", "density"),
@@ -170,7 +170,7 @@ def write_dos(spec, hist, curve_energies, curve_values, stem, saddle_energies=()
     write_csv(
         stem + "_curve.csv",
         ("scaled_energy", "period_over_2pi"),
-        zip(curve_energies, curve_values),
+        zip(centers, curve_values),
         comments=comments,
     )
 

@@ -7,12 +7,12 @@ from kummer.model import ModelSpec
 
 def dense_conversion_matrices(spec):
     """Brute-force complex matrices of sx, sy, sz from ladder weights."""
-    from kummer.quantum import ladder_strength
+    from kummer.quantum import _ladder_weights
 
     dim = spec.dim
     up = np.zeros((dim, dim))
     for mu in range(dim - 1):
-        up[mu + 1, mu] = np.sqrt(ladder_strength(spec, mu + 1))
+        up[mu + 1, mu] = np.sqrt(_ladder_weights(spec, mu + 1))
     down = up.T
     sx = 0.5 * (up + down)
     sy = (up - down) / 2j

@@ -311,23 +311,11 @@ class TestMain:
         assert all("ValueError" in line and "m = 83, n = 83, N = " in line for line in lines)
 
 
-def test_jobs_env_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv("KUMMER_JOBS", "2")
-    argv = f"sweep --m 2 --n 1 --N 20 --eps-min 0 --eps-max 1 --eps-steps 3 --out {tmp_path}"
-    assert main(argv.split()) == 0
-    assert (tmp_path / "sweep_levels.csv").exists()
-
-
-@pytest.mark.parametrize("jobs,env,name", [("-2", None, "--jobs"), ("0", "abc", "KUMMER_JOBS")])
-def test_bad_worker_count_is_usage_error(tmp_path, monkeypatch, capsys, jobs, env, name):
+def test_bad_worker_count_is_usage_error(tmp_path, capsys):
     # no workers are started: the count is checked while parsing
-    if env is None:
-        monkeypatch.delenv("KUMMER_JOBS", raising=False)
-    else:
-        monkeypatch.setenv("KUMMER_JOBS", env)
-    argv = f"sweep --m 2 --n 1 --N 20 --eps-min 0 --eps-max 1 --eps-steps 3 --jobs {jobs}"
+    argv = "sweep --m 2 --n 1 --N 20 --eps-min 0 --eps-max 1 --eps-steps 3 --jobs -2"
     assert main(argv.split() + ["--out", str(tmp_path)]) == 2
-    assert f"{name} must be a non-negative integer" in capsys.readouterr().err
+    assert "--jobs must be a non-negative integer" in capsys.readouterr().err
     assert not (tmp_path / "sweep_levels.csv").exists()
 
 

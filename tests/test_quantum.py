@@ -13,9 +13,9 @@ def reference_counts(spec: ModelSpec, energies) -> np.ndarray:
     The oracle that the blocked recurrence of level_counts must match bit
     for bit.
     """
-    ops = quantum.build_operators(spec)
+    diag, off = quantum._chain(spec)
     x = np.asarray(energies, dtype=float) / spec.eta
-    e2 = ops.h.offdiag ** 2
+    e2 = off ** 2
     pivmin = np.finfo(float).tiny * max(1.0, float(np.max(e2, initial=0.0)))
     q = np.full_like(x, np.inf)  # with e_{-1} = 0 the first pivot is d_0 - x
     step = np.empty_like(x)
@@ -23,7 +23,7 @@ def reference_counts(spec: ModelSpec, energies) -> np.ndarray:
     above = np.zeros(x.shape, dtype=np.intp)
     # the loop runs dim times over arrays only as long as `energies`, so
     # call overhead dominates: out arguments are positional
-    for d, e2_prev in zip(ops.h.diag.tolist(), [0.0] + e2.tolist()):
+    for d, e2_prev in zip(diag.tolist(), [0.0] + e2.tolist()):
         np.subtract(d, x, step)
         np.divide(e2_prev, q, q)
         np.subtract(step, q, q)
@@ -42,57 +42,53 @@ def assert_same_counts(got, want):
 class TestLadderStrength:
     def test_angular_momentum_case(self):
         spec = ModelSpec(1, 1, 2)
-        assert quantum.ladder_strength(spec, 1) == pytest.approx(2.0, abs=0)
+        assert quantum._ladder_weights(spec, 1) == pytest.approx(2.0, abs=0)
         spec = ModelSpec(1, 1, 12)
         for mu in range(1, 13):
-            assert quantum.ladder_strength(spec, mu) == pytest.approx(
+            assert quantum._ladder_weights(spec, mu) == pytest.approx(
                 mu * (12 - mu + 1), rel=1e-14
             )
 
     def test_conversion_case_2_1(self):
         spec = ModelSpec(2, 1, 4)
-        assert quantum.ladder_strength(spec, 1) == pytest.approx(1.0, rel=1e-14)
-        assert quantum.ladder_strength(spec, 2) == pytest.approx(3.0, rel=1e-14)
+        assert quantum._ladder_weights(spec, 1) == pytest.approx(1.0, rel=1e-14)
+        assert quantum._ladder_weights(spec, 2) == pytest.approx(3.0, rel=1e-14)
 
     def test_chain_ends_are_zero(self):
         spec = ModelSpec(3, 2, 36)
         top = spec.N // 6
-        assert quantum.ladder_strength(spec, 0) == 0.0
-        assert quantum.ladder_strength(spec, top + 1) == 0.0
+        assert quantum._ladder_weights(spec, 0) == 0.0
+        assert quantum._ladder_weights(spec, top + 1) == 0.0
         for mu in range(1, top + 1):
-            assert quantum.ladder_strength(spec, mu) > 0.0
-
-    def test_out_of_range_rejected(self):
-        spec = ModelSpec(2, 1, 8)
-        with pytest.raises(ValueError):
-            quantum.ladder_strength(spec, -1)
-        with pytest.raises(ValueError):
-            quantum.ladder_strength(spec, 6)
+            assert quantum._ladder_weights(spec, mu) > 0.0
+        beta = quantum._ladder_weights(spec, np.arange(top + 2))
+        assert beta[0] == 0.0 and beta[-1] == 0.0 and np.all(beta[1:-1] > 0.0)
 
     def test_large_N_stays_finite(self):
         spec = ModelSpec(3, 3, 72000)
-        vals = [quantum.ladder_strength(spec, mu) for mu in (1, 4000, 8000)]
+        vals = [quantum._ladder_weights(spec, mu) for mu in (1, 4000, 8000)]
         assert all(np.isfinite(v) and v > 0 for v in vals)
 
 
-class TestBuildOperators:
+class TestChain:
     def test_sz_diagonal_2_1(self):
-        ops = quantum.build_operators(ModelSpec(2, 1, 4))
-        assert np.allclose(ops.sz.diag, [-1.0, 0.0, 1.0], atol=0)
-        assert np.all(ops.sz.offdiag == 0.0)
+        diag, off = quantum._chain(ModelSpec(2, 1, 4, eps=1.0, v=0.0))
+        assert np.allclose(diag, [-1.0, 0.0, 1.0], atol=0)
+        assert np.all(off == 0.0)
 
     def test_three_level_tunneling_spectrum(self):
         spec = ModelSpec(1, 1, 2, eps=0.0, v=1.0)
-        ops = quantum.build_operators(spec)
-        assert np.allclose(ops.h.offdiag, np.sqrt(2) / 2, atol=1e-15)
+        _, off = quantum._chain(spec)
+        assert np.allclose(off, np.sqrt(2) / 2, atol=1e-15)
         levels = quantum.eigen_spectrum(spec).raw_eigenvalues
         assert np.allclose(levels, [-1.0, 0.0, 1.0], atol=1e-14)
 
     def test_hamiltonian_combines_sz_and_sx(self):
-        spec = ModelSpec(2, 2, 16, eps=0.3, v=1.7)
-        ops = quantum.build_operators(spec)
-        assert np.allclose(ops.h.diag, 0.3 * ops.sz.diag, atol=0)
-        assert np.allclose(ops.h.offdiag, 1.7 * ops.sx.offdiag, atol=0)
+        diag, off = quantum._chain(ModelSpec(2, 2, 16, eps=0.3, v=1.7))
+        sz_diag, _ = quantum._chain(ModelSpec(2, 2, 16, eps=1.0, v=0.0))
+        _, sx_off = quantum._chain(ModelSpec(2, 2, 16, eps=0.0, v=1.0))
+        assert np.allclose(diag, 0.3 * sz_diag, atol=0)
+        assert np.allclose(off, 1.7 * sx_off, atol=0)
 
     @pytest.mark.parametrize("m,n,N", [(1, 1, 30), (2, 1, 40), (3, 2, 60), (4, 3, 120)])
     def test_commutator_identities(self, m, n, N):
@@ -189,7 +185,7 @@ class TestLevelCounts:
         # and in consecutive rows (42, 43, 44); dim 64 makes eta = 2**-6,
         # so every x = E / eta is exact
         spec = ModelSpec(1, 1, 63, eps=0.5, v=0.0)
-        d = quantum.build_operators(spec).h.diag
+        d, _ = quantum._chain(spec)
         hits = [0, 11, 23, 31, 32, 42, 43, 44]
         x = np.concatenate((d[hits] * spec.eta, [0.01, -0.3, np.nan, np.inf, -np.inf]))
         assert np.array_equal(x[:len(hits)] / spec.eta, d[hits])
@@ -333,20 +329,21 @@ def test_casimir_scalar_value_is_zero():
     # in this bosonic representation the scalar is exactly zero
     for spec in (ModelSpec(2, 1, 60), ModelSpec(3, 3, 90), ModelSpec(4, 1, 80)):
         res = quantum.commutator_residuals(spec)
-        beta_scale = max(
-            quantum.ladder_strength(spec, mu) for mu in range(1, spec.dim)
-        )
+        beta_scale = np.max(quantum._ladder_weights(spec, np.arange(1, spec.dim)))
         assert abs(res["casimir_value"]) < 1e-9 * beta_scale
 
 
-def _dense(op):
-    """Dense matrix of a TridiagonalOperator in its documented convention."""
-    mat = np.diag(op.diag).astype(complex)
-    if op.kind == "sy":  # -i*a below the diagonal, +i*a above
-        mat += np.diag(-1j * op.offdiag, -1) + np.diag(1j * op.offdiag, 1)
-    else:
-        mat += np.diag(op.offdiag, -1) + np.diag(op.offdiag, 1)
-    return mat
+def _dense(spec):
+    """Dense sx, sy, sz from the ladder weights in the documented convention.
+
+    sx and sy share the off-diagonal magnitudes a = sqrt(beta)/2; sy is
+    -i*a below the diagonal and +i*a above.
+    """
+    a = 0.5 * np.sqrt(quantum._ladder_weights(spec, np.arange(1, spec.dim)))
+    sx = (np.diag(a, -1) + np.diag(a, 1)).astype(complex)
+    sy = np.diag(-1j * a, -1) + np.diag(1j * a, 1)
+    sz = np.diag([spec.sz_value(mu) for mu in range(spec.dim)]).astype(complex)
+    return sx, sy, sz
 
 
 @pytest.mark.parametrize("m,n,dim", [(m, n, d) for m in range(1, 4) for n in range(1, 4)
@@ -355,16 +352,15 @@ def test_commutator_residuals_match_dense(m, n, dim):
     from kummer import algebra
 
     spec = ModelSpec(m, n, (dim - 1) * m * n)
-    ops = quantum.build_operators(spec)
-    sx, sy, sz = _dense(ops.sx), _dense(ops.sy), _dense(ops.sz)
-    z = ops.sz.diag
+    sx, sy, sz = _dense(spec)
+    z = np.diag(sz).real
     big_f = np.diag([algebra.commutator_poly(spec, zi) for zi in z])
     big_g = np.diag([algebra.casimir_poly(spec, zi) for zi in z])
 
     def comm(a, b):
         return a @ b - b @ a
 
-    scale_off = np.max(ops.sx.offdiag)
+    scale_off = np.max(np.abs(sx))
     squares = (sx @ sx + sy @ sy).real
     cas = squares + big_g
     want = {
@@ -389,12 +385,12 @@ def test_commutator_residuals_match_dense(m, n, dim):
 @pytest.mark.parametrize("m,n,N", [(1, 1, 2), (2, 1, 40), (1, 3, 300), (3, 2, 6000),
                                    (4, 3, 120), (4, 4, 16 * 999), (2, 1, 80000)])
 def test_ladder_weights_bit_identical_to_scalar_loop(m, n, N):
-    # one formula over an int or an array of mu: the operators carry its
+    # one formula over an int or an array of mu: the chain carries its
     # vector, and an int mu gives the same bits as the array entry
-    spec = ModelSpec(m, n, N)
+    spec = ModelSpec(m, n, N, eps=0.3, v=1.3)
     beta = quantum._ladder_weights(spec, np.arange(1, spec.dim))
     for mu in {1, spec.dim // 2, spec.dim - 1}:
-        assert quantum.ladder_strength(spec, mu) == beta[mu - 1]
-    ops = quantum.build_operators(spec)
-    assert np.array_equal(ops.sx.offdiag, 0.5 * np.sqrt(beta))
-    assert np.array_equal(ops.sz.diag, np.array([spec.sz_value(mu) for mu in range(spec.dim)]))
+        assert quantum._ladder_weights(spec, mu) == beta[mu - 1]
+    diag, off = quantum._chain(spec)
+    assert np.array_equal(off, (spec.v / 2.0) * np.sqrt(beta))
+    assert np.array_equal(diag, spec.eps * np.array([spec.sz_value(mu) for mu in range(spec.dim)]))

@@ -113,7 +113,7 @@ def test_fixed_point_and_bifurcation_files(tmp_path):
 def test_mesh_documents_grid_order(tmp_path):
     spec = ModelSpec(2, 1, 8)
     mesh = meanfield.kummer_mesh(spec, 4, 3)
-    serialize.write_mesh(spec, mesh, str(tmp_path / "mesh"))
+    serialize.write_mesh(mesh, str(tmp_path / "mesh"))
     text = (tmp_path / "mesh.csv").read_text()
     assert "height-major" in text
     _, rows = serialize.read_csv(tmp_path / "mesh.csv")

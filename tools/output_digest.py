@@ -26,7 +26,6 @@ import os
 # one BLAS thread, as in the benchmark; sweeps run serially
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
-os.environ.pop("KUMMER_JOBS", None)
 
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
