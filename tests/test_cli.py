@@ -311,12 +311,30 @@ class TestMain:
         assert all("ValueError" in line and "m = 83, n = 83, N = " in line for line in lines)
 
 
-def test_bad_worker_count_is_usage_error(tmp_path, capsys):
-    # no workers are started: the count is checked while parsing
-    argv = "sweep --m 2 --n 1 --N 20 --eps-min 0 --eps-max 1 --eps-steps 3 --jobs -2"
-    assert main(argv.split() + ["--out", str(tmp_path)]) == 2
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_bad_worker_count_is_usage_error(tmp_path, capsys, source):
+    # no workers are started: the count is checked while parsing, whether
+    # it comes from --jobs or from the config key jobs
+    argv = "sweep --m 2 --n 1 --N 20 --eps-min 0 --eps-max 1 --eps-steps 3".split()
+    if source == "flag":
+        argv += ["--jobs", "-2"]
+    else:
+        conf = tmp_path / "run.conf"
+        conf.write_text("jobs = -2\n")
+        argv += ["--config", str(conf)]
+    assert main(argv + ["--out", str(tmp_path)]) == 2
     assert "--jobs must be a non-negative integer" in capsys.readouterr().err
     assert not (tmp_path / "sweep_levels.csv").exists()
+
+
+def test_jobs_environment_variable_is_not_read(tmp_path, monkeypatch):
+    # --jobs (config key jobs) is the only source of the worker count: a
+    # KUMMER_JOBS value that once was a usage error changes nothing
+    monkeypatch.setenv("KUMMER_JOBS", "abc")
+    argv = "sweep --m 2 --n 1 --N 20 --eps-min 0 --eps-max 1 --eps-steps 3"
+    assert parse_config(argv.split()).options["jobs"] == 1
+    assert main(argv.split() + ["--out", str(tmp_path)]) == 0
+    assert (tmp_path / "sweep_levels.csv").exists()
 
 
 def test_dos_reports_saddle_energies(tmp_path):

@@ -76,6 +76,17 @@ class TestChain:
         assert np.allclose(diag, [-1.0, 0.0, 1.0], atol=0)
         assert np.all(off == 0.0)
 
+    @pytest.mark.parametrize("m,n,N", [(1, 1, 2), (2, 1, 40), (3, 2, 60), (4, 3, 120)])
+    def test_chain_shape_and_sz_symmetry(self, m, n, N):
+        # dim diagonal entries and dim - 1 hopping weights, all positive;
+        # the sz eigenvalues z run symmetrically from -z_max to z_max
+        spec = ModelSpec(m, n, N, eps=1.0, v=2.0)
+        diag, off = quantum._chain(spec)
+        assert diag.shape == (spec.dim,) and off.shape == (spec.dim - 1,)
+        assert np.array_equal(diag, -diag[::-1])
+        assert diag[-1] == spec.z_max
+        assert np.all(off > 0.0)
+
     def test_three_level_tunneling_spectrum(self):
         spec = ModelSpec(1, 1, 2, eps=0.0, v=1.0)
         _, off = quantum._chain(spec)
