@@ -366,14 +366,90 @@ class TrajectoryRecord:
     drift_c: float  # max |C(t) - C(0)|
 
 
+# The RK4 loop of integrate_trajectory, filled in per (m, n) with the
+# Horner chains of f at each stage's z ({f_sz} to {f_z4}) and of g at the
+# new sz ({g_sz}).  -eps * s is (-eps) * s and 0.5 * dt * a is
+# (0.5 * dt) * a, so neps and hdt keep the bits of the unhoisted forms.
+_RK4_TEMPLATE = """\
+def rk4(sx, sy, sz, eps, v, dt, steps, stride, h0, c0):
+    neps, hdt = -eps, 0.5 * dt
+    times, states = [0.0], [(sx, sy, sz)]
+    drift_h = drift_c = 0.0
+    for first in range(1, steps + 1, stride):
+        for k in range(first, min(first + stride, steps + 1)):
+{f_sz}
+            ax1, ay1, az1 = neps * sy, eps * sx - v * fz, v * sy
+            x2, y2, z2 = sx + hdt * ax1, sy + hdt * ay1, sz + hdt * az1
+{f_z2}
+            ax2, ay2, az2 = neps * y2, eps * x2 - v * fz, v * y2
+            x3, y3, z3 = sx + hdt * ax2, sy + hdt * ay2, sz + hdt * az2
+{f_z3}
+            ax3, ay3, az3 = neps * y3, eps * x3 - v * fz, v * y3
+            x4, y4, z4 = sx + dt * ax3, sy + dt * ay3, sz + dt * az3
+{f_z4}
+            ax4, ay4, az4 = neps * y4, eps * x4 - v * fz, v * y4
+            sx += dt * (ax1 + 2 * ax2 + 2 * ax3 + ax4) / 6.0
+            sy += dt * (ay1 + 2 * ay2 + 2 * ay3 + ay4) / 6.0
+            sz += dt * (az1 + 2 * az2 + 2 * az3 + az4) / 6.0
+            d = abs(v * sx + eps * sz - h0)
+            if not d <= drift_h:  # unlike d > drift_h, true for a NaN d
+                drift_h = d
+{g_sz}
+            d = abs(sx * sx + sy * sy + gz - c0)
+            if not d <= drift_c:
+                drift_c = d
+        times.append(k * dt)
+        states.append((sx, sy, sz))
+    return times, states, drift_h, drift_c
+"""
+_HORNER_NEST = 16  # coefficients per expression; the parser caps nested parentheses at 200
+
+
+def _horner_source(coeffs, z: str, out: str) -> str:
+    """Statements that set `out` to the ascending polynomial `coeffs` at `z`.
+
+    The same operations as `val = val * z + c` from val = 0.0, with the
+    coefficients as repr literals.
+    """
+    lines, acc = [], "0.0"
+    desc = coeffs[::-1].tolist()
+    for i in range(0, len(desc), _HORNER_NEST):
+        chunk = desc[i:i + _HORNER_NEST]
+        expr = "(" * (len(chunk) - 1) + acc + ")".join(f" * {z} + {c!r}" for c in chunk)
+        lines.append(f"            {out} = {expr}")
+        acc = out
+    return "\n".join(lines)
+
+
+def _rk4_source(m: int, n: int) -> str:
+    """Source of the RK4 loop of (m, n); ValueError where f or g overflows."""
+    core = structure_polynomials(m, n)
+    if not (np.isfinite(core.f).all() and np.isfinite(core.g).all()):
+        raise ValueError(f"the coefficients of f and g overflow at m = {m}, n = {n}")
+    return _RK4_TEMPLATE.format(
+        g_sz=_horner_source(core.g, "sz", "gz"),
+        **{f"f_{z}": _horner_source(core.f, z, "fz") for z in ("sz", "z2", "z3", "z4")})
+
+
+@lru_cache(maxsize=64)
+def _rk4_loop(m: int, n: int):
+    """The RK4 loop of (m, n), compiled once: see integrate_trajectory."""
+    namespace = {}
+    exec(compile(_rk4_source(m, n), f"<rk4 loop of m = {m}, n = {n}>", "exec"), namespace)
+    return namespace["rk4"]
+
+
 def integrate_trajectory(spec: ModelSpec, initial, t_end: float, dt: float,
                          stride: int = 1) -> TrajectoryRecord:
     """Fixed-step 4th-order Runge-Kutta integration on the Kummer surface.
 
     The initial point must satisfy C(s) = 0 within 1e-10.  Conservation
     of H and C is tracked at every step; states are stored every
-    `stride` steps.  The step loop runs on Python floats only: with numpy
-    scalars each operation costs several times more.
+    `stride` steps.  The step loop is generated and compiled once per
+    (m, n), with the coefficients of f and g as literals in unrolled
+    Horner chains: a step that loops over the coefficients takes about
+    1.4 times as long, with the same bits.  It runs on Python floats
+    only: with numpy scalars each operation costs several times more.
     """
     sx, sy, sz = (float(c) for c in initial)
     if not abs(casimir_value(spec, (sx, sy, sz))) <= 1e-10:
@@ -385,59 +461,17 @@ def integrate_trajectory(spec: ModelSpec, initial, t_end: float, dt: float,
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
     if stride < 1:
         raise ValueError(f"stride must be at least 1, got {stride!r}")
+    if not isfinite(t_end / dt):
+        raise ValueError(f"t_end = {t_end!r} over dt = {dt!r} is no finite step count")
     steps = int(round(t_end / dt))
     if steps < 1:
         raise ValueError(f"dt = {dt!r} is at least twice t_end = {t_end!r}: no step to take")
 
     eps, v = spec.eps, spec.v
-    core = structure_polynomials(spec.m, spec.n)
-    fc = core.f[::-1].tolist()  # descending for Horner
-    gc = core.g[::-1].tolist()
-
-    gz = 0.0
-    for c in gc:
-        gz = gz * sz + c
+    loop = _rk4_loop(spec.m, spec.n)
     h0 = v * sx + eps * sz
-    c0 = sx * sx + sy * sy + gz
-    times = [0.0]
-    states = [(sx, sy, sz)]
-    drift_h = 0.0
-    drift_c = 0.0
-    for k in range(1, steps + 1):
-        fz = 0.0
-        for c in fc:
-            fz = fz * sz + c
-        ax1, ay1, az1 = -eps * sy, eps * sx - v * fz, v * sy
-        x2, y2, z2 = sx + 0.5 * dt * ax1, sy + 0.5 * dt * ay1, sz + 0.5 * dt * az1
-        fz = 0.0
-        for c in fc:
-            fz = fz * z2 + c
-        ax2, ay2, az2 = -eps * y2, eps * x2 - v * fz, v * y2
-        x3, y3, z3 = sx + 0.5 * dt * ax2, sy + 0.5 * dt * ay2, sz + 0.5 * dt * az2
-        fz = 0.0
-        for c in fc:
-            fz = fz * z3 + c
-        ax3, ay3, az3 = -eps * y3, eps * x3 - v * fz, v * y3
-        x4, y4, z4 = sx + dt * ax3, sy + dt * ay3, sz + dt * az3
-        fz = 0.0
-        for c in fc:
-            fz = fz * z4 + c
-        ax4, ay4, az4 = -eps * y4, eps * x4 - v * fz, v * y4
-        sx += dt * (ax1 + 2 * ax2 + 2 * ax3 + ax4) / 6.0
-        sy += dt * (ay1 + 2 * ay2 + 2 * ay3 + ay4) / 6.0
-        sz += dt * (az1 + 2 * az2 + 2 * az3 + az4) / 6.0
-        d = abs(v * sx + eps * sz - h0)
-        if not d <= drift_h:  # unlike d > drift_h, true for a NaN d
-            drift_h = d
-        gz = 0.0
-        for c in gc:
-            gz = gz * sz + c
-        d = abs(sx * sx + sy * sy + gz - c0)
-        if not d <= drift_c:
-            drift_c = d
-        if k % stride == 0 or k == steps:
-            times.append(k * dt)
-            states.append((sx, sy, sz))
+    c0 = sx * sx + sy * sy + _horner(structure_polynomials(spec.m, spec.n).g.tolist(), sz)[0]
+    times, states, drift_h, drift_c = loop(sx, sy, sz, eps, v, dt, steps, stride, h0, c0)
     return TrajectoryRecord(np.array(times), np.array(states), drift_h, drift_c)
 
 

@@ -208,6 +208,16 @@ class TestMain:
         assert main(argv.split()) == 1
         assert f"ValueError: {name} " in capsys.readouterr().err
 
+    def test_trajectory_rejects_step_count_overflow(self, tmp_path, capsys):
+        argv = (
+            f"trajectory --m 1 --n 1 --sx 0 --sy 0 --sz 0.5 --t-end 1e300 --dt 1e-10 "
+            f"--out {tmp_path}"
+        )
+        assert main(argv.split()) == 1
+        err = capsys.readouterr().err
+        assert "ValueError: t_end = 1e+300 over dt = 1e-10 is no finite step count" in err
+        assert not (tmp_path / "trajectory.csv").exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("command,flag", [
         ("trajectory --sx 0 --sy 0 --sz 0.5 --t-end 1", "eps"),

@@ -1,10 +1,84 @@
+import ast
+
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
-from math import pi, sqrt
+from math import cos, pi, sin, sqrt
 
 from kummer import meanfield
 from kummer.model import ModelSpec
+
+
+def reference_trajectory(spec: ModelSpec, initial, t_end: float, dt: float, stride: int = 1):
+    """integrate_trajectory's step loop with the Horner chains as loops
+    over the coefficients.
+
+    The oracle that the generated loop of each (m, n) must match bit for
+    bit: (times, states, drift_h, drift_c).
+    """
+    sx, sy, sz = (float(c) for c in initial)
+    steps = int(round(t_end / dt))
+    eps, v = spec.eps, spec.v
+    core = meanfield.structure_polynomials(spec.m, spec.n)
+    fc = core.f[::-1].tolist()  # descending for Horner
+    gc = core.g[::-1].tolist()
+
+    gz = 0.0
+    for c in gc:
+        gz = gz * sz + c
+    h0 = v * sx + eps * sz
+    c0 = sx * sx + sy * sy + gz
+    times = [0.0]
+    states = [(sx, sy, sz)]
+    drift_h = 0.0
+    drift_c = 0.0
+    for k in range(1, steps + 1):
+        fz = 0.0
+        for c in fc:
+            fz = fz * sz + c
+        ax1, ay1, az1 = -eps * sy, eps * sx - v * fz, v * sy
+        x2, y2, z2 = sx + 0.5 * dt * ax1, sy + 0.5 * dt * ay1, sz + 0.5 * dt * az1
+        fz = 0.0
+        for c in fc:
+            fz = fz * z2 + c
+        ax2, ay2, az2 = -eps * y2, eps * x2 - v * fz, v * y2
+        x3, y3, z3 = sx + 0.5 * dt * ax2, sy + 0.5 * dt * ay2, sz + 0.5 * dt * az2
+        fz = 0.0
+        for c in fc:
+            fz = fz * z3 + c
+        ax3, ay3, az3 = -eps * y3, eps * x3 - v * fz, v * y3
+        x4, y4, z4 = sx + dt * ax3, sy + dt * ay3, sz + dt * az3
+        fz = 0.0
+        for c in fc:
+            fz = fz * z4 + c
+        ax4, ay4, az4 = -eps * y4, eps * x4 - v * fz, v * y4
+        sx += dt * (ax1 + 2 * ax2 + 2 * ax3 + ax4) / 6.0
+        sy += dt * (ay1 + 2 * ay2 + 2 * ay3 + ay4) / 6.0
+        sz += dt * (az1 + 2 * az2 + 2 * az3 + az4) / 6.0
+        d = abs(v * sx + eps * sz - h0)
+        if not d <= drift_h:
+            drift_h = d
+        gz = 0.0
+        for c in gc:
+            gz = gz * sz + c
+        d = abs(sx * sx + sy * sy + gz - c0)
+        if not d <= drift_c:
+            drift_c = d
+        if k % stride == 0 or k == steps:
+            times.append(k * dt)
+            states.append((sx, sy, sz))
+    return np.array(times), np.array(states), drift_h, drift_c
+
+
+def assert_same_trajectory(rec, want):
+    """Equal bit for bit, signed zeros included, with NaNs in the same places."""
+    got = (rec.times, rec.states, rec.drift_h, rec.drift_c)
+    for a, b in zip(got, want):
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        assert a.shape == b.shape
+        nan = np.isnan(a)
+        assert np.array_equal(nan, np.isnan(b))
+        assert np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64))
 
 
 class TestRadius:
@@ -314,6 +388,65 @@ class TestTrajectory:
             ModelSpec(2, 1, 80, eps=0.5, v=1.0), (0.0, 0.0, 0.5), 20000.0, 5.0)
         assert np.isnan(rec.states[-1]).all()
         assert np.isnan(rec.drift_h) and np.isnan(rec.drift_c)
+
+    @pytest.mark.parametrize("spec,start,t_end", [
+        (ModelSpec(2, 1, 80, eps=0.5, v=1.0), (0.0, 0.0, 0.5), 20000.0),
+        # the stages reach +-inf, where each chain's leading 0.0 * z gives NaN
+        (ModelSpec(1, 1, 1, eps=0.5, v=1.0), (0.5 * cos(0.7), 0.5 * sin(0.7), 0.0), 1000.0),
+    ])
+    def test_diverging_flow_matches_reference(self, spec, start, t_end):
+        rec = meanfield.integrate_trajectory(spec, start, t_end, 5.0)
+        assert_same_trajectory(rec, reference_trajectory(spec, start, t_end, 5.0))
+
+    @pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 6) for n in range(1, 6)]
+                             + [(1, 300)])
+    def test_generated_loop_matches_reference(self, m, n):
+        # 250 steps: stride 7 and 100 leave a short last block, 300 one block;
+        # the surface of (1, 300) is thin away from the south pole
+        t_end, dt = 0.25, 1e-3
+        p = -0.49 if n > 5 else ((m + 2 * n) % 9 - 4) / 10
+        for eps in (0.0, 0.37, -1.2):
+            for v in (1.0, -1.3, 0.0):
+                spec = ModelSpec(m, n, m * n, eps=eps, v=v)
+                start = meanfield.surface_point(spec, p, 0.4 + eps)
+                for stride in (1, 7, 100, 300):
+                    rec = meanfield.integrate_trajectory(spec, start, t_end, dt, stride)
+                    assert_same_trajectory(rec, reference_trajectory(spec, start, t_end, dt, stride))
+
+    def test_loop_compiles_once_per_shape(self):
+        meanfield._rk4_loop.cache_clear()
+        start = meanfield.surface_point(ModelSpec(3, 2, 6), 0.1, 1.0)
+        meanfield.integrate_trajectory(ModelSpec(3, 2, 6, eps=0.2, v=1.0), start, 1.0, 1e-2)
+        meanfield.integrate_trajectory(ModelSpec(3, 2, 6, eps=-0.7, v=2.5), start, 2.0, 1e-3, 9)
+        info = meanfield._rk4_loop.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (3, 4), (1, 300)])
+    def test_generated_source_holds_only_coefficient_literals(self, m, n):
+        core = meanfield.structure_polynomials(m, n)
+        allowed = set(core.f.tolist()) | set(core.g.tolist()) | {0.0, 0.5, 6.0}
+        tree = ast.parse(meanfield._rk4_source(m, n))
+        negated = {id(node.operand) for node in ast.walk(tree)
+                   if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant):
+                if type(node.value) is int:
+                    assert node.value in (1, 2)
+                else:
+                    assert type(node.value) is float
+                    value = -node.value if id(node) in negated else node.value
+                    assert value in allowed
+            assert not isinstance(node, ast.JoinedStr)
+
+    def test_overflowing_coefficients_rejected(self):
+        # (1/2 - p)^2000 has binomial coefficients past the double range
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="overflow at m = 1, n = 2000"):
+                meanfield.integrate_trajectory(ModelSpec(1, 2000, 2000), (0.0, 0.0, 0.5), 1.0, 1e-3)
+
+    def test_step_count_overflow_rejected(self):
+        with pytest.raises(ValueError, match=r"t_end = 1e\+300 over dt = 1e-10 is no finite"):
+            meanfield.integrate_trajectory(ModelSpec(1, 1, 1), (0.0, 0.0, 0.5), 1e300, 1e-10)
 
     def test_conservation_medium_run(self):
         spec = ModelSpec(3, 3, 90, eps=0.1, v=1.0)
