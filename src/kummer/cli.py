@@ -176,6 +176,11 @@ def parse_config(argv) -> RunConfig:
         for key in ("eps_min", "eps_max"):
             if not math.isfinite(merged[key]):
                 raise UsageError(f"--{key.replace('_', '-')} must be finite, got {merged[key]!r}")
+        if not math.isfinite(merged["eps_max"] - merged["eps_min"]):
+            raise UsageError(f"--eps-min {merged['eps_min']!r} and --eps-max "
+                             f"{merged['eps_max']!r} are too far apart: their difference overflows")
+        if merged["eps_steps"] < 1:
+            raise UsageError(f"--eps-steps must be a positive integer, got {merged['eps_steps']!r}")
 
     try:
         spec = ModelSpec(merged["m"], merged["n"], merged["N"], merged["eps"], merged["v"])

@@ -207,6 +207,9 @@ def _interior_roots(spec: ModelSpec) -> list:
     the pair.
     """
     core = structure_polynomials(spec.m, spec.n)
+    if not (np.isfinite(core.fixed_a).all() and np.isfinite(core.fixed_b).all()):
+        raise ValueError(f"the coefficients of the fixed-point residual overflow "
+                         f"at m = {spec.m}, n = {spec.n}")
     va, eb = spec.v**2 * core.fixed_a, spec.eps**2 * core.fixed_b
     coeffs = va - eb
     near_real = sorted(

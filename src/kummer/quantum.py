@@ -13,9 +13,11 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
+from scipy.linalg import LinAlgError, eigh_tridiagonal, eigvalsh_tridiagonal
+from scipy.linalg.lapack import dsterf
 
 from . import meanfield
 from .model import ModelSpec
@@ -40,10 +42,28 @@ def _ladder_weights(spec: ModelSpec, mu):
     return val
 
 
-def _chain(spec: ModelSpec):
-    """Diagonal eps*z and off-diagonal (v/2)*sqrt(beta_mu) of H = eps*sz + v*sx."""
+@lru_cache(maxsize=8)
+def _chain_parts(m: int, n: int, N: int):
+    """z = mu - z_max and sqrt(beta_mu) of the (m, n, N) chain, read-only.
+
+    Neither depends on eps or v, so each is built once per (m, n, N) and
+    shared by every _chain call at that shape.
+    """
+    spec = ModelSpec(m, n, N)
     z = np.arange(spec.dim) - spec.z_max  # spec.sz_value(mu) for every mu
     sqrt_beta = np.sqrt(_ladder_weights(spec, np.arange(1, spec.dim)))
+    z.setflags(write=False)
+    sqrt_beta.setflags(write=False)
+    return z, sqrt_beta
+
+
+def _chain(spec: ModelSpec):
+    """Diagonal eps*z and off-diagonal (v/2)*sqrt(beta_mu) of H = eps*sz + v*sx.
+
+    z and sqrt(beta_mu) are built once per (m, n, N) by _chain_parts; each
+    call only scales them, into two new arrays.
+    """
+    z, sqrt_beta = _chain_parts(spec.m, spec.n, spec.N)
     return spec.eps * z, (spec.v / 2.0) * sqrt_beta
 
 
@@ -60,10 +80,18 @@ class SpectrumResult:
 def eigen_spectrum(spec: ModelSpec) -> SpectrumResult:
     """All eigenvalues of H, sorted ascending, plus the eta-scaled copy.
 
-    Uses the implicit-shift QL/QR solver for symmetric tridiagonal
-    matrices (eigenvalues only, O(dim^2), no dense workspace).
+    Calls LAPACK dsterf (implicit-shift QL/QR for symmetric tridiagonal
+    matrices, eigenvalues only, O(dim^2), no dense workspace) on the chain
+    directly, which skips eigvalsh_tridiagonal's argument checks; the chain's
+    parts are built once per (m, n, N).  A non-finite chain is a ValueError,
+    and a nonzero info from dsterf a LinAlgError.
     """
-    raw = eigvalsh_tridiagonal(*_chain(spec), lapack_driver="sterf")
+    d, e = _chain(spec)
+    if not (np.isfinite(d).all() and np.isfinite(e).all()):
+        raise ValueError("the Hamiltonian chain must not contain infs or NaNs")
+    raw, info = dsterf(d, e, overwrite_d=True, overwrite_e=True)
+    if info != 0:
+        raise LinAlgError(f"LAPACK dsterf returned info = {info}")
     return SpectrumResult(spec, np.sort(raw))
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import asdict, astuple, fields
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -25,7 +25,7 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def write_csv(path, header_fields, rows, comments=()):
+def write_csv(path, header_fields, rows=(), comments=(), *, blocks=()):
     """Header, then every row written as `",".join(_fmt(x) for x in row)` would.
 
     The rows (an iterable of equal-length tuples) are formatted in bulk
@@ -33,6 +33,13 @@ def write_csv(path, header_fields, rows, comments=()):
     rule.  Any other column gets %s, which writes str(x) just as _fmt does
     for a non-float; a column that mixes floats with other values goes
     through _fmt first.
+
+    The blocks, an iterable of (leading fields, values), follow the rows:
+    block k stands for the rows (*leading, i, values[i]), i = 0, 1, ...
+    Its leading fields go through _fmt once.  Its values, a sequence, get
+    %.17g, which writes float(value); the rows of a block of length L are
+    filled by one % from a template of L rows with the index written in,
+    built once per call and block length.
     """
     columns = list(zip(*rows, strict=True))
     fmts, cells = [], []
@@ -40,6 +47,7 @@ def write_csv(path, header_fields, rows, comments=()):
         floats = [issubclass(t, float) for t in set(map(type, col))]
         fmts.append("%.17g" if all(floats) else "%s")
         cells.append(map(_fmt, col) if any(floats) and not all(floats) else col)
+    templates = {}
     with open(path, "w") as fh:
         fh.write("# schema=1\n")
         for line in comments:
@@ -48,6 +56,12 @@ def write_csv(path, header_fields, rows, comments=()):
         if columns:
             template = (",".join(fmts) + "\n") * len(columns[0])
             fh.write(template % tuple(chain.from_iterable(zip(*cells))))
+        for leading, values in blocks:
+            size = len(values)
+            if size not in templates:
+                templates[size] = "".join(f"%s,{i},%.17g\n" for i in range(size))
+            prefix = ",".join(map(_fmt, leading))
+            fh.write(templates[size] % tuple(chain.from_iterable(zip(repeat(prefix), values))))
 
 
 def read_csv(path):
@@ -102,13 +116,15 @@ def write_bifurcations(spec, events, stem):
 
 
 def write_sweep(table, stem):
-    counts = [len(v) for v in table.scaled_levels]
+    """sweep_levels.csv, one block of rows per eps, and sweep_fixed_points.csv.
+
+    Each eps is formatted once for its block of levels (write_csv's block
+    form), not once per level.
+    """
     write_csv(
         stem + "_levels.csv",
         ("eps", "index", "scaled_energy"),
-        zip(np.repeat(table.eps_values, counts).tolist(),
-            chain.from_iterable(map(range, counts)),
-            np.concatenate(table.scaled_levels).tolist()),
+        blocks=zip(zip(table.eps_values.tolist()), map(np.ndarray.tolist, table.scaled_levels)),
     )
     counts = [len(v) for v in table.fixed_point_kinds]
     write_csv(

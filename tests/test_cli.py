@@ -1,5 +1,6 @@
 from math import sqrt
 
+import numpy as np
 import pytest
 
 from kummer import cli, meanfield, serialize
@@ -345,6 +346,54 @@ def test_jobs_environment_variable_is_not_read(tmp_path, monkeypatch):
     assert parse_config(argv.split()).options["jobs"] == 1
     assert main(argv.split() + ["--out", str(tmp_path)]) == 0
     assert (tmp_path / "sweep_levels.csv").exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("grid,message", [
+    ({"eps_min": "-1", "eps_max": "1", "eps_steps": "0"},
+     "--eps-steps must be a positive integer, got 0"),
+    ({"eps_min": "-1", "eps_max": "1", "eps_steps": "-3"},
+     "--eps-steps must be a positive integer, got -3"),
+    # the width overflows, so np.linspace would give NaN even at one step
+    ({"eps_min": "-1e308", "eps_max": "1e308", "eps_steps": "1"},
+     "--eps-min -1e+308 and --eps-max 1e+308 are too far apart"),
+    ({"eps_min": "1e308", "eps_max": "-1e308", "eps_steps": "3"},
+     "--eps-min 1e+308 and --eps-max -1e+308 are too far apart"),
+])
+def test_unusable_sweep_grid_is_usage_error(tmp_path, capsys, source, grid, message):
+    argv = ["sweep", "--m", "2", "--n", "1", "--N", "20", "--out", str(tmp_path)]
+    if source == "flag":
+        argv += [f"--{key.replace('_', '-')}={value}" for key, value in grid.items()]
+    else:
+        conf = tmp_path / "run.conf"
+        conf.write_text("".join(f"{key} = {value}\n" for key, value in grid.items()))
+        argv += ["--config", str(conf)]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "sweep_levels.csv").exists()
+
+
+def test_wide_finite_sweep_grid_is_accepted():
+    # the bounds' difference is finite, so np.linspace gives finite eps
+    argv = "sweep --m 1 --n 1 --N 2 --eps-min -8e307 --eps-max 8e307 --eps-steps 1"
+    assert parse_config(argv.split()).options["eps_steps"] == 1
+
+
+@pytest.mark.parametrize("command,code", [
+    ("fixed-points --eps 0.3", 1),
+    ("sweep --eps-min -1 --eps-max 1 --eps-steps 2", 1),
+    ("kummer-mesh", 0),  # reads only the factored forms of r
+])
+def test_overflowing_fixed_point_coefficients(tmp_path, capsys, command, code):
+    # (1/2 - p)^2000 has binomial coefficients past the double range
+    argv = f"{command} --m 1 --n 2000 --N 2000 --out {tmp_path}"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(argv.split()) == code
+    if code:
+        err = capsys.readouterr().err
+        assert ("ValueError: the coefficients of the fixed-point residual overflow "
+                "at m = 1, n = 2000") in err
+        assert not list(tmp_path.glob("*.csv"))
 
 
 def test_dos_reports_saddle_energies(tmp_path):

@@ -1,10 +1,30 @@
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError, eigvalsh_tridiagonal
 
-from kummer import quantum
+from kummer import meanfield, quantum, serialize
+from kummer.cli import main
 from kummer.model import ModelSpec
+
+
+def reference_chain(spec: ModelSpec):
+    """_chain as it was before its parts were cached: both arrays built afresh."""
+    z = np.arange(spec.dim) - spec.z_max
+    sqrt_beta = np.sqrt(quantum._ladder_weights(spec, np.arange(1, spec.dim)))
+    return spec.eps * z, (spec.v / 2.0) * sqrt_beta
+
+
+def reference_spectrum(spec: ModelSpec) -> np.ndarray:
+    """eigen_spectrum's raw levels as scipy's checked wrapper gives them."""
+    return np.sort(eigvalsh_tridiagonal(*reference_chain(spec), lapack_driver="sterf"))
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def reference_counts(spec: ModelSpec, energies) -> np.ndarray:
@@ -110,6 +130,46 @@ class TestChain:
         assert res["casimir"] < 1e-9
 
 
+class TestChainParts:
+    def test_built_once_per_shape(self, monkeypatch):
+        calls = []
+
+        def spy(spec, mu):
+            calls.append((spec.m, spec.n, spec.N))
+            return ladder_weights(spec, mu)
+
+        ladder_weights = quantum._ladder_weights
+        monkeypatch.setattr(quantum, "_ladder_weights", spy)
+        quantum._chain_parts.cache_clear()
+        try:
+            for eps, v in ((0.3, 1.0), (-1.2, 0.0), (0.0, -1.3)):
+                quantum._chain(ModelSpec(3, 2, 60, eps=eps, v=v))
+                quantum.eigen_spectrum(ModelSpec(3, 2, 60, eps=eps, v=v))
+            quantum.level_counts(ModelSpec(3, 2, 60, eps=0.7), [0.0])
+            assert calls == [(3, 2, 60)]
+            quantum._chain(ModelSpec(3, 2, 120))
+            quantum._chain(ModelSpec(2, 3, 60))
+            assert calls == [(3, 2, 60), (3, 2, 120), (2, 3, 60)]
+        finally:
+            quantum._chain_parts.cache_clear()
+
+    def test_parts_are_read_only(self):
+        spec = ModelSpec(2, 1, 40, eps=0.5, v=1.3)
+        z, sqrt_beta = quantum._chain_parts(spec.m, spec.n, spec.N)
+        for part in (z, sqrt_beta):
+            assert not part.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                part[0] = 1.0
+        # each call gets new, writable arrays, which LAPACK may overwrite
+        d, e = quantum._chain(spec)
+        assert d.flags.writeable and e.flags.writeable
+        assert not np.shares_memory(d, z) and not np.shares_memory(e, sqrt_beta)
+        # dsterf overwrites the arrays it is given, never the cached parts
+        quantum.eigen_spectrum(spec)
+        for got, want in zip(quantum._chain(spec), reference_chain(spec)):
+            assert_same_bits(got, want)
+
+
 class TestEigenSpectrum:
     def test_su2_rotation_oracle(self):
         spec = ModelSpec(1, 1, 40, eps=0.7, v=1.3)
@@ -138,6 +198,32 @@ class TestEigenSpectrum:
     def test_dim_one_edge_case(self):
         res = quantum.eigen_spectrum(ModelSpec(2, 2, 4, eps=0.4, v=1.0))
         assert len(res.raw_eigenvalues) == 2
+
+    @pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 5) for n in range(1, 5)])
+    def test_bit_identical_to_checked_wrapper(self, m, n):
+        for N in (m * n, 40 * m * n, 97 * m * n):
+            for eps in (-2.5, -0.0, 0.0, 5e-324, 0.7):
+                for v in (1.0, -1.3, 0.0):
+                    spec = ModelSpec(m, n, N, eps=eps, v=v)
+                    for got, want in zip(quantum._chain(spec), reference_chain(spec)):
+                        assert_same_bits(got, want)
+                    result = quantum.eigen_spectrum(spec)
+                    want = reference_spectrum(spec)
+                    assert_same_bits(result.raw_eigenvalues, want)
+                    assert_same_bits(result.scaled_eigenvalues, spec.eta * want)
+
+    @pytest.mark.parametrize("eps,v", [(1e308, 1.0), (-1e308, 1.0), (0.5, 1e308)])
+    def test_non_finite_chain_is_value_error(self, eps, v):
+        # N = 400: eps * z reaches 1e308 * 200, and (v / 2) sqrt(beta) 5e307 * 100
+        spec = ModelSpec(1, 1, 400, eps=eps, v=v)
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="chain must not contain infs or NaNs"):
+                quantum.eigen_spectrum(spec)
+
+    def test_lapack_failure_is_linalg_error(self, monkeypatch):
+        monkeypatch.setattr(quantum, "dsterf", lambda d, e, **kw: (d, 3))
+        with pytest.raises(LinAlgError, match="dsterf returned info = 3"):
+            quantum.eigen_spectrum(ModelSpec(2, 1, 40, eps=0.3))
 
 
 class TestLevelCounts:
@@ -326,6 +412,29 @@ class TestSweep:
         parallel = quantum.sweep_epsilon(spec, grid, jobs=2)
         for a, b in zip(serial.scaled_levels, parallel.scaled_levels):
             assert np.array_equal(a, b)
+
+    def test_one_solve_per_eps_and_csvs_through_write_csv(self, tmp_path, monkeypatch):
+        # one eigen_spectrum and one find_fixed_points per eps: the
+        # benchmark's per-layer counts read these calls
+        seen = {"eigen": [], "fixed": [], "csv": []}
+
+        def spy(name, fn, key):
+            def wrapper(*args, **kwargs):
+                seen[name].append(key(args))
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(quantum, "eigen_spectrum",
+                            spy("eigen", quantum.eigen_spectrum, lambda a: a[0].eps))
+        monkeypatch.setattr(meanfield, "find_fixed_points",
+                            spy("fixed", meanfield.find_fixed_points, lambda a: a[0].eps))
+        monkeypatch.setattr(serialize, "write_csv",
+                            spy("csv", serialize.write_csv, lambda a: Path(a[0]).name))
+        argv = f"sweep --m 2 --n 1 --N 40 --eps-min -1 --eps-max 1 --eps-steps 7 --out {tmp_path}"
+        assert main(argv.split()) == 0
+        grid = np.linspace(-1, 1, 7).tolist()
+        assert seen["eigen"] == grid and seen["fixed"] == grid
+        assert seen["csv"] == ["sweep_levels.csv", "sweep_fixed_points.csv"]
 
     def test_levels_bounded_by_fixed_point_energies(self):
         spec = ModelSpec(2, 1, 80)

@@ -83,6 +83,63 @@ class TestBulkCsv:
             serialize.write_csv(tmp_path / "r.csv", ("a", "b"), [(1.0, 2.0), (3.0,)])
 
 
+def _expanded(blocks):
+    """The rows (*leading, i, values[i]) that write_csv's blocks stand for."""
+    return [(*leading, i, float(x)) for leading, values in blocks for i, x in enumerate(values)]
+
+
+class TestBlockCsv:
+    """The block form writes the bytes of its expanded rows, as one _fmt call per value would."""
+
+    @pytest.mark.parametrize("sizes", [(0,), (1,), (3, 0, 1, 15, 3), (15, 15), (0, 0)])
+    def test_awkward_floats_lead_and_follow(self, tmp_path, sizes):
+        # every awkward float leads a block; the values are slices of them, so
+        # block lengths are 0, 1 and unequal, and one length recurs
+        blocks = [((lead,), AWKWARD_FLOATS[k % 7:k % 7 + size])
+                  for k, lead in enumerate(AWKWARD_FLOATS) for size in sizes]
+        serialize.write_csv(tmp_path / "b.csv", ("eps", "index", "x"), blocks=blocks)
+        want = _per_value_csv(("eps", "index", "x"), _expanded(blocks))
+        assert (tmp_path / "b.csv").read_text() == want
+
+    def test_every_awkward_column_as_leading_fields(self, tmp_path):
+        header = (*AWKWARD_COLUMNS, "index", "x")
+        blocks = [(row, np.array(AWKWARD_FLOATS[:k])) for k, row in enumerate(TestBulkCsv.ROWS)]
+        serialize.write_csv(tmp_path / "b.csv", header, blocks=iter(blocks),
+                            comments=("100% of rows",))
+        want = _per_value_csv(header, _expanded(blocks), ("100% of rows",))
+        assert (tmp_path / "b.csv").read_text() == want
+
+    def test_values_are_written_as_floats(self, tmp_path):
+        # np.float32, int and bool values are written as float(value) is
+        blocks = [(("a",), [np.float32(0.1), 3, True, np.float64(1 / 3), 10**17])]
+        serialize.write_csv(tmp_path / "b.csv", ("k", "index", "x"), blocks=blocks)
+        want = _per_value_csv(("k", "index", "x"), _expanded(blocks))
+        assert (tmp_path / "b.csv").read_text() == want
+        assert "0.10000000149011612" in want and ",1e+17\n" in want
+
+    def test_rows_then_blocks(self, tmp_path):
+        rows = [(0.5, 7, "x"), (-0.0, 8, "y")]
+        blocks = [(("z",), [1e300, 5e-324]), (("w",), [])]
+        serialize.write_csv(tmp_path / "b.csv", ("a", "b", "c"), rows, blocks=blocks)
+        want = _per_value_csv(("a", "b", "c"), rows + _expanded(blocks))
+        assert (tmp_path / "b.csv").read_text() == want
+
+    def test_no_blocks_is_header_only(self, tmp_path):
+        serialize.write_csv(tmp_path / "e.csv", ("a", "b"), blocks=iter(()))
+        assert (tmp_path / "e.csv").read_text() == "# schema=1\na,b\n"
+
+
+@pytest.mark.parametrize("m,n,N,steps", [(2, 1, 40, 9), (3, 3, 90, 1), (1, 4, 80, 31)])
+def test_sweep_levels_match_per_value_rows(tmp_path, m, n, N, steps):
+    # the rows sweep_levels.csv held when every level's row was formatted alone
+    table = quantum.sweep_epsilon(ModelSpec(m, n, N), np.linspace(-1.3, 0.7, steps))
+    serialize.write_sweep(table, str(tmp_path / "s"))
+    rows = [(eps, i, x) for eps, levels in zip(table.eps_values.tolist(), table.scaled_levels)
+            for i, x in enumerate(levels.tolist())]
+    want = _per_value_csv(("eps", "index", "scaled_energy"), rows)
+    assert (tmp_path / "s_levels.csv").read_text() == want
+
+
 def test_spectrum_files(tmp_path):
     res = quantum.eigen_spectrum(ModelSpec(2, 1, 8, eps=0.5, v=1.0))
     stem = str(tmp_path / "spectrum")
