@@ -214,7 +214,7 @@ class TestEigenSpectrum:
 
     @pytest.mark.parametrize("eps,v", [(1e308, 1.0), (-1e308, 1.0), (0.5, 1e308)])
     def test_non_finite_chain_is_value_error(self, eps, v):
-        # N = 400: eps * z reaches 1e308 * 200, and (v / 2) sqrt(beta) 5e307 * 100
+        # N = 400: eps * z reaches 1e308 * 200, and (v / 2) sqrt(beta) 5e307 * 200
         spec = ModelSpec(1, 1, 400, eps=eps, v=v)
         with np.errstate(over="ignore"):
             with pytest.raises(ValueError, match="chain must not contain infs or NaNs"):
