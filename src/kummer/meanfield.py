@@ -146,6 +146,17 @@ def structure_polynomials(m: int, n: int) -> StructurePolynomials:
     return StructurePolynomials(r0sq, *arrays)
 
 
+@lru_cache(maxsize=64)
+def residual_core(m: int, n: int) -> StructurePolynomials:
+    """structure_polynomials(m, n); ValueError where the coefficients of the
+    fixed-point residual overflow (from n = 1728 at m = 1)."""
+    core = structure_polynomials(m, n)
+    if not (np.isfinite(core.fixed_a).all() and np.isfinite(core.fixed_b).all()):
+        raise ValueError(f"the coefficients of the fixed-point residual overflow "
+                         f"at m = {m}, n = {n}")
+    return core
+
+
 @dataclass(frozen=True)
 class FixedPoint:
     """Stationary point of the classical flow (sy = 0 always)."""
@@ -159,8 +170,18 @@ class FixedPoint:
     location: str  # 'interior', 'south_pole' or 'north_pole'
 
 
+def _square(spec: ModelSpec, name: str) -> float:
+    """eps^2 or v^2 of the spec; ValueError naming the parameter where it overflows."""
+    value = getattr(spec, name)
+    try:
+        return value**2
+    except OverflowError:
+        raise ValueError(f"{name} = {value!r} is too large: {name}^2 overflows "
+                         f"at m = {spec.m}, n = {spec.n}") from None
+
+
 def _classify(spec: ModelSpec, p: float):
-    jac = spec.eps**2 + spec.v**2 * classical_commutator_deriv(spec, p)
+    jac = _square(spec, "eps") + _square(spec, "v") * classical_commutator_deriv(spec, p)
     if jac > DEGENERATE_TOL:
         return "center", sqrt(jac)
     if jac < -DEGENERATE_TOL:
@@ -206,12 +227,13 @@ def _interior_roots(spec: ModelSpec) -> list:
     sign of v f(p)/eps, or both signs at the extremum if rounding merges
     the pair.
     """
-    core = structure_polynomials(spec.m, spec.n)
-    if not (np.isfinite(core.fixed_a).all() and np.isfinite(core.fixed_b).all()):
-        raise ValueError(f"the coefficients of the fixed-point residual overflow "
-                         f"at m = {spec.m}, n = {spec.n}")
-    va, eb = spec.v**2 * core.fixed_a, spec.eps**2 * core.fixed_b
-    coeffs = va - eb
+    core = residual_core(spec.m, spec.n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        va, eb = _square(spec, "v") * core.fixed_a, _square(spec, "eps") * core.fixed_b
+        coeffs = va - eb
+    if not np.isfinite(coeffs).all():
+        raise ValueError(f"the fixed-point residual overflows at eps = {spec.eps!r}, "
+                         f"v = {spec.v!r}, m = {spec.m}, n = {spec.n}")
     near_real = sorted(
         float(z.real) for z in npoly.polyroots(coeffs) if abs(z.imag) <= ROOT_CLUSTER_TOL
     )

@@ -69,7 +69,7 @@ POLE_SLACK = 1e-12  # and Re z lies within [-1/2, 1/2] widened by this
 
 def _band_poly_coeffs(spec: ModelSpec, energies: np.ndarray) -> np.ndarray:
     """Ascending coefficients of v^2 r^2(p) - (E - eps*p)^2, a row per energy."""
-    core = meanfield.structure_polynomials(spec.m, spec.n)
+    core = meanfield.residual_core(spec.m, spec.n)
     out = np.repeat(((spec.v**2 * core.r0sq) * core.pole)[None], len(energies), axis=0)
     eps = spec.eps
     out[:, 0] -= energies * energies
@@ -946,6 +946,7 @@ def semiclassical_spectrum(spec: ModelSpec) -> SemiclassicalSpectrum:
     """
     if spec.v == 0.0:
         raise QuantizationError(f"v = 0: no orbit of {spec} has turning points to quantize")
+    meanfield.residual_core(spec.m, spec.n)  # its ValueError comes before _radius_excess overflows
     bounds, shifts, tops, dips = _structure_boundaries(spec)
     if len(bounds) < 2:
         raise QuantizationError("classical band is degenerate")

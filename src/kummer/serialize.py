@@ -9,7 +9,6 @@ spec that its CSVs lack, as `{"spec": {...}}`.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import asdict, astuple, fields
 from itertools import chain, repeat
 
@@ -189,8 +188,3 @@ def write_dos(hist, centers, curve_values, stem, saddle_energies=()):
         zip(centers, curve_values),
         comments=comments,
     )
-
-
-def ensure_dir(path):
-    if path and not os.path.isdir(path):
-        os.makedirs(path, exist_ok=True)

@@ -151,8 +151,7 @@ class SvgCanvas:
 
 
 def _finite_limits(values, pad=0.05):
-    lo = min(values)
-    hi = max(values)
+    lo, hi = np.min(values), np.max(values)
     if hi == lo:
         lo, hi = lo - 1.0, hi + 1.0
     span = hi - lo
@@ -164,7 +163,7 @@ def plot_sweep(table, path):
     eps = table.eps_values
     levels = np.concatenate(table.scaled_levels)
     canvas = SvgCanvas(
-        _finite_limits(eps), _finite_limits(levels.tolist()),
+        _finite_limits(eps), _finite_limits(levels),
         title=f"(m,n)=({table.spec.m},{table.spec.n})  N={table.spec.N}",
         xlabel="eps", ylabel="scaled energy",
     )
@@ -176,8 +175,7 @@ def plot_sweep(table, path):
 
 
 def plot_dos(spec, hist, centers, curve, path):
-    finite = [v for v in curve if v == v]
-    top = max(list(hist.density) + finite) if finite else max(hist.density)
+    top = np.nanmax(np.concatenate((hist.density, curve)))
     canvas = SvgCanvas(
         (hist.bin_edges[0], hist.bin_edges[-1]), (0.0, 1.08 * top),
         title=f"density of states  (m,n)=({spec.m},{spec.n})  N={spec.N}  eps={spec.eps:g}",
@@ -190,8 +188,7 @@ def plot_dos(spec, hist, centers, curve, path):
 
 def plot_levels(xs, series, path, title="", xlabel="", ylabel=""):
     """Several y-series against a common x (trajectories, comparisons)."""
-    flat = [v for ys in series for v in ys]
-    canvas = SvgCanvas(_finite_limits(xs), _finite_limits(flat),
+    canvas = SvgCanvas(_finite_limits(xs), _finite_limits(np.concatenate(series)),
                        title=title, xlabel=xlabel, ylabel=ylabel)
     for i, ys in enumerate(series):
         canvas.polyline(xs, ys, color=SERIES_COLORS[i % len(SERIES_COLORS)])
@@ -200,11 +197,12 @@ def plot_levels(xs, series, path, title="", xlabel="", ylabel=""):
 
 def plot_shape_profile(spec, p_grid, r_vals, path):
     """Silhouette of the surface of revolution: +-r(p) against p."""
+    r_vals = np.asarray(r_vals)
     canvas = SvgCanvas(
-        _finite_limits([-v for v in r_vals] + list(r_vals)), (-0.55, 0.55),
+        _finite_limits(np.concatenate((-r_vals, r_vals))), (-0.55, 0.55),
         title=f"surface silhouette  (m,n)=({spec.m},{spec.n})",
         xlabel="radius", ylabel="p",
     )
     canvas.polyline(r_vals, p_grid, color="steelblue")
-    canvas.polyline([-v for v in r_vals], p_grid, color="steelblue")
+    canvas.polyline(-r_vals, p_grid, color="steelblue")
     canvas.save(path)

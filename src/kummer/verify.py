@@ -140,7 +140,7 @@ def check_nondegeneracy(spec: ModelSpec):
 
 
 def _capped(spec: ModelSpec) -> ModelSpec:
-    """The spec itself, or the same model at dim 161 for checks too slow beyond dim 200."""
+    """The spec itself, or the same model at dim 161 for the eigenvectors beyond dim 200."""
     if spec.dim > 200:
         return dataclasses.replace(spec, N=min(spec.N, 160 * spec.m * spec.n))
     return spec
@@ -151,11 +151,8 @@ def check_level_counts(spec: ModelSpec):
 
     The counts must agree, or differ by one where the exact level that
     changes sides lies within a quarter of its local spacing (the
-    central difference of its neighbours) of that energy.  Above dim 200
-    the check runs at dim 161: the full WKB spectrum costs about 25 s at
-    dim 8001.
+    central difference of its neighbours) of that energy.
     """
-    spec = _capped(spec)
     energies = sorted({fp.energy for fp in meanfield.find_fixed_points(spec)})
     wkb = semiclassics.semiclassical_spectrum(spec).energies
     exact = quantum.level_counts(spec, energies)

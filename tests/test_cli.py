@@ -1,4 +1,9 @@
+import contextlib
+import io
+import json
+import sys
 from math import sqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -382,6 +387,8 @@ def test_wide_finite_sweep_grid_is_accepted():
 @pytest.mark.parametrize("command,code", [
     ("fixed-points --eps 0.3", 1),
     ("sweep --eps-min -1 --eps-max 1 --eps-steps 2", 1),
+    ("dos", 1),  # eps = 0: the check comes before the turning points
+    ("quantize", 1),  # eps = 0: and before the first-order shifts
     ("kummer-mesh", 0),  # reads only the factored forms of r
 ])
 def test_overflowing_fixed_point_coefficients(tmp_path, capsys, command, code):
@@ -418,3 +425,126 @@ def test_quantize_at_zero_coupling_names_v(tmp_path, capsys, m, n):
     err = capsys.readouterr().err
     assert "QuantizationError: v = 0" in err
     assert not (tmp_path / "quantize.csv").exists()
+
+
+@pytest.mark.parametrize("argv,name", [
+    ("fixed-points --m 1 --n 1 --eps 1e200", "eps"),
+    ("fixed-points --m 2 --n 1 --eps 1e200", "eps"),  # the poles are classified first
+    ("fixed-points --m 1 --n 1 --v 1e200", "v"),
+    ("sweep --m 1 --n 1 --N 2 --eps-min -8e307 --eps-max 8e307 --eps-steps 3", "eps"),
+    ("quantize --m 1 --n 1 --eps 1e200", "eps"),
+    ("quantize --m 2 --n 1 --eps 1e200", "eps"),
+    ("dos --m 1 --n 1 --eps 1e200", "eps"),
+    ("dos --m 2 --n 2 --eps 1e200", "eps"),
+])
+def test_parameter_whose_square_overflows(tmp_path, capsys, argv, name):
+    # eps^2 and v^2 are Python float powers, which raise OverflowError
+    # past the double range
+    assert main(argv.split() + ["--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    m, n = argv.split()[2], argv.split()[4]
+    assert f"ValueError: {name} = " in err
+    assert f"is too large: {name}^2 overflows at m = {m}, n = {n}" in err
+    assert "OverflowError" not in err and not list(tmp_path.glob("*.csv"))
+
+
+def test_fixed_point_residual_that_overflows(tmp_path, capsys):
+    # eps^2 = 1e308 is finite, but eps^2 times a coefficient is not
+    argv = f"fixed-points --m 2 --n 1 --eps 1e154 --out {tmp_path}"
+    assert main(argv.split()) == 1
+    err = capsys.readouterr().err
+    assert ("ValueError: the fixed-point residual overflows at eps = 1e+154, v = 1.0, "
+            "m = 2, n = 1") in err
+    assert "LinAlgError" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    "spectrum --m 1 --n 1 --eps 1e200",
+    "kummer-mesh --m 1 --n 1 --eps 1e200",
+    "bifurcations --m 1 --n 1 --v 1e200",
+    "bifurcations --m 2 --n 2 --v 1e200",
+])
+def test_commands_without_the_squares_run_at_large_parameters(tmp_path, argv):
+    assert main(argv.split() + ["--out", str(tmp_path)]) == 0
+
+
+class TestCommandTable:
+    # a small run of each command in the table, with --plot where it draws
+    RUNS = {
+        "spectrum": "--m 2 --n 1 --N 8 --plot",
+        "fixed-points": "--m 2 --n 1 --N 8 --eps 0.5",
+        "bifurcations": "--m 2 --n 2",
+        "sweep": "--m 2 --n 1 --N 8 --eps-min -1 --eps-max 1 --eps-steps 3 --plot",
+        "trajectory": "--m 2 --n 1 --eps 0.5 --sx 0.5 --sy 0 --sz 0 --t-end 0.5 --plot",
+        "quantize": "--m 2 --n 1 --N 40 --eps 0.5 --plot",
+        "dos": "--m 2 --n 1 --N 200 --eps 0.5 --bins 10 --plot",
+        "kummer-mesh": "--m 2 --n 1 --n-theta 4 --n-p 5 --plot",
+        "verify": "--m 1 --n 1 --N 20 --eps 0.4",
+    }
+
+    def test_runs_cover_the_table(self):
+        assert list(self.RUNS) == list(cli._COMMANDS)
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_files_under_the_command_stem(self, tmp_path, capsys, command):
+        # run makes the output directory; files go under <out>/<command with "-" as "_">
+        out = tmp_path / "a" / "b"
+        assert main([command, *self.RUNS[command].split(), "--out", str(out)]) == 0
+        stem = command.replace("-", "_")
+        names = sorted(path.name for path in out.iterdir())
+        assert all(name.split(".")[0] == stem or name.startswith(stem + "_") for name in names)
+        if command == "verify":
+            assert names == []
+        else:
+            assert any(name.endswith(".csv") for name in names)
+            assert ("--plot" in self.RUNS[command]) == (f"{stem}.svg" in names)
+
+
+HELP = json.loads((Path(__file__).parent / "data" / "help_texts.json").read_text())
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="recorded with Python 3.11's argparse")
+@pytest.mark.parametrize("command", list(HELP["texts"]))
+def test_help_text_unchanged(monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", str(HELP["columns"]))
+    assert list(HELP["texts"]) == ["", *cli._COMMANDS]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
+        parse_config([command, "--help"] if command else ["--help"])
+    assert out.getvalue() == HELP["texts"][command]
+
+
+class TestPrecedence:
+    # table defaults, then the config file, then explicit flags
+    def test_sweep_grid_from_config(self, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text("m = 2\nn = 1\nN = 80\neps_min = -1\neps-max = 1\neps_steps = 31\n")
+        cfg = parse_config(["sweep", "--config", str(conf), "--eps-steps", "5"])
+        assert cfg.options == {"eps_min": -1.0, "eps_max": 1.0, "eps_steps": 5, "jobs": 1}
+        assert main(["sweep", "--config", str(conf), "--eps-steps", "5", "--out", str(tmp_path)]) == 0
+        _, rows = serialize.read_csv(tmp_path / "sweep_levels.csv")
+        assert len({eps for eps, *_ in rows}) == 5
+
+    def test_trajectory_start_from_config(self, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text("m = 2\nn = 1\nsx = 0.5\nsy = 0.25\nsz = 0\nt_end = 3\n")
+        cfg = parse_config(["trajectory", "--config", str(conf), "--sy", "0", "--dt", "0.01"])
+        assert cfg.options == {"sx": 0.5, "sy": 0.0, "sz": 0.0, "t_end": 3.0,
+                               "dt": 0.01, "stride": 100}
+        assert (cfg.spec.m, cfg.spec.n, cfg.spec.N) == (2, 1, 80)
+
+    @pytest.mark.parametrize("command,config,message", [
+        ("spectrum", "n = 1\neps = 0.5\n", "--m is required"),
+        ("dos", "m = 2\nbins = 10\n", "--n is required"),
+        ("sweep", "m = 2\nn = 1\neps_max = 1\neps_steps = 3\n",
+         "--eps-min is required for sweep"),
+        ("trajectory", "m = 2\nn = 1\nsx = 0.5\nsy = 0\n", "--sz is required for trajectory"),
+    ])
+    def test_required_option_in_neither(self, tmp_path, capsys, command, config, message):
+        conf = tmp_path / "run.conf"
+        conf.write_text(config)
+        with pytest.raises(UsageError) as err:
+            parse_config([command, "--config", str(conf)])
+        assert str(err.value) == message
+        assert main([command, "--config", str(conf), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"kummer: {message}\n"

@@ -1050,6 +1050,24 @@ def test_level_counts_at_fixed_point_energies():
     assert not failures
 
 
+def test_level_counts_check_runs_at_the_given_dim(monkeypatch):
+    # the level-count check quantizes the spec it is given; only the
+    # eigenvector residual, which needs dim^2 memory, runs at dim 161
+    dims = []
+
+    def spy(real):
+        return lambda spec, *args: dims.append((real.__name__, spec.dim)) or real(spec, *args)
+
+    monkeypatch.setattr(semiclassics, "semiclassical_spectrum", spy(semiclassics.semiclassical_spectrum))
+    monkeypatch.setattr(quantum, "level_counts", spy(quantum.level_counts))
+    monkeypatch.setattr(quantum, "eigen_residual", spy(quantum.eigen_residual))
+    spec = ModelSpec(2, 1, 800, eps=0.5)
+    assert spec.dim == 401
+    assert verify.check_level_counts(spec)[1]
+    verify.check_eigen_residual(spec)
+    assert dims == [("semiclassical_spectrum", 401), ("level_counts", 401), ("eigen_residual", 161)]
+
+
 def in_band_energies(spec, count):
     """`count` energies inside the band, each at least 1e-6 from every fixed-point energy."""
     fixed = np.array([fp.energy for fp in meanfield.find_fixed_points(spec)])

@@ -1,10 +1,16 @@
 """The array canvas against the per-point formulas it replaced, text for text."""
 
+from functools import partial
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from kummer import meanfield, quantum, semiclassics
+from kummer.model import ModelSpec
 from kummer.svgplot import (
     HEIGHT, MARGIN_B, MARGIN_L, MARGIN_R, MARGIN_T, WIDTH, SvgCanvas, _fmt_tick, _ticks,
+    plot_dos, plot_levels, plot_shape_profile, plot_sweep,
 )
 
 nan, inf = float("nan"), float("inf")
@@ -146,3 +152,53 @@ def test_colour_with_percent_sign_is_literal():
         ref.scatter([0.5], [0.5], colour, 1.2)
     assert _drawn(canvas, lambda: canvas.bars([0.0, 1.0], [0.5], color=colour)) == \
         ref.bars([0.0, 1.0], [0.5], colour)
+
+
+def _svg(tmp_path, draw, *args):
+    path = tmp_path / "plot.svg"
+    draw(*args, path)
+    return path.read_bytes()
+
+
+def test_entry_points_give_the_same_bytes_from_lists_and_arrays(tmp_path):
+    # the CLI passes arrays; lists (as tests and scripts pass them) must draw alike
+    spec = ModelSpec(3, 2, 60, eps=0.4)
+    xs = np.arange(12)
+    series = [np.sin(xs / 3.0), np.cos(xs / 5.0) - 0.25]
+    assert (_svg(tmp_path, plot_levels, xs, series)
+            == _svg(tmp_path, plot_levels, xs.tolist(), [ys.tolist() for ys in series]))
+
+    p_grid = np.linspace(-0.5, 0.5, 33)
+    r_vals = meanfield.radius(spec, p_grid)
+    assert (_svg(tmp_path, partial(plot_shape_profile, spec), p_grid, r_vals)
+            == _svg(tmp_path, partial(plot_shape_profile, spec), p_grid.tolist(), r_vals.tolist()))
+
+    hist = quantum.dos_histogram(spec, 16)
+    centers = 0.5 * (hist.bin_edges[:-1] + hist.bin_edges[1:])
+    for curve in (semiclassics.dos_semiclassical(spec, centers),
+                  np.where(np.arange(16) % 5 == 2, nan, 2.0 * np.max(hist.density)),
+                  np.full(16, nan)):
+        as_lists = SimpleNamespace(bin_edges=hist.bin_edges.tolist(), density=hist.density.tolist())
+        assert (_svg(tmp_path, partial(plot_dos, spec), hist, centers, curve)
+                == _svg(tmp_path, partial(plot_dos, spec), as_lists, centers.tolist(),
+                        curve.tolist()))
+
+    table = quantum.sweep_epsilon(spec, np.linspace(-1.0, 1.0, 5))
+    as_lists = SimpleNamespace(
+        spec=spec, eps_values=table.eps_values.tolist(),
+        scaled_levels=[levels.tolist() for levels in table.scaled_levels],
+        fixed_point_energies=[list(energies) for energies in table.fixed_point_energies])
+    assert _svg(tmp_path, plot_sweep, table) == _svg(tmp_path, plot_sweep, as_lists)
+
+
+def test_dos_plot_tops_out_above_bars_and_finite_curve(tmp_path):
+    # the y range ends at 1.08 times the largest bar or finite curve value
+    spec = ModelSpec(2, 1, 40)
+    hist = SimpleNamespace(bin_edges=np.linspace(-1.0, 1.0, 5),
+                           density=np.array([0.5, 1.0, 2.0, 0.25]))
+    for curve, top in (([nan, 1.0, nan, 1.5], 2.0), ([nan, 3.0, nan, 1.5], 3.0),
+                       ([nan] * 4, 2.0)):
+        frame = SvgCanvas((-1.0, 1.0), (0.0, 1.08 * top), xlabel="scaled energy",
+                          ylabel="density", title=f"density of states  (m,n)=(2,1)  N=40  eps=0")
+        svg = _svg(tmp_path, partial(plot_dos, spec), hist, [-0.75, -0.25, 0.25, 0.75], curve)
+        assert svg.decode().startswith("\n".join(frame.parts) + "\n")
