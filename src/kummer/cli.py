@@ -219,7 +219,8 @@ def _cmd_dos(cfg: RunConfig, stem: str):
     saddles = [fp.energy for fp in meanfield.find_fixed_points(cfg.spec)
                if fp.stability == "saddle"]
     curve = semiclassics.dos_semiclassical(cfg.spec, centers, saddle_energies=saddles)
-    serialize.write_dos(hist, centers, curve, stem, saddle_energies=saddles)
+    serialize.write_dos(hist, centers, curve, stem, saddle_energies=saddles,
+                        margin=semiclassics.SADDLE_MARGIN * cfg.spec.unit_scale()[1])
     if cfg.plot:
         svgplot.plot_dos(cfg.spec, hist, centers, curve, stem + ".svg")
 

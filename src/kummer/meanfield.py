@@ -26,13 +26,6 @@ def radius_coefficient(spec: ModelSpec) -> float:
     return 1.0 / sqrt(float(spec.m) ** (spec.n - 2) * float(spec.n) ** (spec.m - 2))
 
 
-def _check_domain(p):
-    p = np.asarray(p, dtype=float)
-    if np.any(p < -0.5) or np.any(p > 0.5):
-        raise ValueError("p must lie in [-1/2, 1/2]")
-    return p
-
-
 def radius(spec: ModelSpec, p):
     """Surface radius r(p) = r0 (1/2+p)^(m/2) (1/2-p)^(n/2) on [-1/2, 1/2]."""
     if isinstance(p, float):  # the same arithmetic without array overhead
@@ -40,7 +33,9 @@ def radius(spec: ModelSpec, p):
             raise ValueError("p must lie in [-1/2, 1/2]")
         return (radius_coefficient(spec) * max(0.5 + p, 0.0) ** (spec.m / 2.0)
                 * max(0.5 - p, 0.0) ** (spec.n / 2.0))
-    p = _check_domain(p)
+    p = np.asarray(p, dtype=float)
+    if np.any(p < -0.5) or np.any(p > 0.5):
+        raise ValueError("p must lie in [-1/2, 1/2]")
     x = np.maximum(0.5 + p, 0.0)
     y = np.maximum(0.5 - p, 0.0)
     out = radius_coefficient(spec) * x ** (spec.m / 2.0) * y ** (spec.n / 2.0)
@@ -170,18 +165,8 @@ class FixedPoint:
     location: str  # 'interior', 'south_pole' or 'north_pole'
 
 
-def _square(spec: ModelSpec, name: str) -> float:
-    """eps^2 or v^2 of the spec; ValueError naming the parameter where it overflows."""
-    value = getattr(spec, name)
-    try:
-        return value**2
-    except OverflowError:
-        raise ValueError(f"{name} = {value!r} is too large: {name}^2 overflows "
-                         f"at m = {spec.m}, n = {spec.n}") from None
-
-
 def _classify(spec: ModelSpec, p: float):
-    jac = _square(spec, "eps") + _square(spec, "v") * classical_commutator_deriv(spec, p)
+    jac = spec.eps**2 + spec.v**2 * classical_commutator_deriv(spec, p)
     if jac > DEGENERATE_TOL:
         return "center", sqrt(jac)
     if jac < -DEGENERATE_TOL:
@@ -220,20 +205,16 @@ def _interior_roots(spec: ModelSpec) -> list:
     grouped by real part.  A lone real root gets Newton steps.  A cluster
     is driven onto the residual's extremum: a zero there (to rounding) is
     a tangency, else the cluster holds two close real roots or none.  The
-    domain test follows polishing, so a root driven onto a pole is dropped.
-    A root carries sx = (v/eps) f(p), except in the cluster about the zero
-    p0 of f, which is the q = 0, pi pair of small |eps| and never a
-    tangency: there f(p)/eps is rounding over eps, and sx = +-r(p) with the
-    sign of v f(p)/eps, or both signs at the extremum if rounding merges
-    the pair.
+    domain test follows polishing and precedes f, so a root driven onto a
+    pole, or past it, is dropped unevaluated.  A root carries sx = (v/eps) f(p),
+    except in the cluster about the zero p0 of f, which is the q = 0, pi
+    pair of small |eps| and never a tangency: there f(p)/eps is rounding
+    over eps, and sx = +-r(p) with the sign of v f(p)/eps, or both signs
+    at the extremum if rounding merges the pair.
     """
     core = residual_core(spec.m, spec.n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        va, eb = _square(spec, "v") * core.fixed_a, _square(spec, "eps") * core.fixed_b
-        coeffs = va - eb
-    if not np.isfinite(coeffs).all():
-        raise ValueError(f"the fixed-point residual overflows at eps = {spec.eps!r}, "
-                         f"v = {spec.v!r}, m = {spec.m}, n = {spec.n}")
+    va, eb = spec.v**2 * core.fixed_a, spec.eps**2 * core.fixed_b
+    coeffs = va - eb
     near_real = sorted(
         float(z.real) for z in npoly.polyroots(coeffs) if abs(z.imag) <= ROOT_CLUSTER_TOL
     )
@@ -247,11 +228,10 @@ def _interior_roots(spec: ModelSpec) -> list:
     coeffs = coeffs.tolist()
     p0 = (spec.m - spec.n) / (2.0 * (spec.m + spec.n))
     v_eps = spec.v / spec.eps
-    roots = []
+    roots = []  # (p, sx), with sx None where it is (v/eps) f(p)
     for cluster in clusters:
         if len(cluster) == 1:
-            p = _polish(coeffs, cluster[0], 0)
-            roots.append((p, v_eps * classical_commutator(spec, p)))
+            roots.append((_polish(coeffs, cluster[0], 0), None))
             continue
         p = _polish(coeffs, sum(cluster) / len(cluster), 1)
         val, _, curv = _horner(coeffs, p)
@@ -270,8 +250,9 @@ def _interior_roots(spec: ModelSpec) -> list:
         noise = _horner((np.abs(va) + np.abs(eb)).tolist(), abs(p))[0]
         if abs(val) <= TANGENCY_ULPS * np.finfo(float).eps * noise:
             pair = [p]
-        roots += [(z, v_eps * classical_commutator(spec, z)) for z in pair]
-    return [(p, sx) for p, sx in roots if -0.5 < p < 0.5]
+        roots += [(z, None) for z in pair]
+    return [(p, v_eps * classical_commutator(spec, p) if sx is None else sx)
+            for p, sx in roots if -0.5 < p < 0.5]
 
 
 def find_fixed_points(spec: ModelSpec) -> list:
@@ -279,29 +260,31 @@ def find_fixed_points(spec: ModelSpec) -> list:
 
     Interior points carry sx = (v/eps) f(p) (or sx = +-r beside the zero
     of f, and for eps = 0); energies are E = v*sx + eps*p.  Stability
-    follows the sign of eps^2 + v^2 f'(p).
+    follows the sign of eps^2 + v^2 f'(p).  All at unit scale
+    (ModelSpec.unit_scale), with energies and rates scaled back.
     """
+    spec, s = spec.unit_scale()
     out = []
     if spec.m > 1:
         kind, rate = _classify(spec, -0.5)
-        out.append(FixedPoint(-0.5, nan, 0.0, -spec.eps / 2.0, kind, rate, "south_pole"))
+        out.append(FixedPoint(-0.5, nan, 0.0, s * (-spec.eps / 2.0), kind, s * rate, "south_pole"))
     if spec.n > 1:
         kind, rate = _classify(spec, 0.5)
-        out.append(FixedPoint(0.5, nan, 0.0, spec.eps / 2.0, kind, rate, "north_pole"))
+        out.append(FixedPoint(0.5, nan, 0.0, s * (spec.eps / 2.0), kind, s * rate, "north_pole"))
 
     if spec.eps == 0.0:
         # stationary requires f(p) = 0; the only interior zero is n*x = m*y
         p = (spec.m - spec.n) / (2.0 * (spec.m + spec.n))
         r = radius(spec, p)
         kind, rate = _classify(spec, p)
-        out.append(FixedPoint(p, 0.0, r, spec.v * r, kind, rate, "interior"))
-        out.append(FixedPoint(p, pi, -r, -spec.v * r, kind, rate, "interior"))
+        out.append(FixedPoint(p, 0.0, r, s * (spec.v * r), kind, s * rate, "interior"))
+        out.append(FixedPoint(p, pi, -r, s * (-spec.v * r), kind, s * rate, "interior"))
     else:
         for p, sx in _interior_roots(spec):
             q = 0.0 if sx >= 0.0 else pi
-            energy = spec.v * sx + spec.eps * p
+            energy = s * (spec.v * sx + spec.eps * p)
             kind, rate = _classify(spec, p)
-            out.append(FixedPoint(p, q, sx, energy, kind, rate, "interior"))
+            out.append(FixedPoint(p, q, sx, energy, kind, s * rate, "interior"))
 
     out.sort(key=lambda fp: fp.p)
     limit = min(spec.m + spec.n, 6)
@@ -361,7 +344,9 @@ def classify_bifurcations(spec: ModelSpec) -> list:
     eps_c = +-v r'(p); transcritical events exist only for a mode index
     of exactly 2, at eps_c = +-v times the pole's slope (pole_slopes).
     None at v = 0: H = eps*sz has only the poles, of stability eps^2.
+    All at the unit scale of v alone (ModelSpec.unit_scale), scaled back.
     """
+    spec, s = spec.with_eps(0.0).unit_scale()
     if spec.v == 0.0:
         return []
     events = []
@@ -372,13 +357,13 @@ def classify_bifurcations(spec: ModelSpec) -> list:
         for sign in (1.0, -1.0):
             eps_c = sign * spec.v * slope
             energy = (spec.v**2 / eps_c) * classical_commutator(spec, p) + eps_c * p
-            events.append(BifurcationEvent(eps_c, "saddle_node", p, energy))
+            events.append(BifurcationEvent(s * eps_c, "saddle_node", p, s * energy))
     for mode, slope, pole, p in zip((spec.m, spec.n), pole_slopes(spec),
                                     ("south_pole", "north_pole"), (-0.5, 0.5)):
         if mode == 2:
             for sign in (1.0, -1.0):
                 eps_c = sign * spec.v * slope
-                events.append(BifurcationEvent(eps_c, "transcritical", pole, eps_c * p))
+                events.append(BifurcationEvent(s * eps_c, "transcritical", pole, s * eps_c * p))
     events.sort(key=lambda ev: (abs(ev.eps_critical), ev.eps_critical))
     return events
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from math import isfinite
+from math import frexp, isfinite, ldexp
 
 
 @dataclass(frozen=True)
@@ -56,6 +56,16 @@ class ModelSpec:
     def sz_value(self, mu: int) -> float:
         """Eigenvalue mu - N/(2*m*n) of sz on basis state mu."""
         return mu - self.z_max
+
+    def unit_scale(self) -> "tuple[ModelSpec, float]":
+        """This spec at (eps/s, v/s), and s: the power of two with max(|eps|, |v|)
+        in [s, 2s), or 1 where both vanish.  H is linear in (eps, v), so energies
+        and rates are s times those at the unit spec, and periods 1/s times;
+        dividing by s is exact outside the subnormal range."""
+        s = ldexp(1.0, frexp(max(abs(self.eps), abs(self.v)) or 1.0)[1] - 1)
+        if s == 1.0:
+            return self, s
+        return ModelSpec(self.m, self.n, self.N, self.eps / s, self.v / s), s
 
     def with_eps(self, eps: float) -> "ModelSpec":
         return dataclasses.replace(self, eps=float(eps))

@@ -130,10 +130,12 @@ def level_counts(spec: ModelSpec, energies) -> np.ndarray:
     inside the guard, those pivots are set to +pivmin and the rows after
     it rerun from d - x, so every pivot is the guarded recurrence's to
     the bit.  After a restart the loop checks after 1, 2, 4, ... rows,
-    which keeps a chain of zero pivots (v = eps = 0) linear in dim.
+    which keeps a chain of zero pivots (v = eps = 0) linear in dim.  It
+    runs at unit scale (ModelSpec.unit_scale), at the energies over s.
     """
-    d, e = _chain(spec)
-    x = np.asarray(energies, dtype=float) / spec.eta
+    unit, s = spec.unit_scale()
+    d, e = _chain(unit)
+    x = np.asarray(energies, dtype=float) / (s * spec.eta)
     flat = x.ravel()
     e2 = e ** 2
     pivmin = np.finfo(float).tiny * max(1.0, float(np.max(e2, initial=0.0)))
@@ -170,12 +172,6 @@ def level_counts(spec: ModelSpec, energies) -> np.ndarray:
     return spec.dim - above.reshape(x.shape)
 
 
-def _scaled_level(spec: ModelSpec, index: int) -> float:
-    """Scaled level `index` (ascending) by one LAPACK bisection solve, O(dim)."""
-    raw = eigvalsh_tridiagonal(*_chain(spec), select="i", select_range=(index, index))
-    return spec.eta * raw[0]
-
-
 @dataclass(frozen=True)
 class DosHistogram:
     bin_edges: np.ndarray
@@ -189,17 +185,21 @@ def dos_histogram(spec: ModelSpec, bins: int, value_range=None) -> DosHistogram:
     (default: the lowest to the highest level, widened by 0.5 either way
     when they coincide), each bin half-open but the last closed, density
     = counts / width / counted levels.  Only the two band extremes are
-    solved for; the counts come from level_counts, so a level within
-    rounding of an edge may land in either neighbouring bin.  Density
-    normalisation makes the histogram directly comparable to
-    T(E)/(2*pi), whose integral over the band is also one.
+    solved for, by bisection; the counts come from level_counts, so a
+    level within rounding of an edge may land in either neighbouring bin.
+    Density normalisation makes the histogram directly comparable to
+    T(E)/(2*pi), whose integral over the band is also one.  It is built
+    at unit scale (ModelSpec.unit_scale), and the edges scaled back.
     """
     if bins < 2:
         raise ValueError("bins must be >= 2")
+    spec, s = spec.unit_scale()
     if value_range is None:
-        lo, hi = _scaled_level(spec, 0), _scaled_level(spec, spec.dim - 1)
+        d, e = _chain(spec)
+        lo, hi = (spec.eta * eigvalsh_tridiagonal(d, e, select="i", select_range=(i, i))[0]
+                  for i in (0, spec.dim - 1))
     else:
-        lo, hi = (float(v) for v in value_range)
+        lo, hi = (float(v) / s for v in value_range)
         if not lo <= hi:
             raise ValueError("value_range must be increasing")
     if lo == hi:
@@ -212,7 +212,7 @@ def dos_histogram(spec: ModelSpec, bins: int, value_range=None) -> DosHistogram:
     counts = np.diff(below)
     if counts.sum() == 0:
         raise ValueError(f"no levels in {value_range}")
-    return DosHistogram(edges, counts / np.diff(edges) / counts.sum())
+    return DosHistogram(s * edges, counts / np.diff(edges) / counts.sum() / s)
 
 
 @dataclass(frozen=True)
@@ -247,13 +247,7 @@ def sweep_epsilon(spec: ModelSpec, eps_grid, jobs: int = 1) -> SweepTable:
             rows = list(pool.map(_sweep_point, work))
     else:
         rows = [_sweep_point(w) for w in work]
-    return SweepTable(
-        spec,
-        eps_grid,
-        [r[0] for r in rows],
-        [r[1] for r in rows],
-        [r[2] for r in rows],
-    )
+    return SweepTable(spec, eps_grid, *(list(column) for column in zip(*rows)))
 
 
 def commutator_residuals(spec: ModelSpec) -> dict:

@@ -401,9 +401,10 @@ def _periods(spec: ModelSpec, energies):
     T(E) sums the regions of an energy (_turning) in p order
     (_region_periods).  The status is 0 where T is finite; otherwise T
     is NaN and the status is _OUT_OF_BAND, or the fault of the first
-    faulty region in p order.
+    faulty region in p order.  All at unit scale (ModelSpec.unit_scale).
     """
-    energies = np.asarray(energies, dtype=float)
+    spec, s = spec.unit_scale()
+    energies = np.asarray(energies, dtype=float) / s
     total = np.zeros(len(energies))
     status = np.full(len(energies), _OUT_OF_BAND)
     tp = _turning(spec, energies)
@@ -419,7 +420,7 @@ def _periods(spec: ModelSpec, energies):
     first_rows, first = np.unique(tp.row[faulty], return_index=True)
     status[first_rows] = fault[faulty[first]]
     total[status != 0] = np.nan
-    return total, status
+    return total / s, status
 
 
 def orbit_period(spec: ModelSpec, energy: float) -> float:
@@ -446,15 +447,17 @@ SADDLE_MARGIN = 1e-6  # dos_semiclassical masks energies this close to a saddle
 def dos_semiclassical(spec: ModelSpec, energies, saddle_energies=None):
     """T(E)/(2*pi) on a grid; NaN within SADDLE_MARGIN of saddle energies.
 
-    The saddle energies are those of meanfield.find_fixed_points, found
-    here unless the caller passes them.
+    The margin applies at unit scale (ModelSpec.unit_scale).  The saddle
+    energies are those of meanfield.find_fixed_points, found here unless
+    the caller passes them.
     """
     energies = np.asarray(energies, dtype=float)
     if saddle_energies is None:
         saddle_energies = [fp.energy for fp in meanfield.find_fixed_points(spec)
                            if fp.stability == "saddle"]
     saddles = np.array(saddle_energies, dtype=float)
-    clear = ~np.any(np.abs(energies[:, None] - saddles) < SADDLE_MARGIN, axis=1)
+    margin = SADDLE_MARGIN * spec.unit_scale()[1]
+    clear = ~np.any(np.abs(energies[:, None] - saddles) < margin, axis=1)
     out = np.full(len(energies), np.nan)
     out[clear] = _periods(spec, energies[clear])[0] / TWO_PI
     return out
@@ -618,12 +621,13 @@ class _IntervalArea:
     semiclassical_spectrum), so s(E) interpolates it and the band runs
     from its first energy to its last.  With `barrier` the area is the
     matching form across a barrier (_matching_areas), otherwise the plain
-    sum S(E).
+    sum S(E).  `scale`, here and below, takes its energies to the caller's units.
     """
 
     spec: ModelSpec
     table: tuple
     barrier: bool = False
+    scale: float = 1.0
 
     @property
     def band(self):
@@ -676,7 +680,7 @@ def _edge_actions(lo: float, hi: float, area: _IntervalArea):
     return tuple(edges)
 
 
-def _lockstep_roots(area, targets, x0, x1, s0, s1):
+def _lockstep_roots(area, targets, x0, x1, s0, s1, scale=1.0):
     """Energies where area(E) = target for every target together.
 
     Each target's root lies in its bracket (x0, x1), in either order:
@@ -700,7 +704,8 @@ def _lockstep_roots(area, targets, x0, x1, s0, s1):
         nan = np.isnan(f_pre) | np.isnan(f_cur)
         if nan.any():
             e = np.where(np.isnan(f_cur), x_cur, x_pre)[nan][0]
-            raise QuantizationError(f"the area is unresolved at E = {e!r}, inside its edges")
+            raise QuantizationError(f"the area is unresolved at E = {float(scale * e)!r}, "
+                                    "inside its edges")
         flip = f_pre * f_cur < 0.0
         x_blk, f_blk = np.where(flip, x_pre, x_blk), np.where(flip, f_pre, f_blk)
         s_pre = np.where(flip, x_cur - x_pre, s_pre)
@@ -762,7 +767,8 @@ def _area_levels(spec: ModelSpec, lo: float, hi: float, area: _IntervalArea):
     below = np.searchsorted(np.minimum.accumulate(s_grid[::-1])[::-1], targets) - 1
     above = np.searchsorted(np.maximum.accumulate(s_grid), targets, side="right")
     left, right = np.maximum(below, 0), np.minimum(above, len(grid) - 1)
-    roots = _lockstep_roots(area, targets, grid[left], grid[right], s_grid[left], s_grid[right])
+    roots = _lockstep_roots(area, targets, grid[left], grid[right], s_grid[left],
+                            s_grid[right], area.scale)
     return dict(zip(nus.tolist(), roots.tolist())), edges
 
 
@@ -796,7 +802,7 @@ def _structure_boundaries(spec: ModelSpec):
     return bounds, shifts, tops, dips
 
 
-def _interval_plans(lo: float, hi: float, top: bool, dip: bool, upper) -> list:
+def _interval_plans(lo: float, hi: float, top: bool, dip: bool, upper, scale: float) -> list:
     """Plans (lo, hi, mirrored, tag) that solve one structure interval (_piece).
 
     `upper` holds the right-end branch labels of the allowed regions at
@@ -810,8 +816,8 @@ def _interval_plans(lo: float, hi: float, top: bool, dip: bool, upper) -> list:
     central level.
     """
     if len(upper) > 2:
-        mid = 0.5 * (lo + hi)
-        raise QuantizationError(f"unexpected {len(upper)} allowed regions at E = {mid}")
+        mid = float(scale * 0.5 * (lo + hi))
+        raise QuantizationError(f"unexpected {len(upper)} allowed regions at E = {mid!r}")
     if len(upper) == 2:
         return [(lo, hi, bool(upper[0]), DOUBLE_WELL)]
     if top and dip:
@@ -861,11 +867,11 @@ def _step_past_continuation(spec: ModelSpec, lo: float, hi: float, area: _Interv
         count = len(moved)
         targets = TWO_PI * spec.eta * (np.array(moved) + 0.5)
         found = _lockstep_roots(area, targets, np.full(count, b), np.full(count, edge),
-                                np.full(count, s_end), np.full(count, s_edge))
+                                np.full(count, s_end), np.full(count, s_edge), area.scale)
         roots.update(zip(moved, found.tolist()))
 
 
-def _piece(spec: ModelSpec, table, lo: float, hi: float, mirrored: bool, tag: str):
+def _piece(spec: ModelSpec, table, lo: float, hi: float, mirrored: bool, tag: str, scale: float):
     """Roots {nu: E}, edges and regime of one plan (_interval_plans).
 
     Roots and edges (E, A(E)) come from _area_levels, with the matching
@@ -877,7 +883,7 @@ def _piece(spec: ModelSpec, table, lo: float, hi: float, mirrored: bool, tag: st
     if mirrored:
         spec, table = spec.mirrored(), (-table[0][::-1], -table[1][::-1])
         lo, hi = -hi, -lo
-    area = _IntervalArea(spec, table, tag != SINGLE_WELL)
+    area = _IntervalArea(spec, table, tag != SINGLE_WELL, scale)
     roots, edges = _area_levels(spec, lo, hi, area)
     if tag == ABOVE_BARRIER:
         _step_past_continuation(spec, lo, hi, area, roots, edges)
@@ -887,7 +893,7 @@ def _piece(spec: ModelSpec, table, lo: float, hi: float, mirrored: bool, tag: st
             tuple((-e, TWO_PI - a) for e, a in reversed(edges)), tag + "_mirrored")
 
 
-def _assemble(spec: ModelSpec, band, pieces) -> list:
+def _assemble(spec: ModelSpec, scale: float, band, pieces) -> list:
     """Level (E, regime) of every nu, from the pieces or from their windows.
 
     A target that two pieces both solve takes the root of the piece
@@ -919,7 +925,8 @@ def _assemble(spec: ModelSpec, band, pieces) -> list:
         if k in filled:
             raise QuantizationError(
                 f"levels {filled[k]} and {nu} of {spec} fall in one window, "
-                f"E in [{e_lo!r}, {e_hi!r}], areas [{a_lo!r}, {a_hi!r}]")
+                f"E in [{float(scale * e_lo)!r}, {float(scale * e_hi)!r}], "
+                f"areas [{a_lo!r}, {a_hi!r}]")
         filled[k] = nu
         found[nu] = (e_lo + (target - a_lo) / (a_hi - a_lo) * (e_hi - e_lo), tag)
     return [found[nu] for nu in range(spec.dim)]
@@ -942,24 +949,26 @@ def semiclassical_spectrum(spec: ModelSpec) -> SemiclassicalSpectrum:
     two intervals that meet there, so the area stays continuous across
     every boundary.  A window holding two levels, or levels that do not
     increase strictly, raise QuantizationError, as does v = 0, where no
-    orbit has turning points.
+    orbit has turning points.  All at unit scale (ModelSpec.unit_scale),
+    with the levels, and the energies that errors name, scaled back by s.
     """
     if spec.v == 0.0:
         raise QuantizationError(f"v = 0: no orbit of {spec} has turning points to quantize")
     meanfield.residual_core(spec.m, spec.n)  # its ValueError comes before _radius_excess overflows
-    bounds, shifts, tops, dips = _structure_boundaries(spec)
+    unit, s = spec.unit_scale()
+    bounds, shifts, tops, dips = _structure_boundaries(unit)
     if len(bounds) < 2:
         raise QuantizationError("classical band is degenerate")
     table = np.array(bounds), np.array(shifts)
-    mids = _turning(spec, 0.5 * (table[0][:-1] + table[0][1:]))
+    mids = _turning(unit, 0.5 * (table[0][:-1] + table[0][1:]))
     pieces = []
     for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-        pieces += [_piece(spec, table, *plan) for plan in _interval_plans(
-            lo, hi, tops[k], dips[k + 1], mids.upper_right[mids.row == k])]
-    energies, tags = zip(*_assemble(spec, (bounds[0], bounds[-1]), pieces))
+        pieces += [_piece(unit, table, *plan, s) for plan in _interval_plans(
+            lo, hi, tops[k], dips[k + 1], mids.upper_right[mids.row == k], s)]
+    energies, tags = zip(*_assemble(spec, s, (bounds[0], bounds[-1]), pieces))
     energies = np.array(energies)
     levels = energies + np.interp(energies, *table)
     if np.any(np.diff(levels) <= 0.0):
         raise QuantizationError(f"levels of {spec} do not increase strictly")
     return SemiclassicalSpectrum(spec, tuple(
-        SemiclassicalLevel(nu, float(e), tag) for nu, (e, tag) in enumerate(zip(levels, tags))))
+        SemiclassicalLevel(nu, float(s * e), tag) for nu, (e, tag) in enumerate(zip(levels, tags))))

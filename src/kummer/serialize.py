@@ -169,8 +169,9 @@ def write_semiclassical(result, stem, exact):
     _spec_json(stem, result.spec)
 
 
-def write_dos(hist, centers, curve_values, stem, saddle_energies=()):
-    """Histogram and period curve; the curve is sampled at the bin centres."""
+def write_dos(hist, centers, curve_values, stem, saddle_energies=(), margin=SADDLE_MARGIN):
+    """Histogram and period curve; the curve is sampled at the bin centres
+    and masked within `margin` of the saddle energies."""
     write_csv(
         stem + "_histogram.csv",
         ("bin_left", "bin_right", "bin_center", "density"),
@@ -180,7 +181,7 @@ def write_dos(hist, centers, curve_values, stem, saddle_energies=()):
     comments = ()
     if len(saddle_energies):
         listed = ", ".join(_fmt(float(s)) for s in saddle_energies)
-        margin = np.format_float_scientific(SADDLE_MARGIN, trim="-", exp_digits=1)
+        margin = np.format_float_scientific(margin, trim="-", exp_digits=1)
         comments = (f"log-divergent saddle energies (curve masked within {margin}): {listed}",)
     write_csv(
         stem + "_curve.csv",

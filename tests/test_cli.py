@@ -2,7 +2,7 @@ import contextlib
 import io
 import json
 import sys
-from math import sqrt
+from math import frexp, isnan, sqrt
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +11,7 @@ import pytest
 from kummer import cli, meanfield, serialize
 from kummer.cli import UsageError, main, parse_config
 from kummer.model import ModelSpec
+from kummer.semiclassics import SADDLE_MARGIN
 
 
 class TestParseConfig:
@@ -411,6 +412,23 @@ def test_dos_reports_saddle_energies(tmp_path):
     assert "-0.25" in text
 
 
+def test_dos_curve_states_the_saddle_margin_in_the_callers_units(tmp_path):
+    # the mask is SADDLE_MARGIN at unit scale: SADDLE_MARGIN * 2^332 at 1e100
+    argv = f"dos --m 2 --n 1 --N 360 --eps 0.5e100 --v 1e100 --bins 30 --out {tmp_path}"
+    assert main(argv.split()) == 0
+    margin = np.format_float_scientific(SADDLE_MARGIN * 2.0**332, trim="-", exp_digits=1)
+    assert f"(curve masked within {margin}): -2.5e+99" in (tmp_path / "dos_curve.csv").read_text()
+
+
+def test_quantization_error_names_the_energy_in_the_callers_units(tmp_path, capsys):
+    # eps/v = 1e100 is the ratio limit of ROADMAP item 3, solved at
+    # (1.14, 1.14e-100); the message still gives E at eps = 1e100
+    argv = f"quantize --m 2 --n 2 --N 16 --eps 1e100 --out {tmp_path}"
+    assert main(argv.split()) == 1
+    err = capsys.readouterr().err
+    assert "the area is unresolved at E = -3.7499992499999997e+99, inside its edges" in err
+
+
 def test_quantize_pinched_pole_band_bottom(tmp_path):
     argv = f"quantize --m 4 --n 1 --N 160 --eps 0.9 --out {tmp_path}"
     assert main(argv.split()) == 0
@@ -427,45 +445,89 @@ def test_quantize_at_zero_coupling_names_v(tmp_path, capsys, m, n):
     assert not (tmp_path / "quantize.csv").exists()
 
 
-@pytest.mark.parametrize("argv,name", [
-    ("fixed-points --m 1 --n 1 --eps 1e200", "eps"),
-    ("fixed-points --m 2 --n 1 --eps 1e200", "eps"),  # the poles are classified first
-    ("fixed-points --m 1 --n 1 --v 1e200", "v"),
-    ("sweep --m 1 --n 1 --N 2 --eps-min -8e307 --eps-max 8e307 --eps-steps 3", "eps"),
-    ("quantize --m 1 --n 1 --eps 1e200", "eps"),
-    ("quantize --m 2 --n 1 --eps 1e200", "eps"),
-    ("dos --m 1 --n 1 --eps 1e200", "eps"),
-    ("dos --m 2 --n 2 --eps 1e200", "eps"),
-])
-def test_parameter_whose_square_overflows(tmp_path, capsys, argv, name):
-    # eps^2 and v^2 are Python float powers, which raise OverflowError
-    # past the double range
-    assert main(argv.split() + ["--out", str(tmp_path)]) == 1
-    err = capsys.readouterr().err
-    m, n = argv.split()[2], argv.split()[4]
-    assert f"ValueError: {name} = " in err
-    assert f"is too large: {name}^2 overflows at m = {m}, n = {n}" in err
-    assert "OverflowError" not in err and not list(tmp_path.glob("*.csv"))
-
-
-def test_fixed_point_residual_that_overflows(tmp_path, capsys):
-    # eps^2 = 1e308 is finite, but eps^2 times a coefficient is not
-    argv = f"fixed-points --m 2 --n 1 --eps 1e154 --out {tmp_path}"
-    assert main(argv.split()) == 1
-    err = capsys.readouterr().err
-    assert ("ValueError: the fixed-point residual overflows at eps = 1e+154, v = 1.0, "
-            "m = 2, n = 1") in err
-    assert "LinAlgError" not in err
+# the columns of each file that carry an energy (times s) or a density of
+# states (times 1/s); the other columns do not scale.  The exact levels
+# are eigen_spectrum's, which solves the chain as given rather than at
+# unit scale: they agree to rounding of the band.
+_ENERGY_COLUMNS = {
+    "fixed_points.csv": {"energy", "rate"},
+    "bifurcations.csv": {"eps_critical", "energy"},
+    "sweep_fixed_points.csv": {"eps", "energy"},
+    "sweep_levels.csv": {"eps"},
+    "quantize.csv": {"scaled_energy"},
+    "dos_histogram.csv": {"bin_left", "bin_right", "bin_center"},
+    "dos_curve.csv": {"scaled_energy"},
+}
+_DENSITY_COLUMNS = {"density", "period_over_2pi"}
+_EXACT_COLUMNS = {
+    "spectrum.csv": {"raw", "scaled"},
+    "sweep_levels.csv": {"scaled_energy"},
+    "quantize.csv": {"exact", "abs_deviation"},
+}
 
 
 @pytest.mark.parametrize("argv", [
+    "fixed-points --m 1 --n 1 --eps 1e200",
+    "fixed-points --m 2 --n 1 --eps 1e200",  # eps^2 overflowed, then v^2
+    "fixed-points --m 1 --n 1 --v 1e200",
+    "fixed-points --m 2 --n 1 --eps 1e154",  # v^2 a(p) - eps^2 b(p) overflowed
+    "fixed-points --m 2 --n 1 --eps 0.5e-300 --v 1e-300",  # one degenerate pole
+    "sweep --m 1 --n 1 --N 2 --eps-min -8e307 --eps-max 8e307 --eps-steps 3",
+    "dos --m 1 --n 1 --eps 1e200",
+    "dos --m 2 --n 2 --eps 1e200",
+    "dos --m 1 --n 1 --N 4 --v 1e155",  # stebz did not converge
+    "dos --m 3 --n 3 --N 36 --bins 20 --v 1e154",  # the band polynomial overflowed
+    "quantize --m 2 --n 1 --N 8 --v 1e154",
+    "quantize --m 1 --n 3 --N 12 --v 1e154",
+    "quantize --m 2 --n 1 --N 80 --eps 1e-300 --v 1e-300",  # "degenerate band"
+    "quantize --m 3 --n 2 --N 120 --eps 0.5e-200 --v 1e-200",
     "spectrum --m 1 --n 1 --eps 1e200",
     "kummer-mesh --m 1 --n 1 --eps 1e200",
     "bifurcations --m 1 --n 1 --v 1e200",
     "bifurcations --m 2 --n 2 --v 1e200",
+    "bifurcations --m 3 --n 1 --v 1e200",  # v^2 overflowed
+    "bifurcations --m 3 --n 1 --v 1e-200",  # v^2 underflowed
 ])
-def test_commands_without_the_squares_run_at_large_parameters(tmp_path, argv):
-    assert main(argv.split() + ["--out", str(tmp_path)]) == 0
+def test_extreme_parameters_give_the_scaled_unit_run(tmp_path, argv):
+    # H is linear in (eps, v): the run at (eps, v) writes s times the
+    # energies of the run at (eps/s, v/s), s the power of two with the
+    # largest |eps|, |v| in [s, 2s), wherever both values are normal doubles
+    words = argv.split()
+    values = {"--v": 1.0}
+    values.update((w, float(words[k + 1])) for k, w in enumerate(words)
+                  if w in ("--eps", "--v", "--eps-min", "--eps-max"))
+    s = 2.0 ** (frexp(max(abs(x) for x in values.values()))[1] - 1)
+    twin = [w for k, w in enumerate(words) if w not in values and words[k - 1] not in values]
+    twin += [x for flag, x in values.items() for x in (flag, repr(x / s))]
+    big, unit = tmp_path / "big", tmp_path / "unit"
+    assert main(words + ["--out", str(big)]) == 0
+    assert main(twin + ["--out", str(unit)]) == 0
+    if words[0] == "fixed-points" and "0.5e-300" in words:
+        assert len(serialize.read_csv(big / "fixed_points.csv")[1]) == 3
+    tiny = np.finfo(float).tiny
+    for path in sorted(big.glob("*.csv")):
+        header, rows = serialize.read_csv(path)
+        twin_header, twin_rows = serialize.read_csv(unit / path.name)
+        assert header == twin_header and len(rows) == len(twin_rows), path.name
+        exact = [j for j, column in enumerate(header)
+                 if column in _EXACT_COLUMNS.get(path.name, ())]
+        band = max((s * abs(float(b[j])) for b in twin_rows for j in exact), default=0.0)
+        for j, column in enumerate(header):
+            cells = [(a[j], b[j]) for a, b in zip(rows, twin_rows)]
+            if j in exact:
+                got, want = (np.array([float(c[i]) for c in cells]) for i in (0, 1))
+                assert np.allclose(got, s * want, rtol=0.0, atol=1e-13 * band), column
+                continue
+            scale = (s if column in _ENERGY_COLUMNS.get(path.name, ())
+                     else 1.0 / s if column in _DENSITY_COLUMNS else None)
+            for a, b in cells:
+                if scale is None:
+                    assert a == b, (path.name, column)
+                    continue
+                got, want = float(a), float(b) * scale
+                if any(0.0 < abs(x) < tiny for x in (got, want, float(b))):
+                    continue  # a subnormal value keeps fewer bits
+                assert got == want or (isnan(got) and isnan(want)), (path.name, column, a, b)
 
 
 class TestCommandTable:

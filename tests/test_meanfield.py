@@ -294,6 +294,14 @@ class TestBifurcations:
             assert abs(ev.location) == pytest.approx(1 / (2 * sqrt(2)), abs=1e-10)
             assert abs(ev.energy) == pytest.approx(1 / (12 * sqrt(2)), abs=1e-10)
 
+    @pytest.mark.parametrize("m,n", [(3, 1), (2, 2), (4, 3)])
+    def test_events_do_not_depend_on_eps(self, m, n):
+        # the events are functions of v alone; at the unit scale of
+        # (eps, v) = (1e200, 1), v^2 would underflow
+        spec = ModelSpec(m, n, m * n, v=1.0)
+        events = meanfield.classify_bifurcations(spec)
+        assert events and meanfield.classify_bifurcations(spec.with_eps(1e200)) == events
+
     def test_no_events_on_bloch_sphere(self):
         assert meanfield.classify_bifurcations(ModelSpec(1, 1, 4, v=1.0)) == []
 
@@ -611,6 +619,13 @@ class TestFixedPointRoots:
             if ev.kind == "transcritical":
                 fps = meanfield.find_fixed_points(spec.with_eps(ev.eps_critical))
                 assert all(-0.5 < fp.p < 0.5 for fp in fps if fp.location == "interior")
+
+    @pytest.mark.parametrize("eps,v", [(1.0, 1e-154), (1e154, 1.0)])
+    def test_root_polished_off_the_domain_is_dropped_unevaluated(self, eps, v):
+        # v^2 = 1e-308 puts a residual root near p = -2.2e307; f there
+        # overflows, a RuntimeWarning that this suite turns into an error
+        fps = meanfield.find_fixed_points(ModelSpec(2, 1, 8, eps=eps, v=v))
+        assert [fp.location for fp in fps] == ["south_pole"]
 
     def test_mpmath_oracle(self):
         """Interior roots against 50-digit roots of the exact residual.
