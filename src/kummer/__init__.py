@@ -33,6 +33,7 @@ from .quantum import (
     sweep_epsilon,
 )
 from .semiclassics import (
+    DosCurve,
     SemiclassicalSpectrum,
     dos_semiclassical,
     orbit_period,

@@ -215,14 +215,10 @@ def _cmd_quantize(cfg: RunConfig, stem: str):
 
 def _cmd_dos(cfg: RunConfig, stem: str):
     hist = quantum.dos_histogram(cfg.spec, cfg.options["bins"])
-    centers = 0.5 * (hist.bin_edges[:-1] + hist.bin_edges[1:])
-    saddles = [fp.energy for fp in meanfield.find_fixed_points(cfg.spec)
-               if fp.stability == "saddle"]
-    curve = semiclassics.dos_semiclassical(cfg.spec, centers, saddle_energies=saddles)
-    serialize.write_dos(hist, centers, curve, stem, saddle_energies=saddles,
-                        margin=semiclassics.SADDLE_MARGIN * cfg.spec.unit_scale()[1])
+    curve = semiclassics.dos_semiclassical(cfg.spec, 0.5 * (hist.bin_edges[:-1] + hist.bin_edges[1:]))
+    serialize.write_dos(hist, curve, stem)
     if cfg.plot:
-        svgplot.plot_dos(cfg.spec, hist, centers, curve, stem + ".svg")
+        svgplot.plot_dos(cfg.spec, hist, curve, stem + ".svg")
 
 
 def _cmd_mesh(cfg: RunConfig, stem: str):

@@ -178,41 +178,30 @@ class DosHistogram:
     density: np.ndarray
 
 
-def dos_histogram(spec: ModelSpec, bins: int, value_range=None) -> DosHistogram:
+def dos_histogram(spec: ModelSpec, bins: int) -> DosHistogram:
     """Probability-density histogram of the scaled levels, from level counts.
 
-    Follows np.histogram on the eigenvalues: equal bins over value_range
-    (default: the lowest to the highest level, widened by 0.5 either way
-    when they coincide), each bin half-open but the last closed, density
-    = counts / width / counted levels.  Only the two band extremes are
-    solved for, by bisection; the counts come from level_counts, so a
-    level within rounding of an edge may land in either neighbouring bin.
-    Density normalisation makes the histogram directly comparable to
-    T(E)/(2*pi), whose integral over the band is also one.  It is built
-    at unit scale (ModelSpec.unit_scale), and the edges scaled back.
+    Follows np.histogram on the eigenvalues: equal bins from the lowest
+    to the highest level (widened by 0.5 either way when they coincide),
+    each bin half-open but the last closed, density = counts / width /
+    dim.  Only the two band extremes are solved for, by bisection; the
+    counts come from level_counts, so a level within rounding of an edge
+    may land in either neighbouring bin.  Density normalisation makes the
+    histogram directly comparable to T(E)/(2*pi), whose integral over the
+    band is also one.  It is built at unit scale (ModelSpec.unit_scale),
+    and the edges scaled back.
     """
     if bins < 2:
         raise ValueError("bins must be >= 2")
     spec, s = spec.unit_scale()
-    if value_range is None:
-        d, e = _chain(spec)
-        lo, hi = (spec.eta * eigvalsh_tridiagonal(d, e, select="i", select_range=(i, i))[0]
-                  for i in (0, spec.dim - 1))
-    else:
-        lo, hi = (float(v) / s for v in value_range)
-        if not lo <= hi:
-            raise ValueError("value_range must be increasing")
+    d, e = _chain(spec)
+    lo, hi = (spec.eta * eigvalsh_tridiagonal(d, e, select="i", select_range=(i, i))[0]
+              for i in (0, spec.dim - 1))
     if lo == hi:
         lo, hi = lo - 0.5, hi + 0.5
     edges = np.linspace(lo, hi, bins + 1)
-    if value_range is None:
-        below = np.concatenate(([0], level_counts(spec, edges[1:-1]), [spec.dim]))
-    else:  # the last bin is closed
-        below = level_counts(spec, np.append(edges[:-1], np.nextafter(hi, np.inf)))
-    counts = np.diff(below)
-    if counts.sum() == 0:
-        raise ValueError(f"no levels in {value_range}")
-    return DosHistogram(s * edges, counts / np.diff(edges) / counts.sum() / s)
+    counts = np.diff(np.concatenate(([0], level_counts(spec, edges[1:-1]), [spec.dim])))
+    return DosHistogram(s * edges, counts / np.diff(edges) / spec.dim / s)
 
 
 @dataclass(frozen=True)

@@ -441,26 +441,29 @@ def orbit_period(spec: ModelSpec, energy: float) -> float:
     return float(period[0])
 
 
-SADDLE_MARGIN = 1e-6  # dos_semiclassical masks energies this close to a saddle
+SADDLE_MARGIN = 1e-6  # dos_semiclassical masks energies this close to a saddle, at unit scale
 
 
-def dos_semiclassical(spec: ModelSpec, energies, saddle_energies=None):
-    """T(E)/(2*pi) on a grid; NaN within SADDLE_MARGIN of saddle energies.
+@dataclass(frozen=True)
+class DosCurve:
+    """T(E)/(2*pi) at `energies`; NaN within `margin` of the saddle energies."""
 
-    The margin applies at unit scale (ModelSpec.unit_scale).  The saddle
-    energies are those of meanfield.find_fixed_points, found here unless
-    the caller passes them.
-    """
+    energies: np.ndarray
+    density: np.ndarray
+    saddle_energies: np.ndarray  # those of meanfield.find_fixed_points
+    margin: float  # SADDLE_MARGIN in the caller's units
+
+
+def dos_semiclassical(spec: ModelSpec, energies) -> DosCurve:
+    """T(E)/(2*pi) on a grid, masked near the saddles that it finds, once."""
     energies = np.asarray(energies, dtype=float)
-    if saddle_energies is None:
-        saddle_energies = [fp.energy for fp in meanfield.find_fixed_points(spec)
-                           if fp.stability == "saddle"]
-    saddles = np.array(saddle_energies, dtype=float)
+    saddles = np.array([fp.energy for fp in meanfield.find_fixed_points(spec)
+                        if fp.stability == "saddle"], dtype=float)
     margin = SADDLE_MARGIN * spec.unit_scale()[1]
     clear = ~np.any(np.abs(energies[:, None] - saddles) < margin, axis=1)
-    out = np.full(len(energies), np.nan)
-    out[clear] = _periods(spec, energies[clear])[0] / TWO_PI
-    return out
+    density = np.full(len(energies), np.nan)
+    density[clear] = _periods(spec, energies[clear])[0] / TWO_PI
+    return DosCurve(energies, density, saddles, margin)
 
 
 # ---------------------------------------------------------------------
@@ -597,20 +600,10 @@ _XTOL, _RTOL = 1e-14, 8.9e-16  # a level is solved to _XTOL + _RTOL*|E|
 
 
 @dataclass(frozen=True)
-class SemiclassicalLevel:
-    nu: int
-    energy: float
-    regime: str
-
-
-@dataclass(frozen=True)
 class SemiclassicalSpectrum:
     spec: ModelSpec
-    levels: tuple
-
-    @property
-    def energies(self) -> np.ndarray:
-        return np.array([lv.energy for lv in self.levels])
+    energies: np.ndarray  # the levels, indexed by nu
+    regimes: tuple  # of each level: SINGLE_WELL, DOUBLE_WELL or ABOVE_BARRIER, maybe _mirrored
 
 
 @dataclass(frozen=True)
@@ -970,5 +963,4 @@ def semiclassical_spectrum(spec: ModelSpec) -> SemiclassicalSpectrum:
     levels = energies + np.interp(energies, *table)
     if np.any(np.diff(levels) <= 0.0):
         raise QuantizationError(f"levels of {spec} do not increase strictly")
-    return SemiclassicalSpectrum(spec, tuple(
-        SemiclassicalLevel(nu, float(s * e), tag) for nu, (e, tag) in enumerate(zip(levels, tags))))
+    return SemiclassicalSpectrum(spec, s * levels, tags)

@@ -15,7 +15,6 @@ from itertools import chain, repeat
 import numpy as np
 
 from .meanfield import BifurcationEvent, FixedPoint
-from .semiclassics import SADDLE_MARGIN
 
 
 def _fmt(x) -> str:
@@ -163,29 +162,29 @@ def write_semiclassical(result, stem, exact):
     write_csv(
         stem + ".csv",
         ("nu", "scaled_energy", "exact", "abs_deviation", "regime"),
-        [(lv.nu, lv.energy, ex, abs(lv.energy - ex), lv.regime)
-         for lv, ex in zip(result.levels, exact)],
+        zip(range(len(exact)), result.energies.tolist(), exact.tolist(),
+            np.abs(result.energies - exact).tolist(), result.regimes),
     )
     _spec_json(stem, result.spec)
 
 
-def write_dos(hist, centers, curve_values, stem, saddle_energies=(), margin=SADDLE_MARGIN):
-    """Histogram and period curve; the curve is sampled at the bin centres
-    and masked within `margin` of the saddle energies."""
+def write_dos(hist, curve, stem):
+    """Histogram and period curve (semiclassics.DosCurve), which is sampled
+    at the bin centres and masked near its saddle energies."""
     write_csv(
         stem + "_histogram.csv",
         ("bin_left", "bin_right", "bin_center", "density"),
-        np.column_stack((hist.bin_edges[:-1], hist.bin_edges[1:], centers,
+        np.column_stack((hist.bin_edges[:-1], hist.bin_edges[1:], curve.energies,
                          hist.density)).tolist(),
     )
     comments = ()
-    if len(saddle_energies):
-        listed = ", ".join(_fmt(float(s)) for s in saddle_energies)
-        margin = np.format_float_scientific(margin, trim="-", exp_digits=1)
+    if len(curve.saddle_energies):
+        listed = ", ".join(_fmt(float(s)) for s in curve.saddle_energies)
+        margin = np.format_float_scientific(curve.margin, trim="-", exp_digits=1)
         comments = (f"log-divergent saddle energies (curve masked within {margin}): {listed}",)
     write_csv(
         stem + "_curve.csv",
         ("scaled_energy", "period_over_2pi"),
-        zip(centers, curve_values),
+        zip(curve.energies, curve.density),
         comments=comments,
     )

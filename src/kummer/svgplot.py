@@ -174,15 +174,16 @@ def plot_sweep(table, path):
     canvas.save(path)
 
 
-def plot_dos(spec, hist, centers, curve, path):
-    top = np.nanmax(np.concatenate((hist.density, curve)))
+def plot_dos(spec, hist, curve, path):
+    """The histogram as bars, the period curve (semiclassics.DosCurve) over it."""
+    top = np.nanmax(np.concatenate((hist.density, curve.density)))
     canvas = SvgCanvas(
         (hist.bin_edges[0], hist.bin_edges[-1]), (0.0, 1.08 * top),
         title=f"density of states  (m,n)=({spec.m},{spec.n})  N={spec.N}  eps={spec.eps:g}",
         xlabel="scaled energy", ylabel="density",
     )
     canvas.bars(hist.bin_edges, hist.density)
-    canvas.polyline(centers, curve, color="crimson", width=1.6)
+    canvas.polyline(curve.energies, curve.density, color="crimson", width=1.6)
     canvas.save(path)
 
 

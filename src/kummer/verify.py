@@ -301,7 +301,9 @@ ALL_CHECKS = (
 
 
 def run_all(spec: ModelSpec):
-    """Run every invariant check; returns a list of (name, ok, detail)."""
+    """Run every invariant check at unit scale (ModelSpec.unit_scale), where
+    the solvers run; returns a list of (name, ok, detail)."""
+    spec = spec.unit_scale()[0]
     results = []
     for check in ALL_CHECKS:
         try:

@@ -243,7 +243,7 @@ def test_criterion_07_density_of_states():
         saddles = [fp.energy for fp in fps if fp.stability == "saddle"]
         degenerate = [fp.energy for fp in fps if fp.stability == "degenerate"]
         band = (min(energies), max(energies))
-        curve = semiclassics.dos_semiclassical(spec, centers)
+        curve = semiclassics.dos_semiclassical(spec, centers).density
         keep = ~np.isnan(curve)
         for special in saddles + degenerate + list(band):
             keep &= np.abs(centers - special) > 5 * width

@@ -412,6 +412,30 @@ def test_dos_reports_saddle_energies(tmp_path):
     assert "-0.25" in text
 
 
+def test_dos_finds_fixed_points_once(tmp_path, monkeypatch):
+    # dos_semiclassical finds the saddles and hands them to the writer in
+    # its DosCurve; the command searches no fixed points of its own
+    calls = []
+    find = meanfield.find_fixed_points
+    monkeypatch.setattr(meanfield, "find_fixed_points", lambda s: calls.append(s) or find(s))
+    argv = f"dos --m 2 --n 1 --N 360 --eps 0.5 --bins 30 --plot --out {tmp_path}"
+    assert main(argv.split()) == 0
+    assert calls == [ModelSpec(2, 1, 360, eps=0.5)]
+    assert "saddle energies" in (tmp_path / "dos_curve.csv").read_text()
+
+
+@pytest.mark.parametrize("scale", ["--eps 0.6 --v 1", "--eps 0.6e-12 --v 1e-12",
+                                   "--eps 0.6e12 --v 1e12", "--eps 1e-300 --v 1.3e-300"])
+def test_verify_passes_at_every_energy_scale(tmp_path, capsys, scale):
+    # the checks run at unit scale, as the solvers do: in the caller's
+    # units an absolute rounding would merge the +-eps_c bifurcation
+    # events, the trajectory's fixed time step would diverge at 1e12, and
+    # the area check's grid would hold no energy of the 1e-300 band
+    assert main(f"verify --m 2 --n 2 --N 40 {scale} --out {tmp_path}".split()) == 0
+    out = capsys.readouterr().out
+    assert "17/17 checks passed" in out and "FAIL" not in out
+
+
 def test_dos_curve_states_the_saddle_margin_in_the_callers_units(tmp_path):
     # the mask is SADDLE_MARGIN at unit scale: SADDLE_MARGIN * 2^332 at 1e100
     argv = f"dos --m 2 --n 1 --N 360 --eps 0.5e100 --v 1e100 --bins 30 --out {tmp_path}"

@@ -83,6 +83,7 @@ class TestCovariance:
             except ValueError:
                 periods.append(np.nan)
         events = meanfield.classify_bifurcations(spec)
+        curve = semiclassics.dos_semiclassical(spec, centers)
         return {
             "fixed-point energies": ([fp.energy for fp in fps], 1),
             "fixed-point rates": ([fp.rate for fp in fps], 1),
@@ -91,7 +92,8 @@ class TestCovariance:
             "Sturm counts": (quantum.level_counts(spec, energies), 0),
             "bin edges": (hist.bin_edges, 1),
             "histogram density": (hist.density, -1),
-            "semiclassical DOS": (semiclassics.dos_semiclassical(spec, centers), -1),
+            "semiclassical DOS": (curve.density, -1),
+            "DOS saddle energies and margin": ([*curve.saddle_energies, curve.margin], 1),
             "orbit periods": (periods, -1),
             "critical eps": ([ev.eps_critical for ev in events], 1),
             "bifurcation energies": ([ev.energy for ev in events], 1),

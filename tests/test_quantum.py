@@ -325,6 +325,16 @@ class TestLevelCounts:
             tracemalloc.stop()
         assert peak < 10 * x.nbytes
 
+    def test_uniform_levels_midway_edges(self):
+        # 1:1 levels are exactly equally spaced; with every edge midway
+        # between two levels each of 10 bins holds 100 of the 1000 levels
+        spec = ModelSpec(1, 1, 999, eps=0.6, v=0.8)
+        eigs = quantum.eigen_spectrum(spec).scaled_eigenvalues
+        spacing = spec.eta * np.hypot(0.6, 0.8)
+        edges = np.linspace(eigs[0] - 0.5 * spacing, eigs[-1] + 0.5 * spacing, 11)
+        assert quantum.level_counts(spec, edges).tolist() == list(range(0, 1001, 100))
+        assert np.allclose(np.diff(edges), 100 * spacing, rtol=1e-12, atol=0)
+
 
 class TestDosHistogram:
     def test_matches_numpy_histogram(self):
@@ -335,25 +345,6 @@ class TestDosHistogram:
         assert np.max(np.abs(hist.bin_edges - edges)) < 1e-12 * (edges[-1] - edges[0])
         assert np.allclose(hist.density * np.diff(hist.bin_edges) * spec.dim, counts,
                            rtol=0, atol=1e-9)
-
-    def test_value_range(self):
-        spec = ModelSpec(2, 1, 800, eps=0.5)
-        eigs = quantum.eigen_spectrum(spec).scaled_eigenvalues
-        for value_range in ((-0.1, 0.2), (eigs[0] - 0.3, eigs[-1] + 0.3)):
-            hist = quantum.dos_histogram(spec, 23, value_range=value_range)
-            density, edges = np.histogram(eigs, bins=23, range=value_range, density=True)
-            assert np.array_equal(hist.bin_edges, edges)
-            assert np.allclose(hist.density, density, rtol=1e-14, atol=0)
-
-    def test_uniform_levels_midway_edges(self):
-        # 1:1 levels are exactly equally spaced; with every edge midway
-        # between two levels each bin holds 100 of the 1000 levels
-        spec = ModelSpec(1, 1, 999, eps=0.6, v=0.8)
-        eigs = quantum.eigen_spectrum(spec).scaled_eigenvalues
-        spacing = spec.eta * np.hypot(0.6, 0.8)
-        value_range = (eigs[0] - 0.5 * spacing, eigs[-1] + 0.5 * spacing)
-        hist = quantum.dos_histogram(spec, 10, value_range=value_range)
-        assert np.allclose(hist.density * spacing * spec.dim, 1.0, rtol=1e-12, atol=0)
 
     def test_ties_on_equally_spaced_levels(self):
         # levels of a 1:1 spec sit within rounding of some edges; such a
@@ -388,10 +379,6 @@ class TestDosHistogram:
         spec = ModelSpec(2, 1, 8)
         with pytest.raises(ValueError):
             quantum.dos_histogram(spec, 1)
-        with pytest.raises(ValueError):
-            quantum.dos_histogram(spec, 4, value_range=(1.0, -1.0))
-        with pytest.raises(ValueError):
-            quantum.dos_histogram(spec, 4, value_range=(5.0, 6.0))
 
 
 class TestSweep:

@@ -178,13 +178,17 @@ def test_mesh_documents_grid_order(tmp_path):
 
 
 def test_semiclassical_with_exact_column(tmp_path):
-    spec = ModelSpec(1, 1, 6, eps=0.3, v=1.0)
+    # three regimes, so a regime column out of step with the levels shows
+    spec = ModelSpec(4, 1, 40, eps=0.5, v=1.0)
     wkb = semiclassics.semiclassical_spectrum(spec)
     exact = quantum.eigen_spectrum(spec).scaled_eigenvalues
     serialize.write_semiclassical(wkb, str(tmp_path / "q"), exact=exact)
     header, rows = serialize.read_csv(tmp_path / "q.csv")
     assert header == ["nu", "scaled_energy", "exact", "abs_deviation", "regime"]
-    assert len(rows) == 7
+    assert [int(r[0]) for r in rows] == list(range(spec.dim))
+    assert [float(r[1]) for r in rows] == wkb.energies.tolist()
+    assert [float(r[2]) for r in rows] == exact.tolist()
+    assert tuple(r[4] for r in rows) == wkb.regimes and len(set(wkb.regimes)) == 3
 
 
 def test_identical_inputs_identical_bytes(tmp_path):

@@ -175,13 +175,14 @@ def test_entry_points_give_the_same_bytes_from_lists_and_arrays(tmp_path):
 
     hist = quantum.dos_histogram(spec, 16)
     centers = 0.5 * (hist.bin_edges[:-1] + hist.bin_edges[1:])
-    for curve in (semiclassics.dos_semiclassical(spec, centers),
-                  np.where(np.arange(16) % 5 == 2, nan, 2.0 * np.max(hist.density)),
-                  np.full(16, nan)):
+    for density in (semiclassics.dos_semiclassical(spec, centers).density,
+                    np.where(np.arange(16) % 5 == 2, nan, 2.0 * np.max(hist.density)),
+                    np.full(16, nan)):
+        curve = SimpleNamespace(energies=centers, density=density)
         as_lists = SimpleNamespace(bin_edges=hist.bin_edges.tolist(), density=hist.density.tolist())
-        assert (_svg(tmp_path, partial(plot_dos, spec), hist, centers, curve)
-                == _svg(tmp_path, partial(plot_dos, spec), as_lists, centers.tolist(),
-                        curve.tolist()))
+        curve_lists = SimpleNamespace(energies=centers.tolist(), density=density.tolist())
+        assert (_svg(tmp_path, partial(plot_dos, spec), hist, curve)
+                == _svg(tmp_path, partial(plot_dos, spec), as_lists, curve_lists))
 
     table = quantum.sweep_epsilon(spec, np.linspace(-1.0, 1.0, 5))
     as_lists = SimpleNamespace(
@@ -196,9 +197,10 @@ def test_dos_plot_tops_out_above_bars_and_finite_curve(tmp_path):
     spec = ModelSpec(2, 1, 40)
     hist = SimpleNamespace(bin_edges=np.linspace(-1.0, 1.0, 5),
                            density=np.array([0.5, 1.0, 2.0, 0.25]))
-    for curve, top in (([nan, 1.0, nan, 1.5], 2.0), ([nan, 3.0, nan, 1.5], 3.0),
-                       ([nan] * 4, 2.0)):
+    for density, top in (([nan, 1.0, nan, 1.5], 2.0), ([nan, 3.0, nan, 1.5], 3.0),
+                         ([nan] * 4, 2.0)):
         frame = SvgCanvas((-1.0, 1.0), (0.0, 1.08 * top), xlabel="scaled energy",
                           ylabel="density", title=f"density of states  (m,n)=(2,1)  N=40  eps=0")
-        svg = _svg(tmp_path, partial(plot_dos, spec), hist, [-0.75, -0.25, 0.25, 0.75], curve)
+        curve = SimpleNamespace(energies=[-0.75, -0.25, 0.25, 0.75], density=density)
+        svg = _svg(tmp_path, partial(plot_dos, spec), hist, curve)
         assert svg.decode().startswith("\n".join(frame.parts) + "\n")
