@@ -345,18 +345,21 @@ def classify_bifurcations(spec: ModelSpec) -> list:
     of exactly 2, at eps_c = +-v times the pole's slope (pole_slopes).
     None at v = 0: H = eps*sz has only the poles, of stability eps^2.
     All at the unit scale of v alone (ModelSpec.unit_scale), scaled back.
+    ValueError where f at an inflection point is not a normal double.
     """
     spec, s = spec.with_eps(0.0).unit_scale()
     if spec.v == 0.0:
         return []
     events = []
     for p in inflection_points(spec):
-        slope = -classical_commutator(spec, p) / radius(spec, p)  # g = -r^2, dg/dp = 2f
-        if abs(slope) < 1e-14:
-            continue
+        f = classical_commutator(spec, p)
+        if not abs(f) >= np.finfo(float).tiny:
+            raise ValueError(f"f at the inflection point p = {p!r} is not a normal double "
+                             f"at m = {spec.m}, n = {spec.n}")
+        slope = -f / radius(spec, p)  # g = -r^2, dg/dp = 2f
         for sign in (1.0, -1.0):
             eps_c = sign * spec.v * slope
-            energy = (spec.v**2 / eps_c) * classical_commutator(spec, p) + eps_c * p
+            energy = (spec.v**2 / eps_c) * f + eps_c * p
             events.append(BifurcationEvent(s * eps_c, "saddle_node", p, s * energy))
     for mode, slope, pole, p in zip((spec.m, spec.n), pole_slopes(spec),
                                     ("south_pole", "north_pole"), (-0.5, 0.5)):

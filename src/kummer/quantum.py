@@ -83,25 +83,28 @@ def eigen_spectrum(spec: ModelSpec) -> SpectrumResult:
     Calls LAPACK dsterf (implicit-shift QL/QR for symmetric tridiagonal
     matrices, eigenvalues only, O(dim^2), no dense workspace) on the chain
     directly, which skips eigvalsh_tridiagonal's argument checks; the chain's
-    parts are built once per (m, n, N).  A non-finite chain is a ValueError,
-    and a nonzero info from dsterf a LinAlgError.
+    parts are built once per (m, n, N).  It runs at unit scale
+    (ModelSpec.unit_scale) and multiplies the sorted levels by s.  A level
+    that overflows is a ValueError, and a nonzero info from dsterf a
+    LinAlgError.
     """
-    d, e = _chain(spec)
-    if not (np.isfinite(d).all() and np.isfinite(e).all()):
-        raise ValueError("the Hamiltonian chain must not contain infs or NaNs")
-    raw, info = dsterf(d, e, overwrite_d=True, overwrite_e=True)
+    unit, s = spec.unit_scale()
+    raw, info = dsterf(*_chain(unit), overwrite_d=True, overwrite_e=True)
     if info != 0:
         raise LinAlgError(f"LAPACK dsterf returned info = {info}")
-    return SpectrumResult(spec, np.sort(raw))
+    raw = s * np.sort(raw)
+    if not np.isfinite(raw).all():
+        raise ValueError(f"level {np.argmin(np.isfinite(raw))} of {spec} overflows a double")
+    return SpectrumResult(spec, raw)
 
 
 def eigen_residual(spec: ModelSpec) -> float:
     """Max relative residual ||H x - lambda x|| / ||H|| over all pairs.
 
     Recomputes eigenvectors with the divide-and-conquer tridiagonal
-    solver; intended as a spot check for moderate dimensions.
+    solver on the unit-scale chain; a spot check for moderate dimensions.
     """
-    d, e = _chain(spec)
+    d, e = _chain(spec.unit_scale()[0])
     w, vecs = eigh_tridiagonal(d, e)
     hv = d[:, None] * vecs
     hv[:-1] += e[:, None] * vecs[1:]

@@ -365,19 +365,15 @@ def phase_correction(s_eps):
 PERIOD_NODES = 1024  # Gauss-Chebyshev nodes per allowed region of T(E)
 _PERIOD_BLOCK = 64  # regions per quadrature block: 1 MB complex arrays
 
-# why _periods gives no period at an energy; 0 means it gave one
-_OUT_OF_BAND, _SADDLE_ROOT, _NOT_POSITIVE = 1, 2, 3
-
 
 def _region_periods(roots, lead, p_left, p_right, cos_theta):
-    """Twice the time across each region, and why a region has none.
+    """Twice the time across each region; NaN beside a saddle, where it diverges.
 
     Each region's band polynomial is deflated by its two bounding roots
     (_deflated_quotient), and the quotient is integrated with
     Gauss-Chebyshev nodes, which absorb the inverse-square-root
-    endpoints exactly.  A region holding a leftover real root (a saddle
-    turning point) or with a quotient not positive is flagged
-    _SADDLE_ROOT or _NOT_POSITIVE.
+    endpoints exactly.  A region beside a saddle holds a leftover real
+    root (a saddle turning point) or a quotient that is not positive.
     """
     span = np.maximum(p_right - p_left, 1e-300)[:, None]
     half = (0.5 * (p_right - p_left))[:, None]
@@ -388,39 +384,29 @@ def _region_periods(roots, lead, p_left, p_right, cos_theta):
     saddle = np.any((np.abs(rest.imag) < 1e-9)
                     & (rest.real >= p_left[:, None] - 1e-10 * span)
                     & (rest.real <= p_right[:, None] + 1e-10 * span), axis=1)
-    status = np.where(saddle, _SADDLE_ROOT,
-                      np.where(np.any(quotient <= 0.0, axis=1), _NOT_POSITIVE, 0))
     with np.errstate(invalid="ignore", divide="ignore"):
         period = 2.0 * (pi / PERIOD_NODES) * np.sum(1.0 / np.sqrt(quotient), axis=1)
-    return period, status
+    return np.where(saddle | np.any(quotient <= 0.0, axis=1), np.nan, period)
 
 
 def _periods(spec: ModelSpec, energies):
-    """Mean-field period T(E) at an array of energies, and a status each.
+    """Mean-field period T(E) at an array of energies, and its region count.
 
     T(E) sums the regions of an energy (_turning) in p order
-    (_region_periods).  The status is 0 where T is finite; otherwise T
-    is NaN and the status is _OUT_OF_BAND, or the fault of the first
-    faulty region in p order.  All at unit scale (ModelSpec.unit_scale).
+    (_region_periods); it is NaN out of band, where the count is 0, and
+    where a region's period diverges.  All at unit scale (ModelSpec.unit_scale).
     """
     spec, s = spec.unit_scale()
     energies = np.asarray(energies, dtype=float) / s
-    total = np.zeros(len(energies))
-    status = np.full(len(energies), _OUT_OF_BAND)
     tp = _turning(spec, energies)
-    status[tp.row] = 0
+    count = np.bincount(tp.row, minlength=len(energies))
+    total = np.where(count == 0, np.nan, 0.0)
     cos_theta = np.cos(pi * (np.arange(PERIOD_NODES) + 0.5) / PERIOD_NODES)
-    fault = np.zeros(len(tp.row), dtype=int)
     for b in range(0, len(tp.row), _PERIOD_BLOCK):
         blk = slice(b, b + _PERIOD_BLOCK)
-        period, fault[blk] = _region_periods(tp.roots[tp.row[blk]], tp.lead, tp.left[blk],
-                                             tp.right[blk], cos_theta)
-        np.add.at(total, tp.row[blk], period)
-    faulty = np.nonzero(fault)[0]
-    first_rows, first = np.unique(tp.row[faulty], return_index=True)
-    status[first_rows] = fault[faulty[first]]
-    total[status != 0] = np.nan
-    return total / s, status
+        np.add.at(total, tp.row[blk], _region_periods(tp.roots[tp.row[blk]], tp.lead,
+                                                      tp.left[blk], tp.right[blk], cos_theta))
+    return total / s, count
 
 
 def orbit_period(spec: ModelSpec, energy: float) -> float:
@@ -429,15 +415,11 @@ def orbit_period(spec: ModelSpec, energy: float) -> float:
     Raises OutOfBandError outside the band and PeriodDivergenceError at
     saddle energies.
     """
-    period, status = _periods(spec, [energy])
-    if status[0] == _OUT_OF_BAND:
+    period, count = _periods(spec, [energy])
+    if count[0] == 0:
         raise OutOfBandError(f"E = {energy} is outside the classical band")
-    if status[0] == _SADDLE_ROOT:
-        raise PeriodDivergenceError(
-            f"period diverges: saddle turning point inside region at E = {energy}"
-        )
-    if status[0] == _NOT_POSITIVE:
-        raise PeriodDivergenceError(f"deflated factor not positive at E = {energy}")
+    if np.isnan(period[0]):
+        raise PeriodDivergenceError(f"the period diverges at E = {energy}, a saddle energy")
     return float(period[0])
 
 
@@ -470,15 +452,10 @@ def dos_semiclassical(spec: ModelSpec, energies) -> DosCurve:
 # the area kernel
 
 
-# which form _area_terms took at an energy, besides _OUT_OF_BAND
-_SUMMED, _TWO_REGIONS, _CONTINUED = 0, 4, 5
-
-
 @dataclass(frozen=True)
 class _AreaTerms:
-    """The areas of an array of energies and the form each took (_area_terms)."""
+    """The areas of an array of energies (_area_terms); NaN where none is computed."""
 
-    status: np.ndarray  # _OUT_OF_BAND, _SUMMED, _TWO_REGIONS or _CONTINUED
     total: np.ndarray  # the regions' sum S, or S_l + S_r across a barrier
     left: np.ndarray  # S_l, S_r and the signed barrier parameter; NaN
     right: np.ndarray  # where no barrier applies
@@ -535,7 +512,6 @@ def _area_terms(spec: ModelSpec, energies, shift=None, barrier: bool = False) ->
     last = np.append(tp.row[1:] != tp.row[:-1], True)
     total = (np.bincount(tp.row, weights=area, minlength=size)
              - TWO_PI * np.bincount(tp.row[tp.upper_right & ~last], minlength=size))
-    status = np.where(count == 0, _OUT_OF_BAND, _SUMMED)
     total[count == 0] = np.nan
     left, right, s_eps = np.full((3, size), np.nan)
     if barrier:
@@ -544,7 +520,6 @@ def _area_terms(spec: ModelSpec, energies, shift=None, barrier: bool = False) ->
         left[two], right[two] = area[k], area[k + 1]
         total[two] = left[two] + right[two] - TWO_PI * tp.upper_right[k]
         s_eps[two] = _gap_barrier(spec, energies[two], tp.right[k], tp.left[k + 1])
-        status[two] = _TWO_REGIONS
         z = _continued_pairs(energies, tp)
         one = np.nonzero(~np.isnan(z))[0]
         if len(one):
@@ -558,12 +533,11 @@ def _area_terms(spec: ModelSpec, energies, shift=None, barrier: bool = False) ->
                                           s_tilde[len(one):])
             total[one] = left[one] + right[one]
             s_eps[one] = _continued_barrier(spec, e, z)
-            status[one] = _CONTINUED
-    return _AreaTerms(status, total, left, right, s_eps)
+    return _AreaTerms(total, left, right, s_eps)
 
 
 def _matching_areas(spec: ModelSpec, terms: _AreaTerms) -> np.ndarray:
-    """Area form of the matching condition where a barrier applies, S elsewhere.
+    """Area form of the matching condition where S_r (a barrier) is set, S elsewhere.
 
     The residual cos(A - phi) + a*cos(B), with A, B = (S_l +- S_r)/(2*eta),
     phi = s_phi and a = 1/sqrt(1 + kappa^2) < 1, factors exactly
@@ -576,7 +550,7 @@ def _matching_areas(spec: ModelSpec, terms: _AreaTerms) -> np.ndarray:
     barrier continuation is usable (see _continued_pairs).
     """
     area = terms.total.copy()
-    k = np.nonzero(terms.status >= _TWO_REGIONS)[0]
+    k = np.nonzero(~np.isnan(terms.right))[0]
     s_eps = terms.s_eps[k]
     s_phi = phase_correction(s_eps)
     with np.errstate(over="ignore"):
@@ -870,12 +844,12 @@ def _piece(spec: ModelSpec, table, lo: float, hi: float, mirrored: bool, tag: st
     Roots and edges (E, A(E)) come from _area_levels, with the matching
     area unless the tag is SINGLE_WELL; where the tag is ABOVE_BARRIER,
     the roots step past the continuation's end (_step_past_continuation).
-    A mirrored plan is solved on spec.mirrored(), with E and the table
-    negated, and mapped back by nu -> dim - 1 - nu and A -> 2*pi - A.
+    A mirrored plan is solved on spec.mirrored(), with E, the table and
+    the scale negated, and mapped back by nu -> dim - 1 - nu and A -> 2*pi - A.
     """
     if mirrored:
         spec, table = spec.mirrored(), (-table[0][::-1], -table[1][::-1])
-        lo, hi = -hi, -lo
+        lo, hi, scale = -hi, -lo, -scale
     area = _IntervalArea(spec, table, tag != SINGLE_WELL, scale)
     roots, edges = _area_levels(spec, lo, hi, area)
     if tag == ABOVE_BARRIER:

@@ -302,6 +302,33 @@ class TestBifurcations:
         events = meanfield.classify_bifurcations(spec)
         assert events and meanfield.classify_bifurcations(spec.with_eps(1e200)) == events
 
+    def test_saddle_nodes_at_every_scale_of_r0(self):
+        # two events per inflection point at eps_c = +-v r'(p), with
+        # r' = (r/2)(m/(1/2+p) - n/(1/2-p)); the slope scales with r0,
+        # down to 3.2e-16 at (13, 13)
+        v = 1.3
+        for m in range(1, 21):
+            for n in range(1, 21):
+                spec = ModelSpec(m, n, m * n, v=v)
+                events = [ev for ev in meanfield.classify_bifurcations(spec)
+                          if ev.kind == "saddle_node"]
+                inflections = meanfield.inflection_points(spec)
+                assert len(events) == 2 * len(inflections), (m, n)
+                for ev in events:
+                    p = ev.location
+                    r = meanfield.radius(spec, p)
+                    slope = 0.5 * r * (m / (0.5 + p) - n / (0.5 - p))
+                    assert abs(ev.eps_critical) == pytest.approx(v * abs(slope), rel=1.1e-15)
+        events = meanfield.classify_bifurcations(ModelSpec(13, 13, 169, v=1.0))
+        assert sorted({ev.eps_critical for ev in events}) == [-3.1679536660606498e-16,
+                                                               3.1679536660606498e-16]
+
+    def test_f_not_normal_at_an_inflection_point(self):
+        # at (70, 83) f is exactly 0 at an inflection point, and v^2/eps_c
+        # would divide by zero
+        with pytest.raises(ValueError, match="not a normal double at m = 70, n = 83"):
+            meanfield.classify_bifurcations(ModelSpec(70, 83, 70 * 83, v=1.0))
+
     def test_no_events_on_bloch_sphere(self):
         assert meanfield.classify_bifurcations(ModelSpec(1, 1, 4, v=1.0)) == []
 

@@ -89,6 +89,7 @@ class TestCovariance:
             "fixed-point rates": ([fp.rate for fp in fps], 1),
             "fixed-point kinds": ([(fp.p, fp.sx, fp.stability) for fp in fps], 0),
             "WKB levels": (semiclassics.semiclassical_spectrum(spec).energies, 1),
+            "exact levels": (quantum.eigen_spectrum(spec).raw_eigenvalues, 1),
             "Sturm counts": (quantum.level_counts(spec, energies), 0),
             "bin edges": (hist.bin_edges, 1),
             "histogram density": (hist.density, -1),

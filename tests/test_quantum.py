@@ -18,8 +18,10 @@ def reference_chain(spec: ModelSpec):
 
 
 def reference_spectrum(spec: ModelSpec) -> np.ndarray:
-    """eigen_spectrum's raw levels as scipy's checked wrapper gives them."""
-    return np.sort(eigvalsh_tridiagonal(*reference_chain(spec), lapack_driver="sterf"))
+    """eigen_spectrum's raw levels: s times those that scipy's checked wrapper
+    gives on the chain at unit scale (ModelSpec.unit_scale)."""
+    unit, s = spec.unit_scale()
+    return s * np.sort(eigvalsh_tridiagonal(*reference_chain(unit), lapack_driver="sterf"))
 
 
 def assert_same_bits(got, want):
@@ -217,7 +219,7 @@ class TestEigenSpectrum:
         # N = 400: eps * z reaches 1e308 * 200, and (v / 2) sqrt(beta) 5e307 * 200
         spec = ModelSpec(1, 1, 400, eps=eps, v=v)
         with np.errstate(over="ignore"):
-            with pytest.raises(ValueError, match="chain must not contain infs or NaNs"):
+            with pytest.raises(ValueError, match=r"level 0 of .* overflows a double"):
                 quantum.eigen_spectrum(spec)
 
     def test_lapack_failure_is_linalg_error(self, monkeypatch):

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import re
 from itertools import groupby
 from math import pi, sqrt, exp
 from pathlib import Path
@@ -34,6 +36,21 @@ def turning(spec, energy):
 def orbit_areas(spec, energies):
     """The orbit area S(E) at each energy (semiclassics._area_terms)."""
     return semiclassics._area_terms(spec, np.asarray(energies, dtype=float)).total
+
+
+def area_forms(spec, energies, terms):
+    """The form each area of `terms` (semiclassics._area_terms) took.
+
+    'oob' out of band, 'sum' the plain sum of the regions, 'two' the
+    barrier terms across the gap of two regions and 'pair' those through
+    a continued root pair; read from the region count of _turning and
+    from which of S and S_r are NaN.
+    """
+    count = np.bincount(semiclassics._turning(spec, energies).row, minlength=len(energies))
+    forms = np.where(np.isnan(terms.right), "sum", np.where(count == 2, "two", "pair"))
+    forms[count == 0] = "oob"
+    assert np.isnan(terms.total[count == 0]).all()
+    return forms.tolist()
 
 
 def area_below_oracle(spec, energy, n=400001):
@@ -145,11 +162,12 @@ class TestActionArea:
         assert coarse != fine and abs(coarse - fine) < 1e-9
 
     def test_errors(self):
-        # out of band the area kernel flags the energy, and orbit_period raises
+        # out of band the area kernel gives NaN, and orbit_period raises
         spec = ModelSpec(2, 1, 80, eps=0.5, v=1.0)
         _, emax = band_range(spec)
-        terms = semiclassics._area_terms(spec, np.array([0.1, emax + 1.0]))
-        assert terms.status.tolist() == [semiclassics._SUMMED, semiclassics._OUT_OF_BAND]
+        energies = np.array([0.1, emax + 1.0])
+        terms = semiclassics._area_terms(spec, energies)
+        assert area_forms(spec, energies, terms) == ["sum", "oob"]
         assert np.isfinite(terms.total[0]) and np.isnan(terms.total[1])
         with pytest.raises(OutOfBandError):
             orbit_period(spec, emax + 1.0)
@@ -187,8 +205,9 @@ class TestTunneling:
     def _signed(self, *energies):
         # across the real gap of two regions, or through the complex pair
         # nearest the axis inside one region
-        terms = semiclassics._area_terms(self.spec, np.array(energies), None, True)
-        assert np.isin(terms.status, [semiclassics._TWO_REGIONS, semiclassics._CONTINUED]).all()
+        energies = np.array(energies)
+        terms = semiclassics._area_terms(self.spec, energies, None, True)
+        assert set(area_forms(self.spec, energies, terms)) <= {"two", "pair"}
         return terms.s_eps
 
     def test_vanishes_at_barrier_top(self):
@@ -595,8 +614,8 @@ class TestBatchedPeriods:
         energy = float.fromhex("0x1.160a2afbf6823p-1")
         assert band_range(spec)[1] - energy == pytest.approx(1e-15, rel=0.01)
         assert len(turning(spec, energy).row) == 1
-        period, status = semiclassics._periods(spec, np.array([energy]))
-        assert status[0] == 0 and period[0].hex() == "0x1.c62743913d9ffp+1"
+        period, count = semiclassics._periods(spec, np.array([energy]))
+        assert count[0] == 1 and period[0].hex() == "0x1.c62743913d9ffp+1"
 
     def test_nan_where_no_period(self):
         spec = ModelSpec(2, 1, 80, eps=0.5, v=1.0)
@@ -605,24 +624,23 @@ class TestBatchedPeriods:
         grid = np.array([0.1, saddle.energy + 0.5e-6, emax + 0.2, saddle.energy - 1e-3])
         vals = semiclassics.dos_semiclassical(spec, grid).density
         assert np.isfinite(vals[[0, 3]]).all() and np.isnan(vals[[1, 2]]).all()
-        period, status = semiclassics._periods(spec, grid)
-        assert status[2] == semiclassics._OUT_OF_BAND and np.isnan(period[2])
+        period, count = semiclassics._periods(spec, grid)
+        assert count[2] == 0 and np.isnan(period[2])
 
-    @pytest.mark.parametrize("spec,offset,status,message", [
+    @pytest.mark.parametrize("spec,offset", [
         # quotient <= 0 at a saddle of a pinched pole
-        (ModelSpec(1, 3, 120, eps=-0.3), 0.0, semiclassics._NOT_POSITIVE,
-         "deflated factor not positive"),
+        (ModelSpec(1, 3, 120, eps=-0.3), 0.0),
         # a leftover real root inside the region, beside a conical pole
-        (ModelSpec(2, 2, 160, eps=0.08), -1e-11, semiclassics._SADDLE_ROOT,
-         "saddle turning point inside region"),
+        (ModelSpec(2, 2, 160, eps=0.08), -1e-11),
     ])
-    def test_divergent_period_is_nan(self, spec, offset, status, message):
+    def test_divergent_period_is_nan(self, spec, offset):
         saddle = [f for f in meanfield.find_fixed_points(spec) if f.stability == "saddle"]
         energy = saddle[0].energy + offset
-        period, got = semiclassics._periods(spec, np.array([0.0, energy]))
-        assert got.tolist() == [0, status]
+        period, count = semiclassics._periods(spec, np.array([0.0, energy]))
+        assert (count > 0).all()
         assert np.isfinite(period[0]) and np.isnan(period[1])
-        with pytest.raises(PeriodDivergenceError, match=message):
+        with pytest.raises(PeriodDivergenceError,
+                           match=re.escape(f"the period diverges at E = {energy}, a saddle energy")):
             orbit_period(spec, energy)
         # the saddle margin masks it in the curve
         assert np.isnan(semiclassics.dos_semiclassical(spec, np.array([energy])).density[0])
@@ -632,8 +650,6 @@ class TestAreaKernel:
     """The batched area kernel against the scalar areas it replaced."""
 
     DATA = SCALAR_AREAS
-    FORMS = {"oob": semiclassics._OUT_OF_BAND, "sum": semiclassics._SUMMED,
-             "two": semiclassics._TWO_REGIONS, "pair": semiclassics._CONTINUED}
 
     @pytest.mark.parametrize("m", range(1, 5))
     @pytest.mark.parametrize("n", range(1, 5))
@@ -652,14 +668,16 @@ class TestAreaKernel:
             summed = semiclassics._area_terms(spec, energies, shifts)
             free = semiclassics._area_terms(spec, energies, shifts, True)
             matching = semiclassics._matching_areas(spec, free)
+            forms = area_forms(spec, energies, free)
+            plain_forms = area_forms(spec, energies, plain)
             for k, (energy, labels, form, *areas) in enumerate(rows):
                 here = tp.row == k
                 got = "".join("UL"[not a] + "UL"[not b] for a, b in
                               zip(tp.upper_left[here], tp.upper_right[here]))
                 assert got == labels, (spec, energy)
-                assert free.status[k] == self.FORMS[form], (spec, energy)
+                assert forms[k] == form, (spec, energy)
                 if form == "oob":
-                    assert np.isnan(matching[k]) and plain.status[k] == semiclassics._OUT_OF_BAND
+                    assert np.isnan(matching[k]) and plain_forms[k] == "oob"
                     continue
                 # areas[3] is the matching area of a pair rule keyed on the
                 # barrier location, which the kernel does not have
@@ -676,8 +694,7 @@ class TestAreaKernel:
         terms = semiclassics._area_terms(spec, energies, np.full(3, 0.002), True)
         areas = semiclassics._matching_areas(spec, terms)
         plain = semiclassics._area_terms(spec, energies, np.full(3, 0.002)).total
-        assert terms.status.tolist() == [semiclassics._TWO_REGIONS, semiclassics._CONTINUED,
-                                         semiclassics._SUMMED]
+        assert area_forms(spec, energies, terms) == ["two", "pair", "sum"]
         periods, _ = semiclassics._periods(spec, energies)
         # the same arithmetic, up to the rounding of the vector loops
         for k, e in enumerate(energies):
@@ -708,6 +725,24 @@ class TestAreaKernel:
         with pytest.raises(semiclassics.QuantizationError, match="unresolved at E = "):
             semiclassics._lockstep_roots(holed, np.array([0.2]), *ends, holed(ends[0]),
                                          holed(ends[1]))
+
+    def test_mirrored_error_names_the_callers_energy(self, monkeypatch):
+        # the double well of (1,4, eps=0.5) at E = 0.2361 is solved mirrored,
+        # at -E on (4,1); an area unresolved around that level must be
+        # reported at +E, inside the window
+        spec, level = ModelSpec(1, 4, 160, eps=0.5), 0.2361
+        kernel = semiclassics._area_terms
+
+        def holed(unit, energies, *args):
+            terms = kernel(unit, energies, *args)
+            near = np.abs(np.abs(energies) - level) < 2e-3
+            return dataclasses.replace(terms, total=np.where(near, np.nan, terms.total))
+
+        monkeypatch.setattr(semiclassics, "_area_terms", holed)
+        with pytest.raises(semiclassics.QuantizationError, match="unresolved at E = ") as err:
+            semiclassical_spectrum(spec)
+        energy = float(re.search(r"E = (\S+),", str(err.value)).group(1))
+        assert abs(energy - level) < 2e-3
 
 
 class TestPinnedLevels:
@@ -889,7 +924,7 @@ class TestBarrierActions:
         saddle = [f for f in meanfield.find_fixed_points(spec) if f.stability == "saddle"][0]
         energies = saddle.energy + np.array([1e-3, 1e-2, 5e-2])
         terms = barrier_terms(spec, energies)
-        assert (terms.status == semiclassics._CONTINUED).all()
+        assert area_forms(spec, energies, terms) == ["pair"] * 3
         assert terms.total == pytest.approx(orbit_areas(spec, energies), abs=1e-8)
         assert (terms.s_eps < 0).all()
 
@@ -897,7 +932,7 @@ class TestBarrierActions:
         spec = ModelSpec(4, 1, 160, eps=0.5, v=1.0)
         saddle = [f for f in meanfield.find_fixed_points(spec) if f.stability == "saddle"][0]
         terms = barrier_terms(spec, [saddle.energy - 5e-3])
-        assert terms.status[0] == semiclassics._TWO_REGIONS
+        assert area_forms(spec, np.array([saddle.energy - 5e-3]), terms) == ["two"]
         assert terms.s_eps[0] > 0
         assert terms.left[0] > 0 and terms.right[0] > 0
         assert terms.total[0] == terms.left[0] + terms.right[0]
@@ -909,7 +944,7 @@ class TestBarrierActions:
         energy = 0.04956
         terms = barrier_terms(spec, [energy])
         total = terms.total[0]
-        assert terms.status[0] == semiclassics._TWO_REGIONS
+        assert area_forms(spec, np.array([energy]), terms) == ["two"]
         assert total == pytest.approx(terms.left[0] + terms.right[0] - 2 * pi, abs=1e-12)
         assert total == pytest.approx(orbit_areas(spec, [energy])[0], abs=1e-12)
         assert total == pytest.approx(6.0704, abs=1e-4)
@@ -1096,7 +1131,7 @@ class TestNegativeCoupling:
         bounds, shifts, _, _ = semiclassics._structure_boundaries(spec)
         shift = np.interp(energies, bounds, shifts)
         terms = [semiclassics._area_terms(s, energies, shift, barrier=True) for s in (spec, neg)]
-        for field in ("status", "total", "left", "right", "s_eps"):
+        for field in ("total", "left", "right", "s_eps"):
             assert getattr(terms[0], field).tobytes() == getattr(terms[1], field).tobytes(), field
         dos = [semiclassics.dos_semiclassical(s, energies).density for s in (spec, neg)]
         assert dos[0].tobytes() == dos[1].tobytes()
