@@ -95,7 +95,7 @@ def _stacked_roots(coeffs: np.ndarray) -> np.ndarray:
 
 
 def _regions(spec: ModelSpec, energies: np.ndarray, roots: np.ndarray):
-    """Real turning points of every energy, its allowed regions and their labels.
+    """Real turning points of every energy, its allowed regions, their labels and pair.
 
     The real roots lie in [-1/2, 1/2], are clipped to it, and come back
     sorted in `points`, one row per energy padded with inf.  They and the
@@ -108,6 +108,13 @@ def _regions(spec: ModelSpec, energies: np.ndarray, roots: np.ndarray):
     E - eps*p = +-|v| r(p) vanishes to rounding for orbits hugging a pole,
     but E above U+ or below U- is well separated there.  Where neither
     holds, the end is on U+ when E >= eps*p.
+
+    Each energy also gets its region count, its first region (where the
+    count is not 0) and its continued pair: with one region, the
+    upper-half root inside it nearest the real axis, where a barrier's
+    turning points go above its top.  Further from the axis than half
+    the region's width it belongs to some other structure and is NaN,
+    as where no pair exists, and callers take the plain rule.
     """
     tol_im = ROOT_IMAG_TOL * (1.0 + np.abs(energies))
     re = roots.real
@@ -135,7 +142,17 @@ def _regions(spec: ModelSpec, energies: np.ndarray, roots: np.ndarray):
     gap, vr = gap[beyond], vr[beyond]
     tie = energies[np.tile(row, 2)] >= spec.eps * np.concatenate((left, right))
     upper = np.where(gap > vr, True, np.where(gap < -vr, False, tie))
-    return points, row, left, right, upper[:len(row)], upper[len(row):]
+    regions = np.bincount(row, minlength=count)
+    first = np.minimum(np.searchsorted(row, np.arange(count)), len(row) - 1)
+    pair = np.full(count, np.nan + 0j)
+    one = np.flatnonzero(regions == 1)
+    if len(one):
+        z, k = roots[one], first[one]
+        inside = (z.imag > tol_im[one, None]) & (left[k, None] < z.real) & (z.real < right[k, None])
+        imag = np.where(inside, z.imag, np.inf)
+        near = np.arange(len(one)), np.argmin(imag, axis=1)  # inf: no root inside
+        pair[one] = np.where(imag[near] <= 0.5 * (right[k] - left[k]), z[near], np.nan)
+    return points, row, left, right, upper[:len(row)], upper[len(row):], regions, first, pair
 
 
 @dataclass(frozen=True)
@@ -146,7 +163,8 @@ class _Turning:
     `points` the real ones (_regions).  The allowed regions are flat
     arrays, in row order and within a row in p order: the row of their
     energy, their two ends and the branch labels of the ends (True on
-    U+).  `lead` is the leading coefficient of the band polynomial.
+    U+).  `count`, `first` and `pair` hold each energy's (_regions), and
+    `lead` is the leading coefficient of the band polynomial.
     """
 
     lead: float
@@ -157,10 +175,13 @@ class _Turning:
     right: np.ndarray
     upper_left: np.ndarray
     upper_right: np.ndarray
+    count: np.ndarray
+    first: np.ndarray
+    pair: np.ndarray
 
 
 def _turning(spec: ModelSpec, energies: np.ndarray) -> _Turning:
-    """Roots, real turning points, allowed regions and their labels at every energy."""
+    """Roots, real turning points, allowed regions, labels and pairs at every energy."""
     coeffs = _band_poly_coeffs(spec, energies)
     lead = coeffs[0, -1] if len(energies) else 0.0
     if lead == 0.0:  # v = 0: -(E - eps*p)^2 allows no region
@@ -399,14 +420,13 @@ def _periods(spec: ModelSpec, energies):
     spec, s = spec.unit_scale()
     energies = np.asarray(energies, dtype=float) / s
     tp = _turning(spec, energies)
-    count = np.bincount(tp.row, minlength=len(energies))
-    total = np.where(count == 0, np.nan, 0.0)
+    total = np.where(tp.count == 0, np.nan, 0.0)
     cos_theta = np.cos(pi * (np.arange(PERIOD_NODES) + 0.5) / PERIOD_NODES)
     for b in range(0, len(tp.row), _PERIOD_BLOCK):
         blk = slice(b, b + _PERIOD_BLOCK)
         np.add.at(total, tp.row[blk], _region_periods(tp.roots[tp.row[blk]], tp.lead,
                                                       tp.left[blk], tp.right[blk], cos_theta))
-    return total / s, count
+    return total / s, tp.count
 
 
 def orbit_period(spec: ModelSpec, energy: float) -> float:
@@ -462,32 +482,6 @@ class _AreaTerms:
     s_eps: np.ndarray
 
 
-def _continued_pairs(energies, tp: _Turning):
-    """Upper-half root continuing a barrier's turning points; NaN where none is usable.
-
-    Only an energy with one allowed region has one.  Near the barrier top
-    the pair sits close to the real axis at the barrier location, inside
-    the region, and the pair nearest the axis is taken.  A pair far from
-    the axis (relative to the region width) belongs to some other
-    structure, and a contour through it is unreliable; by then the
-    barrier correction is dead anyway, so callers fall back to the plain
-    rule.
-    """
-    count = np.bincount(tp.row, minlength=len(energies))
-    one = count == 1
-    if not one.any():
-        return np.full(len(energies), np.nan + 0j)
-    k = np.minimum(np.searchsorted(tp.row, np.arange(len(energies))), len(tp.row) - 1)
-    p_left, p_right = tp.left[k], tp.right[k]
-    z = tp.roots
-    tol_im = ROOT_IMAG_TOL * (1.0 + np.abs(energies))
-    inside = (one[:, None] & (z.imag > tol_im[:, None]) & (-0.5 < z.real) & (z.real < 0.5)
-              & (p_left[:, None] < z.real) & (z.real < p_right[:, None]))
-    z = z[np.arange(len(energies)), np.argmin(np.where(inside, z.imag, np.inf), axis=1)]
-    usable = inside.any(axis=1) & (z.imag <= 0.5 * (p_right - p_left))
-    return np.where(usable, z, np.nan)
-
-
 def _area_terms(spec: ModelSpec, energies, shift=None, barrier: bool = False) -> _AreaTerms:
     """Areas at an array of energies: the plain sum, and the barrier terms if asked.
 
@@ -498,7 +492,7 @@ def _area_terms(spec: ModelSpec, energies, shift=None, barrier: bool = False) ->
     gap.  With `barrier`, an energy with two regions also gets S_l and
     S_r from its regions and the signed barrier parameter from the real
     gap between them (_gap_barrier); an energy with one region and a
-    usable continued pair (_continued_pairs) gets both partial areas
+    usable continued pair (_Turning.pair) gets both partial areas
     continued through the same upper-half complex turning point, so
     their sum stays exactly the single-region area, and the parameter
     from the contour between the pair (_continued_barrier).  `shift`
@@ -507,32 +501,29 @@ def _area_terms(spec: ModelSpec, energies, shift=None, barrier: bool = False) ->
     energies = np.asarray(energies, dtype=float)
     size = len(energies)
     tp = _turning(spec, energies)
-    count = np.bincount(tp.row, minlength=size)
     area = _region_areas(spec, energies, tp, shift)
     last = np.append(tp.row[1:] != tp.row[:-1], True)
     total = (np.bincount(tp.row, weights=area, minlength=size)
              - TWO_PI * np.bincount(tp.row[tp.upper_right & ~last], minlength=size))
-    total[count == 0] = np.nan
+    total[tp.count == 0] = np.nan
     left, right, s_eps = np.full((3, size), np.nan)
     if barrier:
-        two = np.nonzero(count == 2)[0]
-        k = np.searchsorted(tp.row, two)
+        two = np.nonzero(tp.count == 2)[0]
+        k = tp.first[two]
         left[two], right[two] = area[k], area[k + 1]
         total[two] = left[two] + right[two] - TWO_PI * tp.upper_right[k]
         s_eps[two] = _gap_barrier(spec, energies[two], tp.right[k], tp.left[k + 1])
-        z = _continued_pairs(energies, tp)
-        one = np.nonzero(~np.isnan(z))[0]
-        if len(one):
-            k, z, e = np.searchsorted(tp.row, one), z[one], energies[one]
-            s = None if shift is None else np.tile(shift[one], 2)
-            s_tilde = _contour_actions(spec, np.tile(e, 2), np.concatenate((tp.left[k] + 0j, z)),
-                                       np.concatenate((z, tp.right[k] + 0j)), s).real
-            left[one] = _area_from_cases(tp.left[k], z.real, tp.upper_left[k], False,
-                                         s_tilde[:len(one)])
-            right[one] = _area_from_cases(z.real, tp.right[k], False, tp.upper_right[k],
-                                          s_tilde[len(one):])
-            total[one] = left[one] + right[one]
-            s_eps[one] = _continued_barrier(spec, e, z)
+        one = np.nonzero(~np.isnan(tp.pair))[0]
+        k, z, e = tp.first[one], tp.pair[one], energies[one]
+        s = None if shift is None else np.tile(shift[one], 2)
+        s_tilde = _contour_actions(spec, np.tile(e, 2), np.concatenate((tp.left[k] + 0j, z)),
+                                   np.concatenate((z, tp.right[k] + 0j)), s).real
+        left[one] = _area_from_cases(tp.left[k], z.real, tp.upper_left[k], False,
+                                     s_tilde[:len(one)])
+        right[one] = _area_from_cases(z.real, tp.right[k], False, tp.upper_right[k],
+                                      s_tilde[len(one):])
+        total[one] = left[one] + right[one]
+        s_eps[one] = _continued_barrier(spec, e, z)
     return _AreaTerms(total, left, right, s_eps)
 
 
@@ -547,7 +538,7 @@ def _matching_areas(spec: ModelSpec, terms: _AreaTerms) -> np.ndarray:
     plain-well target, and 2*eta*Phi is the area returned: a tunnelling
     doublet is two neighbouring targets.  As the barrier correction dies
     out (a, phi -> 0) it passes into S(E), which is returned where no
-    barrier continuation is usable (see _continued_pairs).
+    barrier continuation is usable (see _regions).
     """
     area = terms.total.copy()
     k = np.nonzero(~np.isnan(terms.right))[0]
@@ -802,7 +793,7 @@ def _step_past_continuation(spec: ModelSpec, lo: float, hi: float, area: _Interv
                             roots: dict, edges) -> None:
     """Move the roots taken before the step where a barrier continuation ends.
 
-    Where _continued_pairs gives up, the matching area steps from its
+    Where no continued pair is usable, the matching area steps from its
     continued form to S(E).  Within a few eta of a pinched pole the
     first-order term can make that a step down past a target, which then
     has three roots: the one before the step comes from the term alone,
@@ -812,15 +803,12 @@ def _step_past_continuation(spec: ModelSpec, lo: float, hi: float, area: _Interv
     span before the first where no pair is usable; the moved roots are
     then solved together (_lockstep_roots).
     """
-    def usable(e):
-        return ~np.isnan(_continued_pairs(e, _turning(spec, e)))
-
-    if not roots or usable(np.array([hi]))[0]:
+    if not roots or not np.isnan(_turning(spec, np.array([hi])).pair[0]):
         return
     a, b = lo, hi
     while b - a > 1e-12 * (1.0 + abs(a) + abs(b)):
         probes = np.linspace(a, b, _STEP_PROBES + 2)[1:-1]
-        off = np.flatnonzero(~usable(probes))
+        off = np.flatnonzero(np.isnan(_turning(spec, probes).pair))
         if len(off):
             a, b = (probes[off[0] - 1] if off[0] else a), probes[off[0]]
         else:

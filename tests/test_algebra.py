@@ -114,6 +114,9 @@ def test_structure_polynomial_degrees(m, n):
 
 @pytest.mark.parametrize("m,n,N,eps", [
     (3, 3, 1800, 0.08), (3, 3, 7200, 0.08), (2, 2, 1600, 0.6), (4, 4, 3200, 0.1), (1, 4, 4000, 0.3),
+    # a difference of order k sums 2^k rounded values: a fixed threshold
+    # read deg F = 28 at m = n = 13
+    (12, 12, 1440, 0.0), (13, 13, 1690, 0.0), (10, 15, 1500, 0.0),
 ])
 def test_verify_structure_degree_at_large_n(m, n, N, eps, monkeypatch):
     from kummer import verify

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kummer import cli, meanfield, serialize
+from kummer import algebra, cli, meanfield, quantum, serialize, verify
 from kummer.cli import UsageError, main, parse_config
 from kummer.model import ModelSpec
 from kummer.semiclassics import SADDLE_MARGIN
@@ -441,6 +441,37 @@ def test_verify_passes_at_every_energy_scale(tmp_path, capsys, scale):
     assert main(f"verify --m 2 --n 2 --N 40 {scale} --out {tmp_path}".split()) == 0
     out = capsys.readouterr().out
     assert "17/17 checks passed" in out and "FAIL" not in out
+
+
+class TestVerifyAtSmallStructureScale:
+    # at eps = 0 and m = n >= 10 the band, the bifurcation slopes and f are
+    # all far below 1, so absolute thresholds at unit scale pass anything
+    SPECS = [ModelSpec(m, m, 40 * m * m) for m in (10, 12, 13)]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=str)
+    def test_poincare_line_names_both_events(self, spec):
+        _, ok, detail = verify.check_poincare_index(spec)
+        groups = detail.split("; ")
+        assert ok and len(groups) == 2, detail
+        assert groups[0].startswith("-") and groups[1].startswith("+"), detail
+        assert groups[0].split(":")[0][1:] == groups[1].split(":")[0][1:] and "e-" in groups[0]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=str)
+    def test_spectrum_bounds_catch_stretched_levels(self, spec, monkeypatch):
+        assert verify.check_spectrum_bounds(spec)[1]
+        exact = quantum.eigen_spectrum
+        monkeypatch.setattr(quantum, "eigen_spectrum", lambda s: quantum.SpectrumResult(
+            s, 1.5 * exact(s).raw_eigenvalues))
+        assert not verify.check_spectrum_bounds(spec)[1]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=str)
+    def test_classical_limit_catches_a_scaled_f(self, spec, monkeypatch):
+        _, ok, detail = verify.check_classical_limit(spec)
+        assert ok and detail.startswith("rate "), detail
+        commutator = algebra.commutator_poly
+        monkeypatch.setattr(algebra, "commutator_poly", lambda s, z: 1.3 * commutator(s, z))
+        _, ok, detail = verify.check_classical_limit(spec)
+        assert not ok, detail
 
 
 def test_dos_curve_states_the_saddle_margin_in_the_callers_units(tmp_path):

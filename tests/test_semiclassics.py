@@ -1170,3 +1170,72 @@ class TestZoneOracle:
                         beyond = (a - 1e-6 * (a - cuts[j - 1]), b + 1e-6 * (cuts[j + 2] - b))
                         for label, p in zip((tp.upper_left[k], tp.upper_right[k]), beyond):
                             assert label == (e - eps * p > 0.0), (spec, e, j)
+
+
+class TestTurningRecord:
+    # the per-energy fields of _turning against independent loops over energies
+    SPECS = [ModelSpec(2, 1, 80, eps=0.5), ModelSpec(4, 1, 160, eps=0.5),
+             ModelSpec(3, 3, 360, eps=0.08), ModelSpec(1, 4, 160, eps=-0.6),
+             ModelSpec(1, 4, 160, eps=1.3), ModelSpec(2, 2, 160, eps=0.6, v=-1.3)]
+
+    @staticmethod
+    def energies(spec):
+        """Energies across the band and beyond it, and beside every fixed-point energy."""
+        fixed = np.array([fp.energy for fp in meanfield.find_fixed_points(spec)])
+        lo, hi, span = fixed.min(), fixed.max(), np.ptp(fixed)
+        beside = fixed[:, None] + span * np.array([-1e-3, -1e-6, 1e-6, 1e-3])
+        return np.concatenate((np.linspace(lo - 0.2 * span, hi + 0.2 * span, 161), beside.ravel()))
+
+    @staticmethod
+    def check(energies, roots, tp):
+        for i, e in enumerate(energies):
+            here = np.flatnonzero(tp.row == i)
+            assert tp.count[i] == len(here)
+            if len(here):
+                assert tp.first[i] == here[0]
+            want = np.nan
+            if len(here) == 1:
+                a, b = tp.left[here[0]], tp.right[here[0]]
+                inside = [z for z in roots[i]
+                          if z.imag > semiclassics.ROOT_IMAG_TOL * (1.0 + abs(e)) and a < z.real < b]
+                if inside and min(z.imag for z in inside) <= 0.5 * (b - a):
+                    want = min(inside, key=lambda z: z.imag)
+            if np.isnan(want):
+                assert np.isnan(tp.pair[i]), (e, tp.pair[i])
+            else:
+                assert tp.pair[i] == want, (e, tp.pair[i], want)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=str)
+    def test_count_first_and_pair(self, spec):
+        energies = self.energies(spec)
+        tp = semiclassics._turning(spec, energies)
+        assert np.array_equal(tp.count, np.bincount(tp.row, minlength=len(energies)))
+        self.check(energies, tp.roots, tp)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=str)
+    @pytest.mark.parametrize("heights", [(0.25, 0.4), (0.75,)])
+    def test_pair_rule_with_decoy_roots(self, spec, heights):
+        # upper-half decoys over the middle of every energy's first region,
+        # at these fractions of its width: near the axis one is the pair
+        # where the energy has one region, beyond half the width none is
+        energies = self.energies(spec)
+        tp = semiclassics._turning(spec, energies)
+        has = tp.count > 0
+        k = tp.first[has]
+        mid, width = 0.5 * (tp.left[k] + tp.right[k]), tp.right[k] - tp.left[k]
+        decoys = np.zeros((len(energies), len(heights)), dtype=complex)
+        decoys[has] = mid[:, None] + 1j * width[:, None] * np.array(heights)
+        decoys[~has] = 2.0 + 1j
+        roots = np.hstack((tp.roots, decoys))
+        record = semiclassics._Turning(tp.lead, roots, *semiclassics._regions(spec, energies, roots))
+        assert np.array_equal(record.count, tp.count) and np.array_equal(record.row, tp.row)
+        assert np.any(record.pair == decoys[:, 0]) == (heights[0] < 0.5)
+        self.check(energies, roots, record)
+
+    def test_no_coupling(self):
+        spec = ModelSpec(2, 1, 80, eps=0.5, v=0.0)
+        energies = np.linspace(-1.0, 1.0, 21)
+        tp = semiclassics._turning(spec, energies)
+        assert tp.roots.shape == (21, 0) and len(tp.row) == 0
+        assert np.array_equal(tp.count, np.zeros(21, dtype=int))
+        assert np.all(np.isnan(tp.pair))
