@@ -31,7 +31,7 @@ orbit_period, is the period kernel at that energy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import ceil, floor, pi
 
 import numpy as np
@@ -95,7 +95,7 @@ def _stacked_roots(coeffs: np.ndarray) -> np.ndarray:
 
 
 def _regions(spec: ModelSpec, energies: np.ndarray, roots: np.ndarray):
-    """Real turning points of every energy, its allowed regions, their labels and pair.
+    """Real turning points of every energy, its allowed regions, their labels and roots.
 
     The real roots lie in [-1/2, 1/2], are clipped to it, and come back
     sorted in `points`, one row per energy padded with inf.  They and the
@@ -109,18 +109,18 @@ def _regions(spec: ModelSpec, energies: np.ndarray, roots: np.ndarray):
     but E above U+ or below U- is well separated there.  Where neither
     holds, the end is on U+ when E >= eps*p.
 
-    Each energy also gets its region count, its first region (where the
-    count is not 0) and its continued pair: with one region, the
-    upper-half root inside it nearest the real axis, where a barrier's
-    turning points go above its top.  Further from the axis than half
-    the region's width it belongs to some other structure and is NaN,
-    as where no pair exists, and callers take the plain rule.
+    Each region also gets `rest`, its energy's other roots in root order
+    (the points sort stably: of two roots at one point the earlier ends a
+    region, the later starts one), and each energy its region count and
+    first region (where the count is not 0).
     """
     tol_im = ROOT_IMAG_TOL * (1.0 + np.abs(energies))
     re = roots.real
     real = ((np.abs(roots.imag) <= tol_im[:, None])
             & (re >= -0.5 - POLE_SLACK) & (re <= 0.5 + POLE_SLACK))
-    points = np.sort(np.where(real, np.clip(re, -0.5, 0.5), np.inf), axis=1)
+    keys = np.where(real, np.clip(re, -0.5, 0.5), np.inf)
+    order = np.argsort(keys, axis=1, kind="stable")  # point j is root order[row, j]
+    points = np.take_along_axis(keys, order, axis=1)
     count, width = points.shape
     last = np.isfinite(points).sum(axis=1)  # zones per row, less one
     cuts = np.hstack((np.full((count, 1), -0.5), points, np.full((count, 1), np.inf)))
@@ -138,33 +138,33 @@ def _regions(spec: ModelSpec, energies: np.ndarray, roots: np.ndarray):
         vr[k] = abs(spec.v) * meanfield.radius(spec, float(mid[k]))
     zone = np.nonzero((j > 0) & (j < last[row]) & (vr**2 - gap**2 > 0.0))[0]
     row, left, right = row[zone], cuts[row[zone], j[zone]], cuts[row[zone], j[zone] + 1]
+    keep = np.ones((len(row), width), dtype=bool)  # less the roots at points j - 1 and j
+    np.put_along_axis(keep, order[row[:, None], j[zone, None] + [-1, 0]], False, axis=1)
+    rest = roots[row][keep].reshape(len(row), max(width - 2, 0))
     beyond = np.concatenate((zone - 1, zone + 1))
     gap, vr = gap[beyond], vr[beyond]
     tie = energies[np.tile(row, 2)] >= spec.eps * np.concatenate((left, right))
     upper = np.where(gap > vr, True, np.where(gap < -vr, False, tie))
     regions = np.bincount(row, minlength=count)
     first = np.minimum(np.searchsorted(row, np.arange(count)), len(row) - 1)
-    pair = np.full(count, np.nan + 0j)
-    one = np.flatnonzero(regions == 1)
-    if len(one):
-        z, k = roots[one], first[one]
-        inside = (z.imag > tol_im[one, None]) & (left[k, None] < z.real) & (z.real < right[k, None])
-        imag = np.where(inside, z.imag, np.inf)
-        near = np.arange(len(one)), np.argmin(imag, axis=1)  # inf: no root inside
-        pair[one] = np.where(imag[near] <= 0.5 * (right[k] - left[k]), z[near], np.nan)
-    return points, row, left, right, upper[:len(row)], upper[len(row):], regions, first, pair
+    return points, row, left, right, upper[:len(row)], upper[len(row):], regions, first, rest
 
 
 @dataclass(frozen=True)
 class _Turning:
     """Turning points of an array of energies (_turning).
 
-    `roots` holds every root of each band polynomial, sorted, and
-    `points` the real ones (_regions).  The allowed regions are flat
-    arrays, in row order and within a row in p order: the row of their
-    energy, their two ends and the branch labels of the ends (True on
-    U+).  `count`, `first` and `pair` hold each energy's (_regions), and
-    `lead` is the leading coefficient of the band polynomial.
+    `roots` holds every root of each band polynomial, sorted, `points`
+    the real ones (_regions) and `lead` the leading coefficient.  The
+    allowed regions are flat arrays, in row order and within a row in p
+    order: the row of their energy, their two ends, the branch labels of
+    the ends (True on U+) and the other roots of their energy (`rest`).
+    `count` and `first` hold each energy's (_regions), and so does
+    `pair`, worked out when first read: with one region, the upper-half
+    root inside it (no real root is) nearest the real axis, where a
+    barrier's turning points go above its top.  Further from the axis
+    than half the region's width it belongs to some other structure and
+    is NaN, as where no pair exists, and callers take the plain rule.
     """
 
     lead: float
@@ -177,11 +177,24 @@ class _Turning:
     upper_right: np.ndarray
     count: np.ndarray
     first: np.ndarray
-    pair: np.ndarray
+    rest: np.ndarray
+
+    @cached_property
+    def pair(self) -> np.ndarray:
+        """The continued pair of every energy (see _Turning)."""
+        pair = np.full(len(self.count), np.nan + 0j)
+        one = np.flatnonzero(self.count == 1)
+        if len(one):
+            z, k = self.roots[one], self.first[one]
+            left, right = self.left[k, None], self.right[k, None]
+            imag = np.where((z.imag > 0.0) & (left < z.real) & (z.real < right), z.imag, np.inf)
+            near = np.arange(len(one)), np.argmin(imag, axis=1)  # inf: no root inside
+            pair[one] = np.where(imag[near] <= 0.5 * (right - left)[:, 0], z[near], np.nan)
+        return pair
 
 
 def _turning(spec: ModelSpec, energies: np.ndarray) -> _Turning:
-    """Roots, real turning points, allowed regions, labels and pairs at every energy."""
+    """Roots, real turning points, allowed regions and their labels at every energy."""
     coeffs = _band_poly_coeffs(spec, energies)
     lead = coeffs[0, -1] if len(energies) else 0.0
     if lead == 0.0:  # v = 0: -(E - eps*p)^2 allows no region
@@ -243,25 +256,12 @@ def _radius_excess(spec: ModelSpec, p):
     return np.sqrt(np.where(inside, ratio, 0.0)) - 1.0
 
 
-def _deflated_quotient(roots, lead, p_left, p_right, p_nodes):
-    """-lead * prod (p - z) at `p_nodes`, complex, and the roots z it takes.
-
-    z runs over the roots of each row less the two that bound its region:
-    the root nearest p_left and, of the others, the one nearest p_right.
-    """
-    count, d = roots.shape
-    rows = np.arange(count)
-    left = np.argmin(np.abs(roots - p_left[:, None]), axis=1)
-    to_right = np.abs(roots - p_right[:, None])
-    to_right[rows, left] = np.inf
-    right = np.argmin(to_right, axis=1)
-    keep = np.ones(roots.shape, dtype=bool)
-    keep[rows, left] = keep[rows, right] = False
-    rest = roots[keep].reshape(count, d - 2)
+def _deflated_quotient(rest, lead, p_nodes):
+    """-lead * prod (p - z) at `p_nodes`, complex, z over each row of `rest` (_Turning)."""
     quotient = np.full(p_nodes.shape, -lead + 0j)
     for z in rest.T:
         quotient *= p_nodes - z[:, None]
-    return quotient, rest
+    return quotient
 
 
 def _area_from_cases(p_left, p_right, upper_left, upper_right, s_tilde):
@@ -306,7 +306,7 @@ def _region_areas(spec: ModelSpec, energies, tp: _Turning, shift=None) -> np.nda
         w = gap / (abs(spec.v) * _radius_any(spec, p_nodes))
         s_tilde = half * (np.arccos(np.clip(w, -1.0, 1.0)) @ jacobian)
         if shift is not None:
-            quotient, _ = _deflated_quotient(tp.roots[row], tp.lead, p_left, p_right, p_nodes)
+            quotient = _deflated_quotient(tp.rest[blk], tp.lead, p_nodes)
             dh = _radius_excess(spec, p_nodes) * gap - shift[row][:, None]
             # positive inside the region; a root pair at an end can tip
             # its rounding below zero
@@ -387,7 +387,7 @@ PERIOD_NODES = 1024  # Gauss-Chebyshev nodes per allowed region of T(E)
 _PERIOD_BLOCK = 64  # regions per quadrature block: 1 MB complex arrays
 
 
-def _region_periods(roots, lead, p_left, p_right, cos_theta):
+def _region_periods(rest, lead, p_left, p_right, cos_theta):
     """Twice the time across each region; NaN beside a saddle, where it diverges.
 
     Each region's band polynomial is deflated by its two bounding roots
@@ -400,8 +400,7 @@ def _region_periods(roots, lead, p_left, p_right, cos_theta):
     half = (0.5 * (p_right - p_left))[:, None]
     # complex once here, not once per factor
     p_nodes = (0.5 * (p_left + p_right)[:, None] + half * cos_theta).astype(complex)
-    quotient, rest = _deflated_quotient(roots, lead, p_left, p_right, p_nodes)
-    quotient = quotient.real
+    quotient = _deflated_quotient(rest, lead, p_nodes).real
     saddle = np.any((np.abs(rest.imag) < 1e-9)
                     & (rest.real >= p_left[:, None] - 1e-10 * span)
                     & (rest.real <= p_right[:, None] + 1e-10 * span), axis=1)
@@ -424,8 +423,8 @@ def _periods(spec: ModelSpec, energies):
     cos_theta = np.cos(pi * (np.arange(PERIOD_NODES) + 0.5) / PERIOD_NODES)
     for b in range(0, len(tp.row), _PERIOD_BLOCK):
         blk = slice(b, b + _PERIOD_BLOCK)
-        np.add.at(total, tp.row[blk], _region_periods(tp.roots[tp.row[blk]], tp.lead,
-                                                      tp.left[blk], tp.right[blk], cos_theta))
+        np.add.at(total, tp.row[blk], _region_periods(tp.rest[blk], tp.lead, tp.left[blk],
+                                                      tp.right[blk], cos_theta))
     return total / s, tp.count
 
 

@@ -129,10 +129,11 @@ def check_spectrum_bounds(spec: ModelSpec):
     scaled = quantum.eigen_spectrum(spec).scaled_eigenvalues
     slack = 3 * spec.eta * 0.5 * (emax - emin)
     ok = scaled.min() >= emin - slack and scaled.max() <= emax + slack
+    label = lambda x: f"{x:.4f}" if abs(x) >= 1e-4 else f"{x:.3e}"  # as check_poincare_index
     return (
         "scaled spectrum within classical band (3 eta slack)",
         bool(ok),
-        f"[{scaled.min():.4f},{scaled.max():.4f}] vs [{emin:.4f},{emax:.4f}]",
+        f"[{label(scaled.min())},{label(scaled.max())}] vs [{label(emin)},{label(emax)}]",
     )
 
 

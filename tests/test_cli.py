@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 import sys
 from math import frexp, isnan, sqrt
 from pathlib import Path
@@ -463,6 +464,16 @@ class TestVerifyAtSmallStructureScale:
         monkeypatch.setattr(quantum, "eigen_spectrum", lambda s: quantum.SpectrumResult(
             s, 1.5 * exact(s).raw_eigenvalues))
         assert not verify.check_spectrum_bounds(spec)[1]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=str)
+    def test_spectrum_bounds_line_keeps_four_digits(self, spec):
+        # .4f printed every bound here as 0.0000 or -0.0000
+        _, _, detail = verify.check_spectrum_bounds(spec)
+        scaled = quantum.eigen_spectrum(spec).scaled_eigenvalues
+        energies = [fp.energy for fp in meanfield.find_fixed_points(spec)]
+        want = np.array([scaled.min(), scaled.max(), min(energies), max(energies)])
+        got = np.array([float(x) for x in re.findall(r"-?\d\.\d{3}e[-+]\d+", detail)])
+        assert len(got) == 4 and np.all(np.abs(got - want) <= 5e-4 * np.abs(want)), detail
 
     @pytest.mark.parametrize("spec", SPECS, ids=str)
     def test_classical_limit_catches_a_scaled_f(self, spec, monkeypatch):
