@@ -383,16 +383,35 @@ def phase_correction(s_eps):
 # orbit period and density of states
 
 
-PERIOD_NODES = 1024  # Gauss-Chebyshev nodes per allowed region of T(E)
-_PERIOD_BLOCK = 64  # regions per quadrature block: 1 MB complex arrays
+PERIOD_NODES = 1024  # the most Gauss-Chebyshev nodes an allowed region of T(E) gets
+_PERIOD_BLOCK = 64  # regions per block at PERIOD_NODES, more at fewer: 1 MB complex arrays
+
+
+def _period_nodes(rest, p_left, p_right):
+    """Gauss-Chebyshev nodes each region needs, from its nearest deflated root.
+
+    The rule's error falls as rho^(-2n), rho the parameter of the nearest
+    root's Bernstein ellipse with foci at the region's ends: n is the
+    least power of two from 16 to PERIOD_NODES with rho^(2n) >= 2^72.  In
+    real arithmetic a root far beyond a narrow region overflows to rho =
+    inf (16 nodes); a root on the region gives rho = 1 (PERIOD_NODES), as
+    does 0/0, a region of width 0 at a root.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        a = ((np.abs(rest - p_left[:, None]) + np.abs(rest - p_right[:, None]))
+             / (p_right - p_left)[:, None])
+        a = np.fmax(a, 1.0)
+        rho = np.min(a + np.sqrt((a - 1.0) * (a + 1.0)), axis=1, initial=np.inf)
+        need = 2.0 ** np.ceil(np.log2(36.0 * np.log(2.0) / np.log(rho)))
+    return np.clip(need, 16, PERIOD_NODES).astype(int)
 
 
 def _region_periods(rest, lead, p_left, p_right, cos_theta):
     """Twice the time across each region; NaN beside a saddle, where it diverges.
 
     Each region's band polynomial is deflated by its two bounding roots
-    (_deflated_quotient), and the quotient is integrated with
-    Gauss-Chebyshev nodes, which absorb the inverse-square-root
+    (_deflated_quotient), and the quotient is integrated with the
+    Gauss-Chebyshev nodes `cos_theta`, which absorb the inverse-square-root
     endpoints exactly.  A region beside a saddle holds a leftover real
     root (a saddle turning point) or a quotient that is not positive.
     """
@@ -405,7 +424,7 @@ def _region_periods(rest, lead, p_left, p_right, cos_theta):
                     & (rest.real >= p_left[:, None] - 1e-10 * span)
                     & (rest.real <= p_right[:, None] + 1e-10 * span), axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
-        period = 2.0 * (pi / PERIOD_NODES) * np.sum(1.0 / np.sqrt(quotient), axis=1)
+        period = 2.0 * (pi / len(cos_theta)) * np.sum(1.0 / np.sqrt(quotient), axis=1)
     return np.where(saddle | np.any(quotient <= 0.0, axis=1), np.nan, period)
 
 
@@ -413,18 +432,23 @@ def _periods(spec: ModelSpec, energies):
     """Mean-field period T(E) at an array of energies, and its region count.
 
     T(E) sums the regions of an energy (_turning) in p order
-    (_region_periods); it is NaN out of band, where the count is 0, and
-    where a region's period diverges.  All at unit scale (ModelSpec.unit_scale).
+    (_region_periods), each with the nodes it needs (_period_nodes); it
+    is NaN out of band, where the count is 0, and where a region's period
+    diverges.  All at unit scale (ModelSpec.unit_scale).
     """
     spec, s = spec.unit_scale()
     energies = np.asarray(energies, dtype=float) / s
     tp = _turning(spec, energies)
+    nodes = _period_nodes(tp.rest, tp.left, tp.right)
+    period = np.empty(len(tp.row))
+    for n in np.unique(nodes):
+        cos_theta = np.cos(pi * (np.arange(n) + 0.5) / n)
+        here, size = np.flatnonzero(nodes == n), _PERIOD_BLOCK * PERIOD_NODES // n
+        for b in range(0, len(here), size):
+            k = here[b:b + size]
+            period[k] = _region_periods(tp.rest[k], tp.lead, tp.left[k], tp.right[k], cos_theta)
     total = np.where(tp.count == 0, np.nan, 0.0)
-    cos_theta = np.cos(pi * (np.arange(PERIOD_NODES) + 0.5) / PERIOD_NODES)
-    for b in range(0, len(tp.row), _PERIOD_BLOCK):
-        blk = slice(b, b + _PERIOD_BLOCK)
-        np.add.at(total, tp.row[blk], _region_periods(tp.rest[blk], tp.lead, tp.left[blk],
-                                                      tp.right[blk], cos_theta))
+    np.add.at(total, tp.row, period)
     return total / s, tp.count
 
 

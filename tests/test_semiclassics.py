@@ -527,6 +527,34 @@ class TestDosCurve:
         vals = semiclassics.dos_semiclassical(spec, np.array([emax + 1.0])).density
         assert np.isnan(vals[0])
 
+    @staticmethod
+    def spacing_misfit(m, n, eps, dim):
+        """|gap * rho(E_mid) / eta - 1| over the exact levels at dim, rho = T/2pi.
+
+        Midpoints within 0.02 of a saddle, a degenerate point or a band
+        end are left out, where the spacing is not set by one period.
+        """
+        spec = ModelSpec(m, n, (dim - 1) * m * n, eps=eps)
+        levels = quantum.eigen_spectrum(spec).scaled_eigenvalues
+        mid = 0.5 * (levels[1:] + levels[:-1])
+        fps = meanfield.find_fixed_points(spec)
+        special = [fp.energy for fp in fps if fp.stability != "center"] + list(band_range(spec))
+        keep = np.all(np.abs(mid[:, None] - np.array(special)) > 0.02, axis=1)
+        rho = semiclassics.dos_semiclassical(spec, mid[keep]).density
+        return np.abs(np.diff(levels)[keep] * rho / spec.eta - 1.0)
+
+    def test_exact_spacing_is_period(self):
+        # the exact level gaps against 2*pi*eta/T at their midpoints: exact
+        # at m = n = 1, and O(eta) elsewhere
+        misfit = self.spacing_misfit(1, 1, 0.3, 401)
+        assert np.max(misfit) <= 1e-11
+        dims = [401, 801, 1601, 3201]
+        medians = [np.median(self.spacing_misfit(2, 1, 0.5, dim)) for dim in dims]
+        assert medians[0] < 1e-3
+        assert -1.1 <= np.polyfit(np.log(dims), np.log(medians), 1)[0] <= -0.9
+        coarse, fine = (np.median(self.spacing_misfit(3, 2, 0.4, dim)) for dim in (401, 1601))
+        assert coarse < 1e-3 and 3.6 <= coarse / fine <= 4.4
+
 
 class TestBatchedPeriods:
     """The period kernel behind dos_semiclassical and orbit_period."""
@@ -644,6 +672,37 @@ class TestBatchedPeriods:
             orbit_period(spec, energy)
         # the saddle margin masks it in the curve
         assert np.isnan(semiclassics.dos_semiclassical(spec, np.array([energy])).density[0])
+
+    def test_node_rule_as_the_full_rule(self, monkeypatch):
+        # every region with PERIOD_NODES is the oracle: at 200 bin centres
+        # across the band of each criterion-7 case and beside each saddle
+        # at 1e-3 ... 1e-10, the count read from the nearest deflated root
+        # moves no period by 1e-14
+        cases = [(2, 1, 0.5), (2, 1, 1.5), (2, 2, 0.2), (2, 2, 1.2), (3, 3, 0.08),
+                 (3, 3, 0.125), (3, 3, 0.15), (3, 2, 0.2), (3, 2, 0.4), (3, 2, 0.8)]
+        full = lambda rest, p_left, p_right: np.full(len(p_left), semiclassics.PERIOD_NODES)
+        counts = []
+        for m, n, eps in cases:
+            spec = ModelSpec(m, n, 9000, eps=eps)
+            emin, emax = band_range(spec)
+            saddles = [f.energy for f in meanfield.find_fixed_points(spec)
+                       if f.stability == "saddle"]
+            near = np.concatenate([s + np.outer([1, -1], 10.0 ** -np.arange(3, 11)).ravel()
+                                   for s in saddles] + [np.zeros(0)])
+            energies = np.append(emin + (np.arange(200) + 0.5) / 200 * (emax - emin), near)
+            tp = semiclassics._turning(spec, energies)
+            counts.append(semiclassics._period_nodes(tp.rest, tp.left, tp.right))
+            got, _ = semiclassics._periods(spec, energies)
+            with monkeypatch.context() as patch:
+                patch.setattr(semiclassics, "_period_nodes", full)
+                want, _ = semiclassics._periods(spec, energies)
+            assert (np.isnan(got) == np.isnan(want)).all(), spec
+            finite = np.isfinite(want)
+            assert np.max(np.abs(got[finite] / want[finite] - 1.0)) <= 1e-14, spec
+        counts = np.concatenate(counts)
+        powers = {2**k for k in range(4, 31) if 2**k <= semiclassics.PERIOD_NODES}
+        assert set(counts.tolist()) <= powers
+        assert np.mean(counts == 16) > 0.5  # most regions need the fewest
 
 
 class TestAreaKernel:
