@@ -36,10 +36,15 @@ def radius(spec: ModelSpec, p):
     p = np.asarray(p, dtype=float)
     if np.any(p < -0.5) or np.any(p > 0.5):
         raise ValueError("p must lie in [-1/2, 1/2]")
+    out = _radius_array(spec, p)
+    return float(out) if out.ndim == 0 else out
+
+
+def _radius_array(spec: ModelSpec, p: np.ndarray) -> np.ndarray:
+    """r(p) at a float array p that lies in [-1/2, 1/2] (radius without its range check)."""
     x = np.maximum(0.5 + p, 0.0)
     y = np.maximum(0.5 - p, 0.0)
-    out = radius_coefficient(spec) * x ** (spec.m / 2.0) * y ** (spec.n / 2.0)
-    return float(out) if out.ndim == 0 else out
+    return radius_coefficient(spec) * x ** (spec.m / 2.0) * y ** (spec.n / 2.0)
 
 
 def classical_commutator(spec: ModelSpec, p):

@@ -87,11 +87,11 @@ def _stacked_roots(coeffs: np.ndarray) -> np.ndarray:
     """
     count, d = coeffs.shape[0], coeffs.shape[1] - 1
     mat = np.zeros((count, d, d))
-    mat[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+    mat.reshape(count, d * d)[:, d::d + 1] = 1.0  # the subdiagonal
     mat[:, :, -1] -= coeffs[:, :-1] / coeffs[:, -1:]
     roots = np.linalg.eigvals(mat)
     roots.sort(axis=-1)
-    return roots.astype(complex)
+    return roots.astype(complex, copy=False)
 
 
 def _regions(spec: ModelSpec, energies: np.ndarray, roots: np.ndarray):
@@ -118,35 +118,38 @@ def _regions(spec: ModelSpec, energies: np.ndarray, roots: np.ndarray):
     re = roots.real
     real = ((np.abs(roots.imag) <= tol_im[:, None])
             & (re >= -0.5 - POLE_SLACK) & (re <= 0.5 + POLE_SLACK))
-    keys = np.where(real, np.clip(re, -0.5, 0.5), np.inf)
+    keys = np.where(real, np.minimum(np.maximum(re, -0.5), 0.5), np.inf)
     order = np.argsort(keys, axis=1, kind="stable")  # point j is root order[row, j]
-    points = np.take_along_axis(keys, order, axis=1)
-    count, width = points.shape
+    count, width = keys.shape
+    rows = np.arange(count)
+    points = keys[rows[:, None], order]
     last = np.isfinite(points).sum(axis=1)  # zones per row, less one
-    cuts = np.hstack((np.full((count, 1), -0.5), points, np.full((count, 1), np.inf)))
-    cuts[np.arange(count), last + 1] = 0.5
+    cuts = np.full((count, width + 2), np.inf)
+    cuts[:, 0], cuts[:, 1:-1] = -0.5, points
+    cuts[rows, last + 1] = 0.5
     # zone j of a row runs from cuts[j] to cuts[j + 1]; zones are flat, in
     # row order, so the zones beside zone k are k - 1 and k + 1
     row, j = np.nonzero(np.arange(width + 1) <= last[:, None])
-    mid = 0.5 * (cuts[row, j] + cuts[row, j + 1])
+    lo, hi = cuts[row, j], cuts[row, j + 1]
+    mid = 0.5 * (lo + hi)
     gap = energies[row] - spec.eps * mid
-    vr = abs(spec.v) * meanfield.radius(spec, mid)
+    vr = abs(spec.v) * meanfield._radius_array(spec, mid)
     # numpy's vector power can differ from libm's pow by an ulp, enough to
     # flip a comparison in a zone narrower than about 1e-8: where it could,
     # take the scalar value
     for k in np.nonzero(np.abs(np.abs(gap) - vr) <= 1e-13 * vr)[0]:
         vr[k] = abs(spec.v) * meanfield.radius(spec, float(mid[k]))
     zone = np.nonzero((j > 0) & (j < last[row]) & (vr**2 - gap**2 > 0.0))[0]
-    row, left, right = row[zone], cuts[row[zone], j[zone]], cuts[row[zone], j[zone] + 1]
+    row, left, right = row[zone], lo[zone], hi[zone]
     keep = np.ones((len(row), width), dtype=bool)  # less the roots at points j - 1 and j
-    np.put_along_axis(keep, order[row[:, None], j[zone, None] + [-1, 0]], False, axis=1)
+    keep[np.arange(len(row))[:, None], order[row[:, None], j[zone, None] + [-1, 0]]] = False
     rest = roots[row][keep].reshape(len(row), max(width - 2, 0))
     beyond = np.concatenate((zone - 1, zone + 1))
     gap, vr = gap[beyond], vr[beyond]
-    tie = energies[np.tile(row, 2)] >= spec.eps * np.concatenate((left, right))
+    tie = energies[np.concatenate((row, row))] >= spec.eps * np.concatenate((left, right))
     upper = np.where(gap > vr, True, np.where(gap < -vr, False, tie))
     regions = np.bincount(row, minlength=count)
-    first = np.minimum(np.searchsorted(row, np.arange(count)), len(row) - 1)
+    first = np.minimum(np.searchsorted(row, rows), len(row) - 1)
     return points, row, left, right, upper[:len(row)], upper[len(row):], regions, first, rest
 
 
@@ -304,7 +307,7 @@ def _region_areas(spec: ModelSpec, energies, tp: _Turning, shift=None) -> np.nda
         p_nodes = (0.5 * (p_left + p_right))[:, None] + half[:, None] * sin_t
         gap = energies[row][:, None] - spec.eps * p_nodes  # |v| r cos q
         w = gap / (abs(spec.v) * _radius_any(spec, p_nodes))
-        s_tilde = half * (np.arccos(np.clip(w, -1.0, 1.0)) @ jacobian)
+        s_tilde = half * (np.arccos(np.minimum(np.maximum(w, -1.0), 1.0)) @ jacobian)
         if shift is not None:
             quotient = _deflated_quotient(tp.rest[blk], tp.lead, p_nodes)
             dh = _radius_excess(spec, p_nodes) * gap - shift[row][:, None]
@@ -525,21 +528,25 @@ def _area_terms(spec: ModelSpec, energies, shift=None, barrier: bool = False) ->
     size = len(energies)
     tp = _turning(spec, energies)
     area = _region_areas(spec, energies, tp, shift)
-    last = np.append(tp.row[1:] != tp.row[:-1], True)
-    total = (np.bincount(tp.row, weights=area, minlength=size)
-             - TWO_PI * np.bincount(tp.row[tp.upper_right & ~last], minlength=size))
+    # float even without regions, where bincount's sum is an integer array
+    total = np.bincount(tp.row, weights=area, minlength=size).astype(float, copy=False)
+    gaps = tp.row[:-1][tp.upper_right[:-1] & (tp.row[1:] == tp.row[:-1])]
+    if len(gaps):
+        total -= TWO_PI * np.bincount(gaps, minlength=size)
     total[tp.count == 0] = np.nan
     left, right, s_eps = np.full((3, size), np.nan)
-    if barrier:
-        two = np.nonzero(tp.count == 2)[0]
+    two = np.nonzero(tp.count == 2)[0] if barrier else ()
+    if len(two):
         k = tp.first[two]
         left[two], right[two] = area[k], area[k + 1]
         total[two] = left[two] + right[two] - TWO_PI * tp.upper_right[k]
         s_eps[two] = _gap_barrier(spec, energies[two], tp.right[k], tp.left[k + 1])
-        one = np.nonzero(~np.isnan(tp.pair))[0]
+    one = np.nonzero(~np.isnan(tp.pair))[0] if barrier else ()
+    if len(one):
         k, z, e = tp.first[one], tp.pair[one], energies[one]
-        s = None if shift is None else np.tile(shift[one], 2)
-        s_tilde = _contour_actions(spec, np.tile(e, 2), np.concatenate((tp.left[k] + 0j, z)),
+        s = None if shift is None else np.concatenate((shift[one], shift[one]))
+        s_tilde = _contour_actions(spec, np.concatenate((e, e)),
+                                   np.concatenate((tp.left[k] + 0j, z)),
                                    np.concatenate((z, tp.right[k] + 0j)), s).real
         left[one] = _area_from_cases(tp.left[k], z.real, tp.upper_left[k], False,
                                      s_tilde[:len(one)])
@@ -565,6 +572,8 @@ def _matching_areas(spec: ModelSpec, terms: _AreaTerms) -> np.ndarray:
     """
     area = terms.total.copy()
     k = np.nonzero(~np.isnan(terms.right))[0]
+    if not len(k):
+        return area
     s_eps = terms.s_eps[k]
     s_phi = phase_correction(s_eps)
     with np.errstate(over="ignore"):
@@ -689,8 +698,8 @@ def _lockstep_roots(area, targets, x0, x1, s0, s1, scale=1.0):
                                     "inside its edges")
         flip = f_pre * f_cur < 0.0
         x_blk, f_blk = np.where(flip, x_pre, x_blk), np.where(flip, f_pre, f_blk)
-        s_pre = np.where(flip, x_cur - x_pre, s_pre)
-        s_cur = np.where(flip, x_cur - x_pre, s_cur)
+        step = x_cur - x_pre
+        s_pre, s_cur = np.where(flip, step, s_pre), np.where(flip, step, s_cur)
         swap = np.abs(f_blk) < np.abs(f_cur)
         x_pre, x_cur, x_blk = (np.where(swap, x_cur, x_pre), np.where(swap, x_blk, x_cur),
                                np.where(swap, x_cur, x_blk))
@@ -699,13 +708,14 @@ def _lockstep_roots(area, targets, x0, x1, s0, s1, scale=1.0):
         delta = 0.5 * (_XTOL + _RTOL * np.abs(x_cur))
         s_bis = 0.5 * (x_blk - x_cur)
         done = (f_cur == 0.0) | (np.abs(s_bis) < delta)
-        roots[act[done]] = x_cur[done]
-        go = ~done
-        act, x_pre, x_cur, x_blk, f_pre, f_cur, f_blk, s_pre, s_cur, delta, s_bis = (
-            a[go] for a in (act, x_pre, x_cur, x_blk, f_pre, f_cur, f_blk, s_pre, s_cur,
-                            delta, s_bis))
-        if not len(act):
-            break
+        if done.any():
+            roots[act[done]] = x_cur[done]
+            go = ~done
+            act, x_pre, x_cur, x_blk, f_pre, f_cur, f_blk, s_pre, s_cur, delta, s_bis = (
+                a[go] for a in (act, x_pre, x_cur, x_blk, f_pre, f_cur, f_blk, s_pre, s_cur,
+                                delta, s_bis))
+            if not len(act):
+                break
         with np.errstate(divide="ignore", invalid="ignore"):
             d_pre = (f_pre - f_cur) / (x_pre - x_cur)
             d_blk = (f_blk - f_cur) / (x_blk - x_cur)

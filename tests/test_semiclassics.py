@@ -785,6 +785,65 @@ class TestAreaKernel:
             semiclassics._lockstep_roots(holed, np.array([0.2]), *ends, holed(ends[0]),
                                          holed(ends[1]))
 
+    def test_lockstep_targets_finish_in_different_sweeps(self):
+        # a bisection-heavy root, |E - c|^(1/9) at c = 5.23 (46 brentq calls),
+        # beside fast ones: each root is still its own brentq's
+        def area(e):
+            slow = 10.0 + np.sign(e - 5.23) * np.abs(e - 5.23) ** (1.0 / 9.0)
+            return np.where(e < 3.0, np.tanh(3.0 * e) + 0.05 * np.sin(40.0 * e), slow)
+
+        targets = np.array([-0.9, -0.3, 10.0, 0.2, 0.7])
+        left, right = np.array([-2.0, 2.0, 4.0, -2.0, 2.0]), np.array([2.0, -2.0, 6.0, 2.0, -2.0])
+        calls = []
+
+        def recorded(e):
+            calls.append(e.copy())
+            return area(e)
+
+        roots = semiclassics._lockstep_roots(recorded, targets, left, right, area(left),
+                                             area(right))
+        for t, a, b, root in zip(targets, left, right, roots):
+            want = brentq(lambda e: area(e) - t, a, b, xtol=1e-14, rtol=8.9e-16)
+            assert abs(root - want) <= 1e-14 or abs(area(root) - t) <= 1e-15
+        sizes = [len(e) for e in calls]
+        assert sizes == sorted(sizes, reverse=True) and len(set(sizes)) >= 3, sizes
+        # a NaN met in a sweep where no target finished names its energy
+        assert sizes[4] == len(targets)
+        hole = calls[3][2]
+        holed = lambda e: np.where(np.abs(e - hole) < 1e-9, np.nan, area(e))
+        with pytest.raises(semiclassics.QuantizationError, match="unresolved at E = ") as err:
+            semiclassics._lockstep_roots(holed, targets, left, right, area(left), area(right))
+        assert float(re.search(r"E = (\S+),", str(err.value)).group(1)) == hole
+
+    @pytest.mark.parametrize("barrier", [False, True])
+    @pytest.mark.parametrize("shifted", [False, True])
+    def test_batches_without_regions(self, barrier, shifted):
+        # no energies, and energies all outside the band: float arrays of
+        # the batch's length, all NaN
+        spec = ModelSpec(4, 1, 160, eps=0.5)
+        for energies in (np.zeros(0), np.array([-3.0, -0.9, 0.9, 2.0])):
+            shift = np.full(len(energies), 0.002) if shifted else None
+            terms = semiclassics._area_terms(spec, energies, shift, barrier)
+            for values in (terms.total, terms.left, terms.right, terms.s_eps,
+                           semiclassics._matching_areas(spec, terms)):
+                assert values.dtype == np.float64 and values.shape == energies.shape
+                assert np.isnan(values).all()
+
+    def test_barrier_terms_without_two_regions_or_pair(self):
+        # single-well energies and two out of band: the barrier terms are
+        # the plain sum, bit for bit, and the matching area a copy of it
+        spec = ModelSpec(4, 1, 160, eps=0.5)
+        energies = np.array([-0.9, 0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.9])
+        shift = np.full(len(energies), 0.002)
+        plain = semiclassics._area_terms(spec, energies, shift)
+        terms = semiclassics._area_terms(spec, energies, shift, True)
+        assert area_forms(spec, energies, terms) == ["oob"] + ["sum"] * 6 + ["oob"]
+        assert terms.total.tobytes() == plain.total.tobytes()
+        assert np.isnan(terms.left).all() and np.isnan(terms.right).all()
+        assert np.isnan(terms.s_eps).all()
+        area = semiclassics._matching_areas(spec, terms)
+        assert area is not terms.total and area.tobytes() == terms.total.tobytes()
+
     def test_mirrored_error_names_the_callers_energy(self, monkeypatch):
         # the double well of (1,4, eps=0.5) at E = 0.2361 is solved mirrored,
         # at -E on (4,1); an area unresolved around that level must be
